@@ -54,16 +54,10 @@ class ApproxReport:
 def detect_three_values(instance: Instance) -> ThreeValueProfile:
     """Classify an instance as exactly three-valued or raise."""
     require_valid(instance)
-    distinct: list[Fraction] = []
-    stream = list(instance.c)
-    for row in instance.f:
-        stream.extend(row)
-    for v in stream:
-        if v not in distinct:
-            distinct.append(v)
-            if len(distinct) > 3:
-                witness = ", ".join(str(x) for x in sorted(distinct))
-                raise ValueDomainError(f"more than three distinct values: witness {witness}")
+    distinct = instance._distinct_values()
+    if len(distinct) > 3:
+        witness = ", ".join(str(x) for x in sorted(distinct[:4]))
+        raise ValueDomainError(f"more than three distinct values: witness {witness}")
     if len(distinct) < 3:
         raise ValueDomainError(
             f"only {len(distinct)} distinct value(s); use the two-value solver "

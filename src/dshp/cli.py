@@ -22,7 +22,6 @@ from .model import (
     Instance,
     ValueDomainError,
     check_solution,
-    format_rational,
     parse_instance,
     parse_rational,
     parse_solution,
@@ -79,14 +78,6 @@ def _emit(obj, pretty: bool) -> None:
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
-
-
-def _solution_obj(solution) -> dict:
-    return {
-        "first_stage": list(solution.first_stage),
-        "second_stage": [list(sel) for sel in solution.second_stage],
-        "value": format_rational(solution.value),
-    }
 
 
 def gen_random_instance(n: int, m: int, k: int, values: str, seed: int) -> Instance:
@@ -167,20 +158,21 @@ def cmd_solve(args) -> int:
     elif args.algo == "two-value":
         try:
             profile = detect_two_values(instance)
-            extras["v_min"] = format_rational(profile.v_min)
-            extras["v_max"] = format_rational(profile.v_max)
+            extras["v_min"] = str(profile.v_min)
+            extras["v_max"] = str(profile.v_max)
         except DegenerateValuesError:
             extras["degenerate"] = True
+        # The value scan above is stored on the instance; solving reuses it.
         solution = solve_two_value(instance)
     else:
         solution, report = solve_approx(instance)
-        extras["low"] = format_rational(report.profile.low)
-        extras["mid"] = format_rational(report.profile.mid)
-        extras["high"] = format_rational(report.profile.high)
+        extras["low"] = str(report.profile.low)
+        extras["mid"] = str(report.profile.mid)
+        extras["high"] = str(report.profile.high)
         extras["high_count"] = report.profile.high_count
         extras["mid_count"] = report.profile.mid_count
-        extras["guarantee"] = format_rational(report.guarantee)
-        extras["certified_lower_bound"] = format_rational(report.certified_lower_bound)
+        extras["guarantee"] = str(report.guarantee)
+        extras["certified_lower_bound"] = str(report.certified_lower_bound)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     if args.solution_out:
         with open(args.solution_out, "w", encoding="utf-8") as handle:
@@ -189,9 +181,9 @@ def cmd_solve(args) -> int:
         {
             "algorithm": args.algo,
             "instance": instance.label,
-            "objective": format_rational(solution.value),
+            "objective": str(solution.value),
             "wall_time_ms": elapsed_ms,
-            "solution": _solution_obj(solution),
+            "solution": solution.as_dict(),
             "extras": extras,
         },
         args.pretty,
@@ -248,18 +240,18 @@ def cmd_compare(args) -> int:
     solution, report = solve_approx(instance)
     out = {
         "instance": instance.label,
-        "approx_objective": format_rational(solution.value),
-        "guarantee_value_ratio": format_rational(report.guarantee),
-        "guarantee_budget_ratio": format_rational(
+        "approx_objective": str(solution.value),
+        "guarantee_value_ratio": str(report.guarantee),
+        "guarantee_budget_ratio": str(
             max(Fraction(1, 2), Fraction(instance.k, instance.n))
         ),
     }
     if instance.n <= cap:
         best = solve_exact(instance, ExactOptions(max_n=cap))
-        out["exact_objective"] = format_rational(best.value)
+        out["exact_objective"] = str(best.value)
         out["exact_skipped"] = False
         if best.value != 0:
-            out["realized_ratio"] = format_rational(solution.value / best.value)
+            out["realized_ratio"] = str(solution.value / best.value)
         else:
             out["realized_ratio"] = None
     else:

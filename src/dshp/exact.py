@@ -1,7 +1,9 @@
 """Exact DSHP solver: enumerate first-stage sets, complete each greedily.
 
 Enumeration covers every size 0..k because holding everything back for the
-second stage is often optimal.  Assets whose first-stage value is strictly
+second stage is often optimal.  Each set is scored on the instance's integer
+view (model.Instance.scaled), whose second_stage method holds the selling
+order every solver shares.  Assets whose first-stage value is strictly
 below their expected second-stage value can be excluded from first-stage
 consideration without changing the optimal objective (an exchange argument:
 moving such an asset to every scenario's second stage strictly improves any
@@ -13,7 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .model import (
     DshpError,
@@ -50,24 +51,6 @@ def prunable(instance: Instance) -> frozenset[int]:
     return frozenset(out)
 
 
-def _integer_view(instance: Instance):
-    """Rescale c, f and p to integers over common denominators.
-
-    Objectives of candidate plans then compare as plain integers (they all
-    share the denominator scale * pscale), which keeps the enumeration loop
-    exact without per-step Fraction arithmetic.
-    """
-    scale = lcm(
-        *(v.denominator for v in instance.c),
-        *(v.denominator for row in instance.f for v in row),
-    )
-    pscale = lcm(*(v.denominator for v in instance.p))
-    c_int = [v.numerator * (scale // v.denominator) for v in instance.c]
-    f_int = [[v.numerator * (scale // v.denominator) for v in row] for row in instance.f]
-    weights = [v.numerator * (pscale // v.denominator) for v in instance.p]
-    return c_int, f_int, weights, pscale
-
-
 def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solution:
     """Globally optimal solution by exhaustive first-stage enumeration.
 
@@ -85,12 +68,10 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
             f"pass a larger max_n (CLI: --max-n or DSHP_MAX_N) to override"
         )
 
-    n, m, k = instance.n, instance.m, instance.k
-    c_int, f_int, weights, pscale = _integer_view(instance)
-    # Per scenario, assets in selling order: highest value first, index ties low.
-    ranking = [
-        sorted(range(n), key=lambda i: (-f_int[i][j], i)) for j in range(m)
-    ]
+    n, k = instance.n, instance.k
+    view = instance.scaled
+    # Every plan's objective, times scale * pscale, is an integer.
+    c, pscale, second_stage = view.c, view.pscale, view.second_stage
     if options.prune:
         pool = sorted(set(range(n)) - prunable(instance))
     else:
@@ -101,23 +82,9 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
     for size in range(min(k, len(pool)) + 1):
         need = k - size
         for combo in itertools.combinations(pool, size):
-            chosen = set(combo)
-            total = pscale * sum(c_int[i] for i in combo)
+            total = pscale * sum(c[i] for i in combo)
             if need:
-                for j in range(m):
-                    weight = weights[j]
-                    if not weight:
-                        continue
-                    left = need
-                    acc = 0
-                    for i in ranking[j]:
-                        if i in chosen:
-                            continue
-                        acc += f_int[i][j]
-                        left -= 1
-                        if not left:
-                            break
-                    total += weight * acc
+                total += second_stage(set(combo), need)
             if best_total is None or total > best_total:
                 best_total = total
                 best_first = combo

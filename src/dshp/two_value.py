@@ -3,8 +3,10 @@
 Selling every asset whose first-stage value is v_max as early as possible is
 optimal (an exchange argument: swapping such an asset into the first stage
 never loses value), and the leftover budget is spent per scenario on v_max
-entries first.  Everything is done with counting passes, no sorting, so the
-work is linear in n*m.
+entries first.  Each scenario's selling order (v_max assets, then v_min
+assets, ascending index within each) comes from a counting pass, not a sort,
+and model.ScaledView.second_stage, the sale every solver shares, takes from
+it, so the work is linear in n*m.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 from .model import (
     DegenerateValuesError,
     Instance,
+    ScaledView,
     Solution,
     ValueDomainError,
     require_valid,
@@ -50,35 +53,13 @@ def detect_two_values(
     More than two distinct values raises ValueDomainError with a witness
     triple; a single distinct value raises DegenerateValuesError (all
     feasible plans then share one objective, which solve_two_value handles).
+    The counter is charged the cells of the instance's value scan, if this
+    call runs it, and the n first-stage values.
     """
     require_valid(instance)
-    distinct: list[Fraction] = []
-    visits = 0
-
-    def note(v: Fraction) -> bool:
-        if v not in distinct:
-            distinct.append(v)
-        return len(distinct) > 2
-
-    bailed = False
-    for v in instance.c:
-        visits += 1
-        if note(v):
-            bailed = True
-            break
-    if not bailed:
-        for row in instance.f:
-            for v in row:
-                visits += 1
-                if note(v):
-                    bailed = True
-                    break
-            if bailed:
-                break
-    if counter:
-        counter.add(visits)
-    if bailed:
-        witness = ", ".join(str(v) for v in sorted(distinct))
+    distinct = instance._distinct_values(counter)
+    if len(distinct) > 2:
+        witness = ", ".join(str(v) for v in sorted(distinct[:3]))
         raise ValueDomainError(f"not two-valued: witness values {witness}")
     if len(distinct) == 1:
         raise DegenerateValuesError(
@@ -102,56 +83,31 @@ def solve_two_value(
     stage is empty.  Single-valued instances get the lexicographic budget-k
     first-stage plan.
     """
+    n, m, k = instance.n, instance.m, instance.k
     try:
         profile = detect_two_values(instance, counter)
     except DegenerateValuesError:
-        first = tuple(range(instance.k))
-        value = sum((instance.c[i] for i in first), Fraction(0))
-        if counter:
-            counter.add(instance.k)
-        return Solution(first, tuple(() for _ in range(instance.m)), value)
-
-    n, m, k = instance.n, instance.m, instance.k
-    top = profile.max_valued
-    if len(top) >= k:
-        first = top[:k]
-        value = sum((instance.c[i] for i in first), Fraction(0))
-        if counter:
-            counter.add(k)
-        return Solution(first, tuple(() for _ in range(m)), value)
-
-    first = top
-    in_first = set(first)
-    need = k - len(first)
+        first = tuple(range(k))
+    else:
+        first = profile.max_valued[:k]
     value = sum((instance.c[i] for i in first), Fraction(0))
+    need = k - len(first)
     if counter:
         counter.add(len(first))
-    selections = []
-    for j in range(m):
-        picked = []
-        # v_max entries first, ascending index, then v_min entries: exactly
-        # the "most valuable, ties to lowest index" order without a sort.
-        visits = 0
-        for i in range(n):
-            if i in in_first:
-                continue
-            visits += 1
-            if instance.f[i][j] == profile.v_max:
-                picked.append(i)
-                if len(picked) == need:
-                    break
-        if len(picked) < need:
-            have_max = set(picked)
-            for i in range(n):
-                if i in in_first or i in have_max:
-                    continue
-                visits += 1
-                picked.append(i)
-                if len(picked) == need:
-                    break
+    if not need:
+        return Solution(first, ((),) * m, value)
+
+    columns = tuple(zip(*instance.f))
+    order = []
+    for column in columns:
+        top = [v == profile.v_max for v in column]
+        order.append([i for i in range(n) if top[i]] + [i for i in range(n) if not top[i]])
         if counter:
-            counter.add(visits)
-        selections.append(tuple(picked))
-        scenario_sum = sum((instance.f[i][j] for i in picked), Fraction(0))
-        value += instance.p[j] * scenario_sum
-    return Solution(first, tuple(selections), value)
+            counter.add(len(column))
+    picks: list = []
+    view = ScaledView(instance.c, columns, instance.p, 1, 1, tuple(order))
+    value += view.second_stage(set(first), need, picks)
+    if counter:
+        # Each scenario's sale walked its order up to the last asset it sold.
+        counter.add(sum(o.index(sel[-1]) + 1 for o, sel in zip(order, picks)))
+    return Solution(first, tuple(picks), value)

@@ -1,0 +1,110 @@
+"""Golden corpus: CLI output must stay byte-identical, wall_time_ms aside.
+
+Each case runs `dshp` in-process on the committed files in tests/golden/inputs
+and compares its exit code, stdout, stderr and any --solution-out file with
+the recorded ones in tests/golden/expected.  A change that is meant to alter
+output regenerates the corpus with `PYTHONPATH=src python tests/test_golden.py`
+and says so.
+"""
+
+import contextlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from dshp.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+EXPECTED = GOLDEN / "expected"
+
+# name -> argv; "{inputs}" is tests/golden/inputs and "{out}" the case's --solution-out file.
+SOLVE = ["solve", "--solution-out", "{out}", "--algo"]
+CHECK_REDUCTION = [
+    "check", "reduction", "--graph", "{inputs}/graph.txt", "--instance", "{inputs}/reduction.json",
+]
+CASES = {
+    "solve-exact-any": SOLVE + ["exact", "--instance", "{inputs}/any.json"],
+    "solve-exact-any-prune": SOLVE + ["exact", "--instance", "{inputs}/any.json", "--prune"],
+    "solve-exact-two": SOLVE + ["exact", "--instance", "{inputs}/two.json"],
+    "solve-exact-reduction": SOLVE + ["exact", "--instance", "{inputs}/reduction.json"],
+    "solve-exact-reduction-prune": SOLVE + [
+        "exact", "--instance", "{inputs}/reduction.json", "--prune",
+    ],
+    "solve-exact-tight-pretty": [
+        "solve", "--algo", "exact", "--instance", "{inputs}/tight.json", "--pretty",
+    ],
+    "solve-two-value": SOLVE + ["two-value", "--instance", "{inputs}/two.json"],
+    "solve-two-value-top": SOLVE + ["two-value", "--instance", "{inputs}/two_top.json"],
+    "solve-two-value-degenerate": SOLVE + ["two-value", "--instance", "{inputs}/one.json"],
+    "solve-two-value-mismatch": SOLVE + ["two-value", "--instance", "{inputs}/three.json"],
+    "solve-approx-three": SOLVE + ["approx", "--instance", "{inputs}/three.json"],
+    "solve-approx-tight": SOLVE + ["approx", "--instance", "{inputs}/tight.json"],
+    "compare-three": ["compare", "--instance", "{inputs}/three.json"],
+    "compare-tight": ["compare", "--instance", "{inputs}/tight.json"],
+    "check-solution-pass": [
+        "check", "solution", "--instance", "{inputs}/any.json",
+        "--solution", "{inputs}/any_solution.json",
+    ],
+    "check-solution-fail": [
+        "check", "solution", "--instance", "{inputs}/any.json",
+        "--solution", "{inputs}/any_bad_solution.json",
+    ],
+    "check-reduction-pass": CHECK_REDUCTION + ["--solution", "{inputs}/reduction_solution.json"],
+    "check-reduction-fail": CHECK_REDUCTION + ["--solution", "{inputs}/reduction_suboptimal.json"],
+}
+
+WALL_TIME = re.compile(r'\s*"wall_time_ms": ?\d+,')
+
+
+def run_case(name: str, out_path: Path) -> dict:
+    """Run one case; return its exit code, stdout, stderr and solution file text."""
+    argv = [arg.format(inputs=INPUTS, out=out_path) for arg in CASES[name]]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return {
+        "exit": code,
+        "out": WALL_TIME.sub("", stdout.getvalue()),
+        "err": stderr.getvalue(),
+        "sol": out_path.read_text() if out_path.exists() else None,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path):
+    got = run_case(name, tmp_path / "solution.json")
+    codes = json.loads((EXPECTED / "exit_codes.json").read_text())
+    assert got["exit"] == codes[name]
+    assert got["out"] == (EXPECTED / f"{name}.out").read_text()
+    err = EXPECTED / f"{name}.err"
+    assert got["err"] == (err.read_text() if err.exists() else "")
+    sol = EXPECTED / f"{name}.sol"
+    assert got["sol"] == (sol.read_text() if sol.exists() else None)
+
+
+def regenerate() -> None:
+    import tempfile
+
+    EXPECTED.mkdir(exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in sorted(CASES):
+            got = run_case(name, Path(scratch) / f"{name}.json")
+            codes[name] = got["exit"]
+            (EXPECTED / f"{name}.out").write_text(got["out"])
+            for key in ("err", "sol"):
+                path = EXPECTED / f"{name}.{key}"
+                if got[key]:
+                    path.write_text(got[key])
+                else:
+                    path.unlink(missing_ok=True)
+    (EXPECTED / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

@@ -78,6 +78,13 @@ def test_greedy_budget_violation():
         second_stage_greedy(inst, {0, 1})
 
 
+def test_completion_rejects_duplicate_first_stage():
+    inst = Instance(n=3, m=1, k=2, c=(1, 2, 3), p=(1,), f=((1,), (2,), (3,)))
+    for complete in (complete_first_stage, second_stage_greedy):
+        with pytest.raises(SolutionError, match="first_stage contains duplicate assets"):
+            complete(inst, (0, 0))
+
+
 def test_greedy_matches_brute_force_on_random_instances():
     rng = random.Random(41)
     for _ in range(30):

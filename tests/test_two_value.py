@@ -98,6 +98,16 @@ def test_first_stage_only_max_valued_assets():
         assert all(inst.c[i] == profile.v_max for i in sol.first_stage)
 
 
+def test_visit_count_charges_only_the_scan_that_runs():
+    # the value scan is stored on the instance, so a second solve reads
+    # n(m+1) fewer cells and its counter must show exactly that
+    inst = gen_random_instance(8, 4, 3, "2", 7)
+    first, second = VisitCounter(), VisitCounter()
+    solve_two_value(inst, first)
+    solve_two_value(inst, second)
+    assert first.visits - second.visits == inst.n * (inst.m + 1)
+
+
 def test_visit_count_scales_linearly_in_m():
     # operation-count evidence for the O(nm) claim: doubling m at fixed n
     # costs at most 2.5x as many element visits
