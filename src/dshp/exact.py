@@ -2,8 +2,8 @@
 
 Enumeration covers every size 0..k because holding everything back for the
 second stage is often optimal.  Each set is scored on the instance's integer
-view (model.Instance.scaled), whose second_stage method holds the selling
-order every solver shares.  Assets whose first-stage value is strictly
+view (model.Instance.scaled), whose second_stage method, the sale every
+solver shares, walks the view's selling order.  Assets whose first-stage value is strictly
 below their expected second-stage value can be excluded from first-stage
 consideration without changing the optimal objective (an exchange argument:
 moving such an asset to every scenario's second stage strictly improves any
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import (
     DshpError,
@@ -41,14 +40,13 @@ class ExactOptions:
 
 def prunable(instance: Instance) -> frozenset[int]:
     """Assets with c_i strictly below sum_j p_j f_ij (never sold first-stage)."""
-    out = set()
-    for i in range(instance.n):
-        expected = sum(
-            (instance.p[j] * instance.f[i][j] for j in range(instance.m)), Fraction(0)
-        )
-        if instance.c[i] < expected:
-            out.add(i)
-    return frozenset(out)
+    view = instance.scaled
+    # Both sides times scale * pscale: c_i * pscale against sum_j weights[j] * f_ij.
+    return frozenset(
+        i
+        for i, ci in enumerate(view.c)
+        if ci * view.pscale < sum(w * column[i] for w, column in zip(view.weights, view.columns))
+    )
 
 
 def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solution:
@@ -71,7 +69,7 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
     n, k = instance.n, instance.k
     view = instance.scaled
     # Every plan's objective, times scale * pscale, is an integer.
-    c, pscale, second_stage = view.c, view.pscale, view.second_stage
+    c, pscale, order, second_stage = view.c, view.pscale, view.order, view.second_stage
     if options.prune:
         pool = sorted(set(range(n)) - prunable(instance))
     else:
@@ -84,7 +82,7 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
         for combo in itertools.combinations(pool, size):
             total = pscale * sum(c[i] for i in combo)
             if need:
-                total += second_stage(set(combo), need)
+                total += second_stage(order, set(combo), need)
             if best_total is None or total > best_total:
                 best_total = total
                 best_first = combo

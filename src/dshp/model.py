@@ -48,12 +48,15 @@ class DegenerateValuesError(ValueDomainError):
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction or numeric string to an exact Fraction.
 
-    Floats are rejected: binary floating point has no place in this toolkit.
-    Strings may be decimals ("1.25") or fractions ("5/4").
+    A Fraction is returned unchanged.  Floats are rejected: binary floating
+    point has no place in this toolkit.  Strings may be decimals ("1.25") or
+    fractions ("5/4").
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise TypeError(f"not a rational: {value!r}")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass a string or Fraction")
@@ -70,8 +73,15 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"not a rational numeral: {text!r} ({exc})") from None
 
 
-def _rational_vector(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(as_rational(v) for v in values)
+def _rationals(values: Iterable, where: str) -> tuple[Fraction, ...]:
+    """Each value through as_rational; an error names the cell as where[index]."""
+    out = []
+    for index, value in enumerate(values):
+        try:
+            out.append(as_rational(value))
+        except (TypeError, ParseError) as exc:
+            raise type(exc)(f"{where}[{index}]: {exc}") from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,8 @@ class Instance:
     second-stage value matrix f with f[i][j] = value of asset i under
     scenario j.  Values may be negative; probabilities may be zero.
     Assets and scenarios are 0-indexed everywhere, including file formats.
+    Every cell of c, p and f goes through as_rational once, here; a cell it
+    rejects raises TypeError or ParseError naming the cell, e.g. "f[1][0]: ...".
     """
 
     n: int
@@ -94,9 +106,11 @@ class Instance:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _rational_vector(self.c))
-        object.__setattr__(self, "p", _rational_vector(self.p))
-        object.__setattr__(self, "f", tuple(_rational_vector(row) for row in self.f))
+        object.__setattr__(self, "c", _rationals(self.c, "c"))
+        object.__setattr__(self, "p", _rationals(self.p, "p"))
+        object.__setattr__(
+            self, "f", tuple(_rationals(row, f"f[{i}]") for i, row in enumerate(self.f))
+        )
 
     def values(self) -> set[Fraction]:
         """The set of distinct values appearing in c or f."""
@@ -130,35 +144,37 @@ class Instance:
         rows = ([v.numerator * (scale // v.denominator) for v in row] for row in self.f)
         columns = tuple(zip(*rows))
         weights = tuple(v.numerator * (pscale // v.denominator) for v in self.p)
-        # The selling order: highest value first, ties to the lowest index.
-        order = tuple(
-            tuple(sorted(range(self.n), key=lambda i: (-column[i], i))) for column in columns
-        )
-        return ScaledView(c, columns, weights, scale, pscale, order)
+        return ScaledView(c, columns, weights, scale, pscale)
 
 
 @dataclass(frozen=True)
 class ScaledView:
-    """Exact values over common denominators, plus each scenario's selling order.
+    """An instance's values as integers over common denominators.
 
     c[i] and columns[j][i] are c_i and f_ij times scale; weights[j] is p_j
-    times pscale.  order[j] lists every asset in the order scenario j sells
-    them.  Instance.scaled is the integer view, ordered by value (highest
-    first, ties to the lowest index).  Only the two-value solver builds a
-    view over Fractions instead, with both scales 1 and an order found by
-    counting.
+    times pscale.
     """
 
-    c: tuple
-    columns: tuple
-    weights: tuple
+    c: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
     scale: int
     pscale: int
-    order: tuple[tuple[int, ...], ...]
 
-    def second_stage(self, chosen, need: int, picks: list | None = None):
+    @cached_property
+    def order(self) -> tuple[tuple[int, ...], ...]:
+        """The selling order: per scenario, every asset by value, highest
+        first, ties to the lowest index.  Sorted on first use."""
+        assets = range(len(self.c))
+        return tuple(
+            tuple(sorted(assets, key=lambda i: (-column[i], i))) for column in self.columns
+        )
+
+    def second_stage(self, orders, chosen, need: int, picks: list | None = None) -> int:
         """Expected revenue of the best completion of first stage chosen.
 
+        orders[j] lists the assets in the order scenario j sells them; a
+        solver passes self.order or an order equal to it on its instance.
         Each scenario sells the first need assets of its order that are not
         in chosen; the result is sum_j weights[j] * (sum of their values), the
         expected revenue times scale * pscale.  With a picks list, each
@@ -168,10 +184,10 @@ class ScaledView:
         """
         if not need:
             if picks is not None:
-                picks.extend([] for _ in self.order)
+                picks.extend([] for _ in orders)
             return 0
         total = 0
-        for weight, order, column in zip(self.weights, self.order, self.columns):
+        for weight, order, column in zip(self.weights, orders, self.columns):
             if not weight and picks is None:
                 continue
             left = need
@@ -319,7 +335,7 @@ def second_stage_greedy(
     chosen = _check_plan(instance, first_stage)
     view = instance.scaled
     picks: list = []
-    total = view.second_stage(set(chosen), instance.k - len(chosen), picks)
+    total = view.second_stage(view.order, set(chosen), instance.k - len(chosen), picks)
     selections = tuple(tuple(sorted(sel)) for sel in picks)
     return selections, Fraction(total, view.scale * view.pscale)
 
@@ -359,21 +375,6 @@ def check_solution(instance: Instance, solution: Solution) -> list[str]:
 # --- instance / solution file formats (JSON, exact numeric strings) ---
 
 
-def _parse_field_rational(raw, where: str) -> Fraction:
-    if isinstance(raw, Fraction):  # bare JSON numeral, intercepted exactly
-        return raw
-    if isinstance(raw, bool):
-        raise ParseError(f"{where}: not a rational numeral: {raw!r}")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return parse_rational(raw)
-        except ParseError as exc:
-            raise ParseError(f"{where}: {exc}") from None
-    raise ParseError(f"{where}: expected a numeric string, got {raw!r}")
-
-
 def _loads(text: str, what: str) -> dict:
     try:
         # parse_float receives the raw literal text, so "0.1" becomes exactly
@@ -396,7 +397,7 @@ def _require_int(obj: dict, key: str) -> int:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse the JSON instance format; numerics are parsed exactly."""
+    """Parse the JSON instance format; Instance coerces the cells exactly."""
     obj = _loads(text, "instance")
     n = _require_int(obj, "n")
     m = _require_int(obj, "m")
@@ -406,15 +407,7 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"missing field {key!r}")
         if not isinstance(obj[key], list):
             raise ParseError(f"{key}: expected an array")
-    c = tuple(_parse_field_rational(v, f"c[{i}]") for i, v in enumerate(obj["c"]))
-    p = tuple(_parse_field_rational(v, f"p[{j}]") for j, v in enumerate(obj["p"]))
-    rows = []
-    for i, row in enumerate(obj["f"]):
-        if not isinstance(row, list):
-            raise ParseError(f"f[{i}]: expected an array (row of asset {i})")
-        rows.append(
-            tuple(_parse_field_rational(v, f"f[{i}][{j}]") for j, v in enumerate(row))
-        )
+    c, p, f = obj["c"], obj["p"], obj["f"]
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise ParseError(f"label: expected a string, got {label!r}")
@@ -422,12 +415,17 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"c has {len(c)} entries, expected n={n}")
     if len(p) != m:
         raise ParseError(f"p has {len(p)} entries, expected m={m}")
-    if len(rows) != n:
-        raise ParseError(f"f has {len(rows)} rows, expected n={n}")
-    for i, row in enumerate(rows):
+    if len(f) != n:
+        raise ParseError(f"f has {len(f)} rows, expected n={n}")
+    for i, row in enumerate(f):
+        if not isinstance(row, list):
+            raise ParseError(f"f[{i}]: expected an array (row of asset {i})")
         if len(row) != m:
             raise ParseError(f"f[{i}] has {len(row)} entries, expected m={m}")
-    return Instance(n=n, m=m, k=k, c=c, p=p, f=tuple(rows), label=label)
+    try:
+        return Instance(n=n, m=m, k=k, c=c, p=p, f=f, label=label)
+    except TypeError as exc:  # a cell that is no numeral; the message names it
+        raise ParseError(str(exc)) from None
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -468,8 +466,10 @@ def parse_solution(text: str) -> Solution:
         _parse_index_array(sel, f"second_stage[{j}]")
         for j, sel in enumerate(obj["second_stage"])
     )
-    value = _parse_field_rational(obj["value"], "value")
-    return Solution(first, second, value)
+    try:
+        return Solution(first, second, obj["value"])
+    except (TypeError, ParseError) as exc:
+        raise ParseError(f"value: {exc}") from None
 
 
 def serialize_solution(solution: Solution) -> str:

@@ -4,9 +4,9 @@ Selling every asset whose first-stage value is v_max as early as possible is
 optimal (an exchange argument: swapping such an asset into the first stage
 never loses value), and the leftover budget is spent per scenario on v_max
 entries first.  Each scenario's selling order (v_max assets, then v_min
-assets, ascending index within each) comes from a counting pass, not a sort,
-and model.ScaledView.second_stage, the sale every solver shares, takes from
-it, so the work is linear in n*m.
+assets, ascending index within each) comes from a counting pass over the
+instance's integer view, not a sort, and model.ScaledView.second_stage, the
+sale every solver shares, takes from it, so the work is linear in n*m.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from fractions import Fraction
 from .model import (
     DegenerateValuesError,
     Instance,
-    ScaledView,
     Solution,
     ValueDomainError,
     require_valid,
@@ -97,16 +96,17 @@ def solve_two_value(
     if not need:
         return Solution(first, ((),) * m, value)
 
-    columns = tuple(zip(*instance.f))
+    view = instance.scaled
+    v_max = profile.v_max.numerator * (view.scale // profile.v_max.denominator)
     order = []
-    for column in columns:
-        top = [v == profile.v_max for v in column]
+    for column in view.columns:
+        top = [v == v_max for v in column]
         order.append([i for i in range(n) if top[i]] + [i for i in range(n) if not top[i]])
         if counter:
             counter.add(len(column))
     picks: list = []
-    view = ScaledView(instance.c, columns, instance.p, 1, 1, tuple(order))
-    value += view.second_stage(set(first), need, picks)
+    revenue = view.second_stage(order, set(first), need, picks)
+    value += Fraction(revenue, view.scale * view.pscale)
     if counter:
         # Each scenario's sale walked its order up to the last asset it sold.
         counter.add(sum(o.index(sel[-1]) + 1 for o, sel in zip(order, picks)))

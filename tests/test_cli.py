@@ -93,7 +93,7 @@ def test_compare_tightness(tmp_path, capsys):
     report = json.loads(out)
     assert report["realized_ratio"] == "1/2"
     assert report["guarantee_value_ratio"] == "1/2"
-    assert report["guarantee_budget_ratio"] == "1/2"
+    assert "guarantee_budget_ratio" not in report
     assert report["exact_skipped"] is False
 
 
@@ -176,6 +176,31 @@ def test_check_reduction_round_trip(tmp_path, capsys):
                     "--instance", str(ipath), "--solution", str(bad))
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_check_reduction_skips_brute_force_above_cap(tmp_path, capsys):
+    # n=26 is above the cap, so both the exact optimum and the brute-force
+    # minimum dominating set are skipped instead of failing the command
+    from dshp import dominating_plan, serialize_solution
+
+    gpath, ipath, spath = (tmp_path / name for name in ("g.txt", "inst.json", "sol.json"))
+    code, out = run(capsys, "gen", "graph", "--n", "26", "--d", "3", "--seed", "1")
+    assert code == 0
+    gpath.write_text(out)
+    code, out = run(capsys, "gen", "reduction", "--graph", str(gpath))
+    assert code == 0
+    ipath.write_text(out)
+    # every vertex dominates: sell nothing at stage one
+    spath.write_text(serialize_solution(dominating_plan(parse_instance(out), range(26))))
+    code, out = run(capsys, "check", "reduction", "--graph", str(gpath), "--instance",
+                    str(ipath), "--solution", str(spath), "--max-n", "25")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["mds_size"] is None
+    details = {check["name"]: check["detail"] for check in report["checks"]}
+    assert details["solution_optimal"] == "skipped: n=26 exceeds cap 25"
+    assert details["mds_size_matches"] == "skipped: n=26 exceeds cap 25"
 
 
 def test_mds_subcommand(tmp_path, capsys):
