@@ -223,7 +223,7 @@ def cmd_gen(args) -> int:
 
 def cmd_mds(args) -> int:
     graph = parse_graph(_read(args.graph))
-    dominating = brute_force_mds(graph)
+    dominating = brute_force_mds(graph, _enumeration_cap(args.max_n))
     _emit(
         {"n": graph.n, "edges": len(graph.edges), "mds": list(dominating), "size": len(dominating)},
         args.pretty,
@@ -428,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mds = sub.add_parser("mds", parents=[pretty], help="brute-force minimum dominating set")
     p_mds.add_argument("--graph", required=True)
+    p_mds.add_argument("--max-n", type=int, default=None, help="brute-force cap override")
     p_mds.set_defaults(func=cmd_mds)
 
     p_cmp = sub.add_parser(

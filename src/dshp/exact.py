@@ -1,23 +1,51 @@
-"""Exact DSHP solver: enumerate first-stage sets, complete each greedily.
+"""Exact DSHP solver: depth-first search over first-stage sets.
 
-Enumeration covers every size 0..k because holding everything back for the
-second stage is often optimal.  Each set is scored on the instance's integer
-view (model.Instance.scaled), whose second_stage method, the sale every
-solver shares, walks the view's selling order.  Assets whose first-stage value is strictly
-below their expected second-stage value can be excluded from first-stage
-consideration without changing the optimal objective (an exchange argument:
-moving such an asset to every scenario's second stage strictly improves any
-plan that sells it early).
+The search covers first-stage sets of every size 0..k, because holding
+everything back for the second stage is often optimal.  It works on the
+instance's integer view (model.Instance.scaled), where every objective,
+times scale * pscale, is an integer.
+
+- Order and ties.  Sets are visited depth first, the children F+{t} of F
+  in increasing t, so sets of one size are met in lexicographic order.
+  The result is the plan exhaustive enumeration by size, then
+  lexicographically, keeps first: maximal objective, then smallest |F|,
+  then the lexicographically first set.
+- Incremental second stage.  Each scenario of nonzero weight sells the
+  first k-|F| assets of its selling order (view.order) not in F.  The
+  search keeps, per scenario, the position in that order of the last asset
+  sold and its value, and the weighted second-stage total.  From F to
+  F+{t}, one asset leaves each scenario's sale: t if it sells at or before
+  that position, else the asset there, so the larger of the two values.
+  Where the asset there leaves, the position steps back to the previous
+  asset not in F.  A set costs O(m), not a walk of every order.
+- Wait-and-see cut.  subtree_bound bounds every set in the subtree of
+  F+{t} (F+{t} plus pool assets after t) by letting each scenario choose,
+  knowing its values, which of those later assets to sell first: the
+  perfect-information relaxation (Madansky 1960; Birge and Louveaux,
+  Introduction to Stochastic Programming, on EVPI), in exact integers.  A
+  subtree whose bound is below the best objective found is skipped, and so
+  is one whose bound equals it when no set inside is smaller than the best
+  found: those sets come later in the order and lose the tie.  The bound
+  costs O(mn) and a set O(m), so only subtrees of at least n sets are
+  bounded.
+
+Assets whose first-stage value is strictly below their expected
+second-stage value can be excluded from the pool (options.prune) without
+changing the optimal objective (an exchange argument: moving such an asset
+to every scenario's second stage strictly improves any plan that sells it
+early).  The returned plan is built by model.complete_first_stage.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import comb
+from typing import Sequence
 
 from .model import (
     DshpError,
     Instance,
+    ScaledView,
     Solution,
     complete_first_stage,
     require_valid,
@@ -49,13 +77,106 @@ def prunable(instance: Instance) -> frozenset[int]:
     )
 
 
-def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solution:
-    """Globally optimal solution by exhaustive first-stage enumeration.
+class SearchTables:
+    """What the search reads of an instance's integer view, for one pool.
 
-    First-stage sets are enumerated by increasing size, lexicographically
-    within each size, and the first set achieving the maximal objective is
-    kept, so the result is deterministic.  With options.prune, enumeration
-    is restricted to assets outside prunable(instance).
+    pool lists the assets a first stage may hold, ascending; rank[i] is i's
+    index in pool, or -1 for an asset outside it.  hold is n - k, the number
+    of assets every scenario leaves unsold.  Only scenarios of nonzero
+    weight w are kept, and every value is multiplied by its scenario's w.
+    Per kept scenario: orders holds the view's selling order, ranked the
+    values in that order, later the pool assets by max(c_i, f_ij) descending
+    (ties to the lowest index) and later_ranked those maxima.  Per asset i:
+    values[i] holds its value and positions[i] its index in the selling
+    order, one entry per kept scenario, and net[i] is pscale * c_i minus
+    the sum of values[i].  everything sums values over all assets, and
+    gain[q] sums max(c_i, f_ij) - f_ij over the kept scenarios and the pool
+    assets from pool[q] on.
+    """
+
+    def __init__(self, view: ScaledView, k: int, pool: Sequence[int]):
+        n = len(view.c)
+        rank = [-1] * n
+        for q, i in enumerate(pool):
+            rank[i] = q
+        kept = [j for j, w in enumerate(view.weights) if w]
+        orders = [view.order[j] for j in kept]
+        columns = [[view.weights[j] * v for v in view.columns[j]] for j in kept]
+        ranked, later, later_ranked, positions = [], [], [], []
+        gain = dict.fromkeys(pool, 0)
+        for j, order, column in zip(kept, orders, columns):
+            ranked.append([column[i] for i in order])
+            either = {i: max(view.weights[j] * view.c[i], column[i]) for i in pool}
+            # A stable sort keeps equal maxima in pool order: ties to the lowest index.
+            best = sorted(pool, key=either.__getitem__, reverse=True)
+            later.append(best)
+            later_ranked.append([either[i] for i in best])
+            for i in pool:
+                gain[i] += either[i] - column[i]
+            position = [0] * n
+            for q, i in enumerate(order):
+                position[i] = q
+            positions.append(position)
+        suffix = [0]
+        for i in reversed(pool):
+            suffix.append(suffix[-1] + gain[i])
+        self.pool = list(pool)
+        self.rank = rank
+        self.hold = n - k
+        self.orders = orders
+        self.ranked = ranked
+        self.later = later
+        self.later_ranked = later_ranked
+        self.values = list(zip(*columns))
+        self.positions = list(zip(*positions))
+        self.net = [view.pscale * ci - sum(v) for ci, v in zip(view.c, self.values)]
+        self.everything = sum(map(sum, columns))
+        self.gain = suffix[::-1]
+
+
+def subtree_bound(tables: SearchTables, first: Sequence[int], q: int) -> int:
+    """Upper bound on every first stage in the search subtree of F+{pool[q]}.
+
+    first is F, pool assets before pool[q]; the subtree holds each
+    F+{pool[q]}+G with G made of pool assets after pool[q], at most k-|F|-1
+    of them.  Each scenario sells, from the assets outside F+{pool[q]}, all
+    but its hold lowest values, where a pool asset after pool[q] counts
+    max(c_i, f_ij) (sold first or in this scenario, whichever pays) and any
+    other asset f_ij.  The result is, like every objective the search
+    compares, times scale * pscale; it equals the objective of F+{pool[q]}
+    when no pool asset follows pool[q].
+    """
+    t = tables.pool[q]
+    rank, net = tables.rank, tables.net
+    sold = set(first)
+    total = tables.everything + sum(net[i] for i in sold) + net[t] + tables.gain[q + 1]
+    for order, ranked, later, later_ranked in zip(
+        tables.orders, tables.ranked, tables.later, tables.later_ranked
+    ):
+        # Walk both lists from their low end; F+{t} leaves at least hold assets.
+        a, b = len(later) - 1, len(order) - 1
+        for _ in range(tables.hold):
+            while a >= 0 and later[a] <= t:
+                a -= 1
+            # Pool assets from t on count in later (or are t); F is sold.
+            while b >= 0 and (rank[order[b]] >= q or order[b] in sold):
+                b -= 1
+            if b < 0 or (a >= 0 and later_ranked[a] <= ranked[b]):
+                total -= later_ranked[a]
+                a -= 1
+            else:
+                total -= ranked[b]
+                b -= 1
+    return total
+
+
+def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solution:
+    """Globally optimal solution by depth-first search over first-stage sets.
+
+    The result is the set exhaustive enumeration by increasing size,
+    lexicographically within each size, keeps first among those of maximal
+    objective, so it is deterministic.  With options.prune, the search is
+    restricted to assets outside prunable(instance).
     """
     if options is None:
         options = ExactOptions()
@@ -68,22 +189,73 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
 
     n, k = instance.n, instance.k
     view = instance.scaled
-    # Every plan's objective, times scale * pscale, is an integer.
-    c, pscale, order, second_stage = view.c, view.pscale, view.order, view.second_stage
     if options.prune:
         pool = sorted(set(range(n)) - prunable(instance))
     else:
         pool = list(range(n))
-
-    best_total = None
+    tables = SearchTables(view, k, pool)
+    orders, ranked = tables.orders, tables.ranked
+    values, positions = tables.values, tables.positions
+    size = len(pool)
+    first_value = [view.pscale * ci for ci in view.c]
+    # large[a][r]: a subtree with a pool assets after t and r picks left holds
+    # sum_{s <= r} C(a, s) >= n sets, enough to repay the O(mn) bound.
+    large = []
+    for a in range(size):
+        sets = 0
+        large.append([(sets := sets + comb(a, r)) >= n for r in range(k)])
+    chosen = bytearray(n)
+    path: list[int] = []
+    # The empty first stage: each scenario sells the first k assets of its order.
+    best_total = sum(sum(row[:k]) for row in ranked)
     best_first: tuple[int, ...] = ()
-    for size in range(min(k, len(pool)) + 1):
-        need = k - size
-        for combo in itertools.combinations(pool, size):
-            total = pscale * sum(c[i] for i in combo)
-            if need:
-                total += second_stage(order, set(combo), need)
-            if best_total is None or total > best_total:
+
+    def visit(start: int, base: int, second: int, lasts: list[int], at_last: list[int]) -> None:
+        """Search the children F+{pool[q]}, q >= start, of F = path.
+
+        second is F's weighted second-stage total; per kept scenario, lasts
+        holds the position of the last asset F's completion sells and
+        at_last that asset's value.
+        """
+        nonlocal best_total, best_first
+        depth = len(path) + 1
+        need = k - depth
+        for q in range(start, size):
+            t = pool[q]
+            child_base = base + first_value[t]
+            if large[size - q - 1][need]:
+                bound = subtree_bound(tables, path, q)
+                if bound < best_total or (bound == best_total and depth >= len(best_first)):
+                    continue
+            # Orders are by value, so t leaves the sale if it sells at or
+            # before the last position (value >= the value there) and the
+            # asset at that position leaves otherwise: the larger one leaves.
+            child_second = second - sum(map(max, values[t], at_last)) if need else 0
+            total = child_base + child_second
+            if total > best_total or (total == best_total and depth < len(best_first)):
                 best_total = total
-                best_first = combo
+                best_first = (*path, t)
+            if not need or q + 1 == size:
+                continue
+            child_lasts, child_at_last = lasts.copy(), at_last.copy()
+            for j, position, last in zip(range(len(lasts)), positions[t], lasts):
+                if position >= last:
+                    # t was last or unsold: the sale ends one unsold asset earlier.
+                    order = orders[j]
+                    last -= 1
+                    while chosen[order[last]]:
+                        last -= 1
+                    child_lasts[j] = last
+                    child_at_last[j] = ranked[j][last]
+            chosen[t] = 1
+            path.append(t)
+            visit(q + 1, child_base, child_second, child_lasts, child_at_last)
+            path.pop()
+            chosen[t] = 0
+
+    if k and size:
+        visit(0, 0, best_total, [k - 1] * len(orders), [row[k - 1] for row in ranked])
+    # visit's closure refers to visit; emptying that cell lets reference
+    # counting free the search state here instead of a later cycle collection.
+    del visit
     return complete_first_stage(instance, best_first)

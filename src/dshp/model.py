@@ -325,7 +325,7 @@ def second_stage_greedy(
     the continuous relaxation of that per-scenario subproblem has an
     integral optimum, so this greedy is exact.  The selling order and the
     sale itself are instance.scaled and its second_stage method, which
-    every solver shares.
+    builds every solver's plan.
 
     Returns the per-scenario sold lists (index-sorted) and the expected
     second-stage revenue sum_j p_j * (sum of selected f_ij).  Raises

@@ -6,7 +6,7 @@ never loses value), and the leftover budget is spent per scenario on v_max
 entries first.  Each scenario's selling order (v_max assets, then v_min
 assets, ascending index within each) comes from a counting pass over the
 instance's integer view, not a sort, and model.ScaledView.second_stage, the
-sale every solver shares, takes from it, so the work is linear in n*m.
+sale that builds every solver's plan, takes from it, so the work is linear in n*m.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dshp import Graph
+from dshp import Graph, complete_first_stage
 
 
 def octahedron() -> Graph:
@@ -39,6 +39,20 @@ def brute_force_second_stage(instance, first_stage):
         )
         revenue += instance.p[j] * best
     return revenue
+
+
+def first_optimum_by_enumeration(instance, pool, second_stage=brute_force_second_stage):
+    """Naive reference for solve_exact's plan: every first-stage set drawn
+    from pool, by size and then lexicographically, scored as its c sum plus
+    second_stage(instance, set); the first strict maximum is completed by
+    complete_first_stage."""
+    best_value, best_first = None, ()
+    for size in range(min(instance.k, len(pool)) + 1):
+        for first in itertools.combinations(sorted(pool), size):
+            value = sum((instance.c[i] for i in first), Fraction(0)) + second_stage(instance, first)
+            if best_value is None or value > best_value:
+                best_value, best_first = value, first
+    return complete_first_stage(instance, best_first)
 
 
 @pytest.fixture

@@ -1,8 +1,18 @@
 """CLI surface: exit codes, report shapes, determinism of emitted files."""
 
 import json
+from fractions import Fraction
 
-from dshp import parse_graph, parse_instance, serialize_instance, detect_two_values
+import pytest
+
+from dshp import (
+    Instance,
+    detect_two_values,
+    gen_tightness,
+    parse_graph,
+    parse_instance,
+    serialize_instance,
+)
 from dshp.cli import main
 
 from conftest import octahedron
@@ -263,3 +273,67 @@ def test_bad_arguments_exit_two(capsys):
     code = main(["solve", "--algo", "nonsense", "--instance", "x"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.fixture
+def input_files(tmp_path, capsys):
+    """Paths of small instances of each value domain and of a 26-vertex graph."""
+    half = Fraction(1, 2)
+    instances = {
+        "three": gen_tightness(0, 1, 2),
+        "one": Instance(n=3, m=2, k=2, c=(1,) * 3, p=(half, half), f=((1, 1),) * 3),
+        "two": Instance(n=3, m=2, k=2, c=(1, 2, 1), p=(half, half), f=((2, 1), (1, 1), (1, 2))),
+        "negative": Instance(
+            n=3, m=2, k=2, c=(-1, 0, 1), p=(half, half), f=((1, 0), (0, -1), (-1, 1))
+        ),
+    }
+    files = {}
+    for name, instance in instances.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(serialize_instance(instance))
+    code, out = run(capsys, "gen", "graph", "--n", "26", "--d", "3", "--seed", "1")
+    assert code == 0
+    files["graph26"] = tmp_path / "g26.txt"
+    files["graph26"].write_text(out)
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv, env, expected",
+    [
+        (["solve", "--algo", "exact", "--instance", "{three}", "--max-n", "3"], None, 2),
+        (["solve", "--algo", "exact", "--instance", "{three}"], "3", 2),
+        (["solve", "--algo", "exact", "--instance", "{three}"], "three", 2),
+        (["mds", "--graph", "{graph26}"], None, 2),
+        (["mds", "--graph", "{graph26}"], "25", 2),
+        (["solve", "--algo", "two-value", "--instance", "{three}"], None, 3),
+        (["solve", "--algo", "approx", "--instance", "{one}"], None, 3),
+        (["solve", "--algo", "approx", "--instance", "{two}"], None, 3),
+        (["solve", "--algo", "approx", "--instance", "{negative}"], None, 3),
+    ],
+)
+def test_cap_and_domain_errors_exit_with_one_error_line(
+    input_files, capsys, monkeypatch, argv, env, expected
+):
+    """Caps (and a bad DSHP_MAX_N) exit 2, value-domain mismatches exit 3;
+    either prints one stderr line starting "error: " and no report."""
+    if env is not None:
+        monkeypatch.setenv("DSHP_MAX_N", env)
+    code = main([arg.format(**input_files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_mds_cap_follows_max_n_and_env(input_files, capsys, monkeypatch):
+    # Above the default cap of 24 this graph exits 2 (see the test above).
+    graph = str(input_files["graph26"])
+    code, out = run(capsys, "mds", "--graph", graph, "--max-n", "26")
+    assert code == 0
+    assert json.loads(out)["size"] == 7
+    monkeypatch.setenv("DSHP_MAX_N", "26")
+    code, out = run(capsys, "mds", "--graph", graph)
+    assert code == 0
+    assert json.loads(out)["size"] == 7

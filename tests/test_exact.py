@@ -1,20 +1,30 @@
-"""Enumeration solver: correctness anchors, pruning, bounds, determinism."""
+"""Exact solver: correctness anchors, pruning, bounds, determinism."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dshp import (
     EnumerationCapError,
     ExactOptions,
     Instance,
     InstanceError,
+    brute_force_mds,
+    build_reduction,
+    default_params,
+    extract_dominating,
+    gen_regular_graph,
     prunable,
+    second_stage_greedy,
     solve_exact,
 )
 from dshp.cli import gen_random_instance
+from dshp.exact import SearchTables, subtree_bound
+
+from conftest import brute_force_second_stage, first_optimum_by_enumeration
 
 
 def brute_force_optimum(instance):
@@ -152,3 +162,117 @@ def test_deterministic_tie_break_prefers_smaller_first_stage():
     assert sol.value == v
     repeat = solve_exact(inst)
     assert repeat == sol
+
+
+def pruned_pool(instance):
+    return sorted(set(range(instance.n)) - prunable(instance))
+
+
+@st.composite
+def small_instances(draw):
+    """n <= 7, m <= 4, any k; values from a small signed set (one, two or
+    many distinct values); probabilities from weights that may be zero."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    palette = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-6, 9), st.sampled_from([1, 2, 3])),
+            min_size=1,
+            max_size=draw(st.sampled_from([1, 2, 12])),
+        )
+    )
+    value = st.sampled_from(palette)
+    c = draw(st.lists(value, min_size=n, max_size=n))
+    f = [draw(st.lists(value, min_size=m, max_size=m)) for _ in range(n)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    p = [Fraction(w, sum(weights)) for w in weights]
+    return Instance(n=n, m=m, k=k, c=c, p=p, f=f)
+
+
+HALF = Fraction(1, 2)
+SIGNED = dict(n=3, m=2, c=(1, -2, 3), p=(HALF, HALF), f=((1, 2), (3, 4), (-5, 6)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(instance=small_instances())
+@example(instance=Instance(k=0, **SIGNED))
+@example(instance=Instance(k=3, **SIGNED))
+@example(instance=Instance(n=4, m=2, k=2, c=(HALF,) * 4, p=(HALF, HALF), f=((HALF, HALF),) * 4))
+@example(
+    instance=Instance(
+        n=4, m=3, k=2, c=(2, 0, -1, 3), p=(0, 1, 0),
+        f=((1, 5, 9), (4, 4, -2), (3, -6, 0), (-1, 2, 7)),
+    )
+)
+def test_search_returns_first_optimum_by_enumeration(instance):
+    """The full Solution, tie-break included, prune off and on."""
+    assert solve_exact(instance) == first_optimum_by_enumeration(instance, range(instance.n))
+    pruned = solve_exact(instance, ExactOptions(prune=True))
+    assert pruned == first_optimum_by_enumeration(instance, pruned_pool(instance))
+
+
+@pytest.mark.parametrize(
+    "shape, seed",
+    [((8, 1, 8), 680499), ((8, 1, 5), 332188), ((9, 2, 7), 106927), ((9, 4, 6), 372027)],
+)
+def test_cut_on_an_equal_bound_still_finds_the_first_optimum(shape, seed):
+    # Two-valued instances with many tied optima.  On each, a search that
+    # also skipped every subtree whose bound merely equals the best objective
+    # found would miss a smaller or lexicographically earlier optimum.
+    inst = gen_random_instance(*shape, "2", seed)
+    assert solve_exact(inst) == first_optimum_by_enumeration(inst, range(inst.n))
+
+
+def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
+    rng = random.Random(41)
+    checked = exact_at_last = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        values = rng.choice(["any", "2", "3"])
+        inst = gen_random_instance(
+            n, rng.randint(1, 3), rng.randint(1, n), values, rng.randrange(10**6)
+        )
+        view = inst.scaled
+        units = view.scale * view.pscale
+        for pool in (list(range(n)), pruned_pool(inst)):
+            tables = SearchTables(view, inst.k, pool)
+            objective = {
+                first: units * (sum((inst.c[i] for i in first), Fraction(0))
+                                + brute_force_second_stage(inst, first))
+                for size in range(min(inst.k, len(pool)) + 1)
+                for first in itertools.combinations(pool, size)
+            }
+            for first in objective:
+                if len(first) == inst.k:
+                    continue
+                for q in range(pool.index(first[-1]) + 1 if first else 0, len(pool)):
+                    child = (*first, pool[q])
+                    subtree = [s for s in objective if s[: len(child)] == child]
+                    bound = subtree_bound(tables, first, q)
+                    assert bound >= max(objective[s] for s in subtree), (inst, pool, child)
+                    if q == len(pool) - 1:
+                        assert bound == objective[child], (inst, pool, child)
+                        exact_at_last += 1
+                    checked += 1
+    assert checked > 1000 and exact_at_last > 100
+
+
+def greedy_second_stage(instance, first):
+    return second_stage_greedy(instance, first)[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_at_scale_matches_enumeration(seed):
+    # Every optimum avoids the prunable assets (the exchange argument), so
+    # enumerating the rest finds the same first optimum.  The per-set
+    # completion is the greedy, which criterion 7 checks against brute force.
+    inst = gen_random_instance(22, 8, 11, "any", seed)
+    expected = first_optimum_by_enumeration(inst, pruned_pool(inst), greedy_second_stage)
+    assert solve_exact(inst) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reduction_search_holds_back_a_minimum_dominating_set(seed):
+    graph = gen_regular_graph(14, 3, seed)
+    solution = solve_exact(build_reduction(graph, default_params(14, 3)))
+    assert len(extract_dominating(graph, solution)) == len(brute_force_mds(graph))
