@@ -16,6 +16,7 @@ from .model import (
     Solution,
     ValueDomainError,
     as_rational,
+    by_value,
     complete_first_stage,
     require_valid,
 )
@@ -83,10 +84,8 @@ def solve_approx(instance: Instance) -> tuple[Solution, ApproxReport]:
         raise ValueDomainError(
             f"negative value {profile.low} present: the ratio guarantee needs nonnegative values"
         )
-    stage1 = [i for i in range(instance.n) if instance.c[i] == profile.high]
-    stage1 += [i for i in range(instance.n) if instance.c[i] == profile.mid]
-    if len(stage1) > instance.k:
-        stage1 = stage1[: instance.k]
+    ranked = by_value(instance.c, range(instance.n))
+    stage1 = [i for i in ranked if instance.c[i] >= profile.mid][: instance.k]
     solution = complete_first_stage(instance, stage1)
     report = ApproxReport(
         achieved=solution.value,

@@ -11,13 +11,14 @@ times scale * pscale, is an integer.
   lexicographically, keeps first: maximal objective, then smallest |F|,
   then the lexicographically first set.
 - Incremental second stage.  Each scenario of nonzero weight sells the
-  first k-|F| assets of its selling order (view.order) not in F.  The
-  search keeps, per scenario, the position in that order of the last asset
-  sold and its value, and the weighted second-stage total.  From F to
-  F+{t}, one asset leaves each scenario's sale: t if it sells at or before
-  that position, else the asset there, so the larger of the two values.
-  Where the asset there leaves, the position steps back to the previous
-  asset not in F.  A set costs O(m), not a walk of every order.
+  first k-|F| assets of its selling order (view.order, built by
+  model.by_value) not in F.  The search keeps, per scenario, the position
+  in that order of the last asset sold and its value, and the weighted
+  second-stage total.  From F to F+{t}, one asset leaves each scenario's
+  sale: t if it sells at or before that position, else the asset there,
+  so the larger of the two values.  Where the asset there leaves, the
+  position steps back to the previous asset not in F.  A set costs O(m),
+  not a walk of every order.
 - Wait-and-see cut.  subtree_bound bounds every set in the subtree of
   F+{t} (F+{t} plus pool assets after t) by letting each scenario choose,
   knowing its values, which of those later assets to sell first: the
@@ -47,6 +48,7 @@ from .model import (
     Instance,
     ScaledView,
     Solution,
+    by_value,
     complete_first_stage,
     require_valid,
 )
@@ -85,8 +87,8 @@ class SearchTables:
     of assets every scenario leaves unsold.  Only scenarios of nonzero
     weight w are kept, and every value is multiplied by its scenario's w.
     Per kept scenario: orders holds the view's selling order, ranked the
-    values in that order, later the pool assets by max(c_i, f_ij) descending
-    (ties to the lowest index) and later_ranked those maxima.  Per asset i:
+    values in that order, later the pool assets by_value of max(c_i, f_ij)
+    and later_ranked those maxima.  Per asset i:
     values[i] holds its value and positions[i] its index in the selling
     order, one entry per kept scenario, and net[i] is pscale * c_i minus
     the sum of values[i].  everything sums values over all assets, and
@@ -107,8 +109,7 @@ class SearchTables:
         for j, order, column in zip(kept, orders, columns):
             ranked.append([column[i] for i in order])
             either = {i: max(view.weights[j] * view.c[i], column[i]) for i in pool}
-            # A stable sort keeps equal maxima in pool order: ties to the lowest index.
-            best = sorted(pool, key=either.__getitem__, reverse=True)
+            best = by_value(either, pool)
             later.append(best)
             later_ranked.append([either[i] for i in best])
             for i in pool:

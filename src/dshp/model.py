@@ -5,6 +5,11 @@ scenarios with probabilities p and per-scenario values f.  Exactly k assets
 are sold in total along every scenario path: a first-stage set F plus
 k - |F| assets per scenario.  All arithmetic is exact rational; nothing in
 this package ever rounds.
+
+Every asset order in the package comes from by_value: highest value first,
+ties to the lowest index.  Each scenario's selling order is built from it
+once per instance (ScaledView.order), and ScaledView.second_stage, the one
+second-stage sale, walks that order.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -162,48 +168,40 @@ class ScaledView:
     pscale: int
 
     @cached_property
-    def order(self) -> tuple[tuple[int, ...], ...]:
-        """The selling order: per scenario, every asset by value, highest
-        first, ties to the lowest index.  Sorted on first use."""
+    def order(self) -> tuple[list[int], ...]:
+        """The selling order: per scenario, every asset by_value, built on first use."""
         assets = range(len(self.c))
-        return tuple(
-            tuple(sorted(assets, key=lambda i: (-column[i], i))) for column in self.columns
-        )
+        return tuple(by_value(column, assets) for column in self.columns)
 
-    def second_stage(self, orders, chosen, need: int, picks: list | None = None) -> int:
-        """Expected revenue of the best completion of first stage chosen.
+    def second_stage(self, chosen, need: int) -> tuple[int, list[list[int]]]:
+        """The best completion of first stage chosen: (total, picks).
 
-        orders[j] lists the assets in the order scenario j sells them; a
-        solver passes self.order or an order equal to it on its instance.
-        Each scenario sells the first need assets of its order that are not
-        in chosen; the result is sum_j weights[j] * (sum of their values), the
-        expected revenue times scale * pscale.  With a picks list, each
-        scenario's sold assets are appended to it.  A scenario of weight 0
-        adds nothing to the total, so without a picks list it is skipped; a
-        plan still has to sell need assets in it, so with one it is not.
+        Each scenario sells the first need assets of its selling order that
+        are not in chosen; picks[j] lists scenario j's sold assets in that
+        order, and total is sum_j weights[j] * (sum of their values), the
+        expected second-stage revenue times scale * pscale.
         """
-        if not need:
-            if picks is not None:
-                picks.extend([] for _ in orders)
-            return 0
         total = 0
-        for weight, order, column in zip(self.weights, orders, self.columns):
-            if not weight and picks is None:
-                continue
-            left = need
-            acc = 0
-            for i in order:
-                if i in chosen:
-                    continue
-                acc += column[i]
-                left -= 1
-                if not left:
-                    break
-            total += weight * acc
-            if picks is not None:
-                # i is the last asset sold: the sale took every unchosen asset up to it.
-                picks.append([a for a in order[: order.index(i) + 1] if a not in chosen])
-        return total
+        picks = []
+        for weight, order, column in zip(self.weights, self.order, self.columns):
+            sold = list(islice((i for i in order if i not in chosen), need))
+            total += weight * sum(map(column.__getitem__, sold))
+            picks.append(sold)
+        return total, picks
+
+
+def by_value(values, items) -> list:
+    """items by values[i], highest first; equal values keep their order in items.
+
+    This is the one selling rule of the package: "value descending, ties to
+    the lowest index" whenever items ascend.  Items are grouped by value and
+    only the distinct values are sorted, so with d distinct values the cost
+    is O(len(items) + d log d): linear on a two-valued column.
+    """
+    groups: dict = {}
+    for i in items:
+        groups.setdefault(values[i], []).append(i)
+    return [i for v in sorted(groups, reverse=True) for i in groups[v]]
 
 
 @dataclass(frozen=True)
@@ -334,8 +332,7 @@ def second_stage_greedy(
     """
     chosen = _check_plan(instance, first_stage)
     view = instance.scaled
-    picks: list = []
-    total = view.second_stage(view.order, set(chosen), instance.k - len(chosen), picks)
+    total, picks = view.second_stage(set(chosen), instance.k - len(chosen))
     selections = tuple(tuple(sorted(sel)) for sel in picks)
     return selections, Fraction(total, view.scale * view.pscale)
 

@@ -3,10 +3,10 @@
 Selling every asset whose first-stage value is v_max as early as possible is
 optimal (an exchange argument: swapping such an asset into the first stage
 never loses value), and the leftover budget is spent per scenario on v_max
-entries first.  Each scenario's selling order (v_max assets, then v_min
-assets, ascending index within each) comes from a counting pass over the
-instance's integer view, not a sort, and model.ScaledView.second_stage, the
-sale that builds every solver's plan, takes from it, so the work is linear in n*m.
+entries first.  That is the package's one selling order (model.by_value, via
+model.ScaledView.order and second_stage, the sale that builds every solver's
+plan): it groups each column by value and sorts only the distinct values,
+two here, so the work is linear in n*m.
 """
 
 from __future__ import annotations
@@ -97,17 +97,13 @@ def solve_two_value(
         return Solution(first, ((),) * m, value)
 
     view = instance.scaled
-    v_max = profile.v_max.numerator * (view.scale // profile.v_max.denominator)
-    order = []
-    for column in view.columns:
-        top = [v == v_max for v in column]
-        order.append([i for i in range(n) if top[i]] + [i for i in range(n) if not top[i]])
-        if counter:
-            counter.add(len(column))
-    picks: list = []
-    revenue = view.second_stage(order, set(first), need, picks)
+    if counter and "order" not in view.__dict__:
+        # Building the selling order reads every cell once; a two-valued
+        # column has two value groups, so by_value orders it in O(n).
+        counter.add(n * m)
+    revenue, picks = view.second_stage(set(first), need)
     value += Fraction(revenue, view.scale * view.pscale)
     if counter:
         # Each scenario's sale walked its order up to the last asset it sold.
-        counter.add(sum(o.index(sel[-1]) + 1 for o, sel in zip(order, picks)))
+        counter.add(sum(o.index(sel[-1]) + 1 for o, sel in zip(view.order, picks)))
     return Solution(first, tuple(picks), value)

@@ -16,9 +16,8 @@ from dshp import (
     parse_instance,
     parse_solution,
     serialize_instance,
-    solve_two_value,
 )
-from dshp.cli import gen_random_instance, main
+from dshp.cli import main
 
 SEEDED = settings(max_examples=80, derandomize=True, deadline=None, database=None)
 
@@ -122,11 +121,3 @@ def test_bad_solution_value_is_named():
     with pytest.raises(ParseError, match=r"^value: not a rational numeral: 'x'"):
         parse_solution('{"first_stage": [], "second_stage": [[]], "value": "x"}')
 
-
-@SEEDED
-@given(st.integers(1, 8), st.integers(1, 4), st.data(), st.integers(0, 10**6))
-def test_two_value_solve_does_not_sort(n, m, data, seed):
-    # the counting pass replaces the selling-order sort: solving must not build it
-    inst = gen_random_instance(n, m, data.draw(st.integers(0, n)), "2", seed)
-    solve_two_value(inst)
-    assert "order" not in inst.scaled.__dict__

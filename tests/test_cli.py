@@ -13,6 +13,7 @@ from dshp import (
     parse_instance,
     serialize_instance,
 )
+from dshp import cli
 from dshp.cli import main
 
 from conftest import octahedron
@@ -273,6 +274,8 @@ def test_bad_arguments_exit_two(capsys):
     code = main(["solve", "--algo", "nonsense", "--instance", "x"])
     capsys.readouterr()
     assert code == 2
+    # the parser is built once and reused by every call
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.fixture
@@ -295,6 +298,8 @@ def input_files(tmp_path, capsys):
     assert code == 0
     files["graph26"] = tmp_path / "g26.txt"
     files["graph26"].write_text(out)
+    files["plan"] = tmp_path / "plan.json"
+    files["plan"].write_text('{"first_stage": [1], "second_stage": [[], [], []], "value": "1"}')
     return files
 
 
@@ -310,13 +315,19 @@ def input_files(tmp_path, capsys):
         (["solve", "--algo", "approx", "--instance", "{one}"], None, 3),
         (["solve", "--algo", "approx", "--instance", "{two}"], None, 3),
         (["solve", "--algo", "approx", "--instance", "{negative}"], None, 3),
+        (["compare", "--instance", "{three}", "--max-n", "0"], None, 2),
+        (["compare", "--instance", "{three}"], "0", 2),
+        (["check", "reduction", "--graph", "{graph26}", "--instance", "{three}",
+          "--solution", "{plan}", "--max-n", "-3"], None, 2),
+        (["mds", "--graph", "{graph26}", "--max-n", "0"], None, 2),
     ],
 )
 def test_cap_and_domain_errors_exit_with_one_error_line(
     input_files, capsys, monkeypatch, argv, env, expected
 ):
-    """Caps (and a bad DSHP_MAX_N) exit 2, value-domain mismatches exit 3;
-    either prints one stderr line starting "error: " and no report."""
+    """Caps exceeded, caps below 1 (in every command that takes one) and a bad
+    DSHP_MAX_N exit 2, value-domain mismatches exit 3; either prints one
+    stderr line starting "error: " and no report."""
     if env is not None:
         monkeypatch.setenv("DSHP_MAX_N", env)
     code = main([arg.format(**input_files) for arg in argv])

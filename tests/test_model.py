@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dshp import (
     Instance,
@@ -27,6 +28,7 @@ from dshp import (
     validate,
 )
 from dshp.cli import gen_random_instance
+from dshp.model import by_value
 
 from conftest import brute_force_second_stage, octahedron
 
@@ -245,3 +247,18 @@ def test_solution_round_trip():
     again = parse_solution(serialize_solution(sol))
     assert again == sol
     assert again.first_stage == (0, 2)  # stored sorted
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)), max_size=12
+    ),
+    st.data(),
+)
+def test_by_value_is_value_descending_ties_to_lowest_index(values, data):
+    # ints and Fractions mixed, with ties (2 == Fraction(2)) and negatives;
+    # items is any ascending subset of the positions
+    keep = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    items = [i for i, kept in enumerate(keep) if kept]
+    assert by_value(values, items) == sorted(items, key=lambda i: (-values[i], i))

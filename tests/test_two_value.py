@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dshp.model
 from dshp import (
     DegenerateValuesError,
     Instance,
@@ -99,13 +101,13 @@ def test_first_stage_only_max_valued_assets():
 
 
 def test_visit_count_charges_only_the_scan_that_runs():
-    # the value scan is stored on the instance, so a second solve reads
-    # n(m+1) fewer cells and its counter must show exactly that
+    # the value scan and the selling order are stored on the instance, so a
+    # second solve reads n(m+1) + nm fewer cells and its counter must show that
     inst = gen_random_instance(8, 4, 3, "2", 7)
     first, second = VisitCounter(), VisitCounter()
     solve_two_value(inst, first)
     solve_two_value(inst, second)
-    assert first.visits - second.visits == inst.n * (inst.m + 1)
+    assert first.visits - second.visits == inst.n * (inst.m + 1) + inst.n * inst.m
 
 
 def test_visit_count_scales_linearly_in_m():
@@ -127,3 +129,28 @@ def test_visit_count_scales_linearly_in_m():
         solve_two_value(base, small)
         solve_two_value(doubled, big)
         assert big.visits <= 2.5 * small.visits
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.data(), st.integers(0, 10**6))
+def test_order_sorts_only_distinct_values(n, m, data, seed):
+    # the O(nm) bound: a two-valued column is grouped by value, and only its
+    # (at most two) distinct values are ever sorted
+    inst = gen_random_instance(n, m, data.draw(st.integers(0, n)), "2", seed)
+    view = inst.scaled
+    lengths = []
+
+    def spy(iterable, **kwargs):
+        items = list(iterable)
+        lengths.append(len(items))
+        return sorted(items, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dshp.model, "sorted", spy, raising=False)
+        order = view.order
+    assert lengths == [len(set(column)) for column in view.columns]
+    assert max(lengths) <= 2
+    assert order == tuple(
+        sorted(range(n), key=lambda i: (-column[i], i)) for column in view.columns
+    )
+    assert solve_two_value(inst).value == solve_exact(inst).value
