@@ -1,9 +1,11 @@
 """Heuristic for three-valued instances with a worst-case guarantee.
 
 With values {low, mid, high}, selling every mid- or high-valued asset as
-early as the budget allows achieves at least mid/high of the optimum, and
-the ratio is attained exactly on a 4-asset, 3-scenario family
-(gen_tightness), so the bound cannot be improved.
+early as the budget allows achieves at least mid/high of the optimum
+(ThreeValueProfile.guarantee), and the ratio is attained exactly on a
+4-asset, 3-scenario family (gen_tightness), so the bound cannot be
+improved.  solve_approx picks that first stage and returns
+model.complete_first_stage of it, like every solver.
 """
 
 from __future__ import annotations
@@ -36,26 +38,19 @@ class ThreeValueProfile:
     high_count: int
     mid_count: int
 
+    @property
+    def guarantee(self) -> Fraction:
+        """mid/high: solve_approx achieves at least this share of the optimum.
 
-@dataclass(frozen=True)
-class ApproxReport:
-    """Diagnostics of one heuristic run.
-
-    guarantee is the a-priori worst-case ratio mid/high; no upper bound on
-    the optimum is computed, so the certified lower bound on the optimal
-    objective is the achieved value itself.
-    """
-
-    achieved: Fraction
-    profile: ThreeValueProfile
-    guarantee: Fraction
-    certified_lower_bound: Fraction
+        Proven for nonnegative values only, which solve_approx requires.
+        """
+        return self.mid / self.high
 
 
 def detect_three_values(instance: Instance) -> ThreeValueProfile:
     """Classify an instance as exactly three-valued or raise."""
     require_valid(instance)
-    distinct = instance._distinct_values()
+    distinct = instance.distinct
     if len(distinct) > 3:
         witness = ", ".join(str(x) for x in sorted(distinct[:4]))
         raise ValueDomainError(f"more than three distinct values: witness {witness}")
@@ -70,7 +65,7 @@ def detect_three_values(instance: Instance) -> ThreeValueProfile:
     return ThreeValueProfile(low, mid, high, high_count, mid_count)
 
 
-def solve_approx(instance: Instance) -> tuple[Solution, ApproxReport]:
+def solve_approx(instance: Instance) -> Solution:
     """Run the heuristic: stage 1 takes high- then mid-valued assets.
 
     If the mid/high classes fit the budget they are all sold at stage 1 and
@@ -86,14 +81,7 @@ def solve_approx(instance: Instance) -> tuple[Solution, ApproxReport]:
         )
     ranked = by_value(instance.c, range(instance.n))
     stage1 = [i for i in ranked if instance.c[i] >= profile.mid][: instance.k]
-    solution = complete_first_stage(instance, stage1)
-    report = ApproxReport(
-        achieved=solution.value,
-        profile=profile,
-        guarantee=profile.mid / profile.high,
-        certified_lower_bound=solution.value,
-    )
-    return solution, report
+    return complete_first_stage(instance, stage1)
 
 
 def gen_tightness(low, mid, high) -> Instance:

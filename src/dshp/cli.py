@@ -17,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .approx import gen_tightness, solve_approx
+from .approx import detect_three_values, gen_tightness, solve_approx
 from .exact import ExactOptions, prunable, solve_exact
 from .model import (
     DshpError,
@@ -167,14 +167,14 @@ def cmd_solve(args) -> int:
         # The value scan above is stored on the instance; solving reuses it.
         solution = solve_two_value(instance)
     else:
-        solution, report = solve_approx(instance)
-        extras["low"] = str(report.profile.low)
-        extras["mid"] = str(report.profile.mid)
-        extras["high"] = str(report.profile.high)
-        extras["high_count"] = report.profile.high_count
-        extras["mid_count"] = report.profile.mid_count
-        extras["guarantee"] = str(report.guarantee)
-        extras["certified_lower_bound"] = str(report.certified_lower_bound)
+        profile = detect_three_values(instance)
+        solution = solve_approx(instance)  # reuses the value scan stored on the instance
+        extras["low"] = str(profile.low)
+        extras["mid"] = str(profile.mid)
+        extras["high"] = str(profile.high)
+        extras["high_count"] = profile.high_count
+        extras["mid_count"] = profile.mid_count
+        extras["guarantee"] = str(profile.guarantee)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     if args.solution_out:
         with open(args.solution_out, "w", encoding="utf-8") as handle:
@@ -208,15 +208,11 @@ def cmd_gen(args) -> int:
         degree = args.d if args.d is not None else regular_degree(graph)
         if degree is None:
             raise DshpError("graph is not regular; the reduction needs a regular graph")
-        if args.B is None and args.S is None:
-            params = default_params(graph.n, degree)
-        else:
-            defaults = default_params(graph.n, degree)
-            params = ReductionParams(
-                degree=degree,
-                discount=parse_rational(args.B) if args.B is not None else defaults.discount,
-                premium=parse_rational(args.S) if args.S is not None else defaults.premium,
-            )
+        params = default_params(graph.n, degree)
+        if args.B is not None:
+            params = dataclasses.replace(params, discount=parse_rational(args.B))
+        if args.S is not None:
+            params = dataclasses.replace(params, premium=parse_rational(args.S))
         instance = build_reduction(graph, params)
         print(serialize_instance(instance))
     else:
@@ -239,11 +235,12 @@ def cmd_compare(args) -> int:
     instance = parse_instance(_read(args.instance))
     require_valid(instance)
     cap = _enumeration_cap(args.max_n)
-    solution, report = solve_approx(instance)
+    profile = detect_three_values(instance)
+    solution = solve_approx(instance)
     out = {
         "instance": instance.label,
         "approx_objective": str(solution.value),
-        "guarantee_value_ratio": str(report.guarantee),
+        "guarantee_value_ratio": str(profile.guarantee),
     }
     if instance.n <= cap:
         best = solve_exact(instance, ExactOptions(max_n=cap))
@@ -300,7 +297,7 @@ def cmd_check_reduction(args) -> int:
     ok = add("graph_connected", is_connected(graph)) and ok
 
     params = None
-    values = sorted(instance.values())
+    values = sorted(instance.distinct)
     if degree is not None and len(values) == 3 and values[1] == 1 and values[0] < 1 < values[2]:
         params = ReductionParams(
             degree=degree, discount=1 - values[0], premium=values[2] - 1

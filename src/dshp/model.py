@@ -6,15 +6,17 @@ are sold in total along every scenario path: a first-stage set F plus
 k - |F| assets per scenario.  All arithmetic is exact rational; nothing in
 this package ever rounds.
 
-Every asset order in the package comes from by_value: highest value first,
-ties to the lowest index.  Each scenario's selling order is built from it
-once per instance (ScaledView.order), and ScaledView.second_stage, the one
-second-stage sale, walks that order.
+Every solver picks a first-stage set F and returns complete_first_stage(F):
+with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
+optimal.  It walks each scenario's selling order (ScaledView.order), built
+once per instance by by_value: highest value first, ties to the lowest index.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -71,12 +73,42 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not a rational: {value!r}")
 
 
+# str() prints at most this many digits of an int (0: no limit, as before
+# Python 3.10.7); a nonzero limit is at least 640, so shorter numerals fit.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+# A decimal numeral with an exponent, as Fraction reads it.
+_EXPONENT = re.compile(r"[-+]?([\d_]*)\.?([\d_]*)[eE]([-+]?[\d_]+)")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a decimal or "a/b" numeral exactly; raise ParseError otherwise."""
+    """Parse a decimal or "a/b" numeral exactly; raise ParseError otherwise.
+
+    A numeral whose numerator or denominator has more digits than
+    sys.get_int_max_str_digits() allows (no check when it is 0) is refused,
+    since str() could not write it back.  An exponent is judged before the
+    power of ten it asks for is built: Fraction("1e10000000") takes seconds.
+    """
+    numeral = text.strip()
     try:
-        return Fraction(text.strip())
+        if len(numeral) <= 640 and "e" not in numeral and "E" not in numeral:
+            return Fraction(numeral)
+        limit = _max_str_digits()
+        match, fits = limit and _EXPONENT.fullmatch(numeral), True
+        if match:
+            whole, decimals, exponent = (part.replace("_", "") for part in match.groups())
+            digits, shift = len((whole + decimals).lstrip("0")), int(exponent) - len(decimals)
+            if not digits:  # zero, whatever the exponent
+                return Fraction(numeral[: match.start(3) - 1])
+            # A numerator of digits + shift digits, or a denominator over 10**(-shift - digits).
+            fits = digits + shift <= limit and -shift - digits < limit
+        if fits:
+            value = Fraction(numeral)
+            fits = not limit or max(abs(value.numerator), value.denominator) < 10**limit
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational numeral: {text!r} ({exc})") from None
+    if not fits:
+        raise ParseError(f"numeral {text!r} has a numerator or denominator over {limit} digits")
+    return value
 
 
 def _rationals(values: Iterable, where: str) -> tuple[Fraction, ...]:
@@ -118,28 +150,16 @@ class Instance:
             self, "f", tuple(_rationals(row, f"f[{i}]") for i, row in enumerate(self.f))
         )
 
-    def values(self) -> set[Fraction]:
-        """The set of distinct values appearing in c or f."""
-        return set(self._distinct_values())
-
-    def _distinct_values(self, counter=None) -> tuple[Fraction, ...]:
+    @cached_property
+    def distinct(self) -> tuple[Fraction, ...]:
         """Every distinct value in c or f, in order of first appearance.
 
-        The one value scan: it reads c, then f row by row, once per instance,
-        and later calls return the stored result.  counter (anything with an
-        add(int) method) is charged the cells read by the call that scans.
+        The one value scan: it reads c, then f row by row, on first use.
         """
-        distinct = self.__dict__.get("_distinct")
-        if distinct is None:
-            rows = (self.c, *self.f)
-            # Keyed by (numerator, denominator): on a 150 x 100 two-valued
-            # instance this takes 2.8 ms, keying by the Fractions 18 ms.
-            seen = {(v.numerator, v.denominator): v for row in rows for v in row}
-            distinct = tuple(seen.values())
-            object.__setattr__(self, "_distinct", distinct)
-            if counter:
-                counter.add(sum(map(len, rows)))
-        return distinct
+        # Keyed by (numerator, denominator): on a 150 x 100 two-valued
+        # instance this takes 2.8 ms, keying by the Fractions 18 ms.
+        rows = (self.c, *self.f)
+        return tuple({(v.numerator, v.denominator): v for row in rows for v in row}.values())
 
     @cached_property
     def scaled(self) -> ScaledView:
@@ -172,22 +192,6 @@ class ScaledView:
         """The selling order: per scenario, every asset by_value, built on first use."""
         assets = range(len(self.c))
         return tuple(by_value(column, assets) for column in self.columns)
-
-    def second_stage(self, chosen, need: int) -> tuple[int, list[list[int]]]:
-        """The best completion of first stage chosen: (total, picks).
-
-        Each scenario sells the first need assets of its selling order that
-        are not in chosen; picks[j] lists scenario j's sold assets in that
-        order, and total is sum_j weights[j] * (sum of their values), the
-        expected second-stage revenue times scale * pscale.
-        """
-        total = 0
-        picks = []
-        for weight, order, column in zip(self.weights, self.order, self.columns):
-            sold = list(islice((i for i in order if i not in chosen), need))
-            total += weight * sum(map(column.__getitem__, sold))
-            picks.append(sold)
-        return total, picks
 
 
 def by_value(values, items) -> list:
@@ -321,9 +325,9 @@ def second_stage_greedy(
     With the first stage fixed, each scenario independently sells the
     k - |F| most valuable remaining assets (ties to the lowest index);
     the continuous relaxation of that per-scenario subproblem has an
-    integral optimum, so this greedy is exact.  The selling order and the
-    sale itself are instance.scaled and its second_stage method, which
-    builds every solver's plan.
+    integral optimum, so this greedy is exact.  Each scenario sells the
+    first k - |F| assets of its selling order (instance.scaled.order) not in
+    F; with |F| = k nothing is left to sell, and instance.scaled is not built.
 
     Returns the per-scenario sold lists (index-sorted) and the expected
     second-stage revenue sum_j p_j * (sum of selected f_ij).  Raises
@@ -331,14 +335,21 @@ def second_stage_greedy(
     or more than k assets.
     """
     chosen = _check_plan(instance, first_stage)
-    view = instance.scaled
-    total, picks = view.second_stage(set(chosen), instance.k - len(chosen))
-    selections = tuple(tuple(sorted(sel)) for sel in picks)
-    return selections, Fraction(total, view.scale * view.pscale)
+    need = instance.k - len(chosen)
+    if not need:
+        return ((),) * instance.m, Fraction(0)
+    view, first = instance.scaled, set(chosen)
+    total = 0  # sum_j weights[j] * (sum of sold values): the revenue times scale * pscale
+    selections = []
+    for weight, order, column in zip(view.weights, view.order, view.columns):
+        sold = list(islice((i for i in order if i not in first), need))
+        total += weight * sum(map(column.__getitem__, sold))
+        selections.append(tuple(sorted(sold)))
+    return tuple(selections), Fraction(total, view.scale * view.pscale)
 
 
 def complete_first_stage(instance: Instance, first_stage: Iterable[int]) -> Solution:
-    """Build the full Solution for a first-stage set under greedy completion."""
+    """The full Solution for a first-stage set under greedy completion: every solver's plan."""
     chosen = sorted(first_stage)
     selections, revenue = second_stage_greedy(instance, chosen)
     value = sum((instance.c[i] for i in chosen), Fraction(0)) + revenue
@@ -372,11 +383,19 @@ def check_solution(instance: Instance, solution: Solution) -> list[str]:
 # --- instance / solution file formats (JSON, exact numeric strings) ---
 
 
+def _bare_numeral(literal: str):
+    """parse_float hook: the literal exactly; a refused one stays text for Instance to name."""
+    try:
+        return parse_rational(literal)
+    except ParseError:
+        return literal
+
+
 def _loads(text: str, what: str) -> dict:
     try:
         # parse_float receives the raw literal text, so "0.1" becomes exactly
         # 1/10 and never touches binary floating point.
-        obj = json.loads(text, parse_float=Fraction)
+        obj = json.loads(text, parse_float=_bare_numeral)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed {what}: {exc}") from None
     if not isinstance(obj, dict):

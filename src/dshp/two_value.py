@@ -3,10 +3,11 @@
 Selling every asset whose first-stage value is v_max as early as possible is
 optimal (an exchange argument: swapping such an asset into the first stage
 never loses value), and the leftover budget is spent per scenario on v_max
-entries first.  That is the package's one selling order (model.by_value, via
-model.ScaledView.order and second_stage, the sale that builds every solver's
-plan): it groups each column by value and sorts only the distinct values,
-two here, so the work is linear in n*m.
+entries first.  So solve_two_value only detects the two values and picks
+that first stage; model.complete_first_stage sells the rest along the
+package's one selling order (model.by_value), which groups each column by
+value and sorts only the distinct values, two here, so the work is linear
+in n*m.  A VisitCounter tallies the value entries a solve reads.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .model import (
     Instance,
     Solution,
     ValueDomainError,
+    complete_first_stage,
     require_valid,
 )
 
@@ -56,7 +58,9 @@ def detect_two_values(
     call runs it, and the n first-stage values.
     """
     require_valid(instance)
-    distinct = instance._distinct_values(counter)
+    if counter and "distinct" not in instance.__dict__:
+        counter.add(instance.n * (instance.m + 1))
+    distinct = instance.distinct
     if len(distinct) > 2:
         witness = ", ".join(str(v) for v in sorted(distinct[:3]))
         raise ValueDomainError(f"not two-valued: witness values {witness}")
@@ -80,30 +84,23 @@ def solve_two_value(
     the first stage and each scenario sells the most valuable remainder;
     otherwise the k lowest-indexed v_max assets are sold and the second
     stage is empty.  Single-valued instances get the lexicographic budget-k
-    first-stage plan.
+    first-stage plan.  complete_first_stage builds the plan.  The counter
+    is charged detection's reads, the first stage, the order build if this
+    call runs it, and each scenario's sale.
     """
-    n, m, k = instance.n, instance.m, instance.k
     try:
-        profile = detect_two_values(instance, counter)
+        first = detect_two_values(instance, counter).max_valued[: instance.k]
     except DegenerateValuesError:
-        first = tuple(range(k))
-    else:
-        first = profile.max_valued[:k]
-    value = sum((instance.c[i] for i in first), Fraction(0))
-    need = k - len(first)
+        first = tuple(range(instance.k))
+    ordered = "scaled" in instance.__dict__ and "order" in instance.scaled.__dict__
+    solution = complete_first_stage(instance, first)
     if counter:
         counter.add(len(first))
-    if not need:
-        return Solution(first, ((),) * m, value)
-
-    view = instance.scaled
-    if counter and "order" not in view.__dict__:
-        # Building the selling order reads every cell once; a two-valued
-        # column has two value groups, so by_value orders it in O(n).
-        counter.add(n * m)
-    revenue, picks = view.second_stage(set(first), need)
-    value += Fraction(revenue, view.scale * view.pscale)
-    if counter:
-        # Each scenario's sale walked its order up to the last asset it sold.
-        counter.add(sum(o.index(sel[-1]) + 1 for o, sel in zip(view.order, picks)))
-    return Solution(first, tuple(picks), value)
+        if len(first) < instance.k:
+            # Building the selling order reads every cell once (a two-valued
+            # column has two value groups, so by_value orders it in O(n)), and
+            # each scenario's sale walked its order up to the last asset it sold.
+            counter.add(0 if ordered else instance.n * instance.m)
+            for order, sold in zip(instance.scaled.order, map(set, solution.second_stage)):
+                counter.add(max(q for q, i in enumerate(order, 1) if i in sold))
+    return solution

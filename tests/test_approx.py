@@ -50,11 +50,10 @@ def test_detect_rejects_wrong_cardinality():
 
 
 def test_tightness_run(tightness_012):
-    sol, report = solve_approx(tightness_012)
+    sol = solve_approx(tightness_012)
     assert sol.first_stage == (1,)
     assert sol.value == 1
-    assert report.guarantee == Fraction(1, 2)
-    assert report.achieved == report.certified_lower_bound == 1
+    assert detect_three_values(tightness_012).guarantee == Fraction(1, 2)
     assert solve_exact(tightness_012).value == 2
 
 
@@ -63,7 +62,7 @@ def test_no_qualifying_first_stage_assets():
     inst = Instance(
         n=3, m=2, k=2, c=(0, 0, 0), p=(Fraction(1, 2),) * 2, f=((2, 0), (1, 1), (0, 2))
     )
-    sol, _ = solve_approx(inst)
+    sol = solve_approx(inst)
     assert sol.first_stage == ()
     assert sol.second_stage == ((0, 1), (1, 2))
     assert sol.value == 3
@@ -73,7 +72,7 @@ def test_full_budget_sells_everything():
     inst = Instance(
         n=3, m=2, k=3, c=(2, 1, 0), p=(Fraction(1, 2),) * 2, f=((0, 0), (0, 0), (1, 2))
     )
-    sol, _ = solve_approx(inst)
+    sol = solve_approx(inst)
     assert set(sol.first_stage) >= {0, 1}
     expected = sum((inst.c[i] for i in sol.first_stage), Fraction(0))
     for j in range(inst.m):
@@ -100,7 +99,7 @@ def test_stage_one_choices_high_before_mid():
         p=(1,),
         f=((0,), (0,), (0,), (0,), (0,)),
     )
-    sol, _ = solve_approx(inst)
+    sol = solve_approx(inst)
     assert sol.first_stage == (1, 3)
     assert sol.value == 4
 
@@ -111,11 +110,11 @@ def test_gen_tightness_family():
         profile = detect_three_values(inst)
         assert (profile.low, profile.mid, profile.high) == tuple(map(Fraction, triple))
         assert (profile.high_count, profile.mid_count) == (0, 1)
-        sol, report = solve_approx(inst)
+        sol = solve_approx(inst)
         best = solve_exact(inst)
         assert sol.value == profile.mid
         assert best.value == profile.high
-        assert sol.value == report.guarantee * best.value  # ratio met exactly
+        assert sol.value == profile.guarantee * best.value  # ratio met exactly
 
 
 def test_gen_tightness_rejects_bad_ordering():
@@ -133,9 +132,9 @@ def test_guarantee_on_random_instances():
             n, rng.randint(1, 4), rng.randint(0, n), "3", rng.randrange(10**6)
         )
         profile = detect_three_values(inst)
-        sol, report = solve_approx(inst)
+        sol = solve_approx(inst)
         best = solve_exact(inst)
         assert profile.high * sol.value >= profile.mid * best.value
-        assert report.guarantee == profile.mid / profile.high
+        assert profile.guarantee == profile.mid / profile.high
         assert evaluate(inst, sol) == sol.value  # feasibility
         assert all(inst.c[i] in (profile.mid, profile.high) for i in sol.first_stage)

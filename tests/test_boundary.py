@@ -3,17 +3,20 @@ is named by its position.  Property tests are seeded (derandomized) and keep
 instances small."""
 
 import json
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dshp.model
 from dshp import (
     Instance,
     ParseError,
     as_rational,
     parse_instance,
+    parse_rational,
     parse_solution,
     serialize_instance,
 )
@@ -121,3 +124,81 @@ def test_bad_solution_value_is_named():
     with pytest.raises(ParseError, match=r"^value: not a rational numeral: 'x'"):
         parse_solution('{"first_stage": [], "second_stage": [[]], "value": "x"}')
 
+
+@pytest.fixture
+def digit_limit():
+    """The int/str digit limit set to its default 4300 for the test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def one_cell(cell: str) -> str:
+    return f'{{"n": 1, "m": 1, "k": 0, "c": [{cell}], "p": ["1"], "f": [["1"]]}}'
+
+
+@pytest.mark.parametrize(
+    "numeral, value",
+    [
+        ("1e4299", 10**4299),  # 4300 digits
+        ("1e-4299", Fraction(1, 10**4299)),
+        ("5e-4300", Fraction(1, 2 * 10**4299)),  # reduced, the denominator fits
+        ("12.5e-2", Fraction(1, 8)),
+        ("0e5000", 0),
+        ("-0.0e-5000", 0),
+    ],
+)
+def test_numerals_within_the_digit_limit(numeral, value, digit_limit):
+    for cell in (json.dumps(numeral), numeral):
+        inst = parse_instance(one_cell(cell))
+        assert inst.c == (value,)
+        assert parse_instance(serialize_instance(inst)) == inst
+
+
+@pytest.mark.parametrize(
+    "numeral",
+    [
+        "1e4300",
+        "12.5e4299",
+        "1e-4300",
+        "1e5000",
+        "1e-5000",
+        "1e10000000",
+        "7e-9999999",
+        pytest.param("9" * 3000 + "." + "9" * 3000, id="6000-digit-decimal"),
+    ],
+)
+def test_numerals_over_the_digit_limit_are_named(numeral, digit_limit, tmp_path, capsys):
+    # an exponent is refused before its power of ten is built, since
+    # Fraction("1e10000000") alone takes seconds; a "1e5000" cell would
+    # otherwise be solved and then fail to print, naming no cell
+    message = f"c[0]: numeral '{numeral}' has a numerator or denominator over 4300 digits"
+    for cell in (json.dumps(numeral), numeral):
+        with pytest.raises(ParseError) as info:
+            parse_instance(one_cell(cell))
+        assert str(info.value) == message
+    path = tmp_path / "big.json"
+    path.write_text(one_cell(numeral))
+    assert main(["solve", "--algo", "exact", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_exponent_is_judged_before_a_power_of_ten_is_built(digit_limit, monkeypatch):
+    built = []
+
+    def fraction(text):
+        built.append(text)
+        return Fraction(text)
+
+    monkeypatch.setattr(dshp.model, "Fraction", fraction)
+    for numeral in ("1e10000000", "7e-9999999"):
+        with pytest.raises(ParseError, match="over 4300 digits"):
+            parse_rational(numeral)
+    assert parse_rational("-0.0e10000000") == 0
+    assert built == ["-0.0"]
+
+
+def test_no_digit_limit_no_check(digit_limit):
+    sys.set_int_max_str_digits(0)
+    assert parse_instance(one_cell('"1e5000"')).c == (10**5000,)

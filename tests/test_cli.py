@@ -7,6 +7,7 @@ import pytest
 
 from dshp import (
     Instance,
+    detect_three_values,
     detect_two_values,
     gen_tightness,
     parse_graph,
@@ -90,6 +91,38 @@ def test_gen_reduction_budget(tmp_path, capsys):
     inst = parse_instance(out)
     assert inst.k == 5
     assert inst.n == inst.m == 6
+
+
+@pytest.mark.parametrize(
+    "overrides, values",
+    [
+        ([], ("1/2", "1", "11/4")),  # defaults: B = 1/2, S at the window midpoint 7/4
+        (["--B", "1/4", "--S", "3/4"], ("3/4", "1", "7/4")),
+        (["--B", "2/5"], ("3/5", "1", "11/4")),
+        (["--S", "3/2"], ("1/2", "1", "5/2")),
+    ],
+)
+def test_gen_reduction_value_overrides(overrides, values, tmp_path, capsys):
+    from dshp import serialize_graph
+
+    gpath = tmp_path / "octa.txt"
+    gpath.write_text(serialize_graph(octahedron()))  # window 2 < S/B < 5
+    code, out = run(capsys, "gen", "reduction", "--graph", str(gpath), *overrides)
+    assert code == 0
+    profile = detect_three_values(parse_instance(out))
+    assert (profile.low, profile.mid, profile.high) == tuple(map(Fraction, values))
+
+
+def test_gen_reduction_rejects_ratio_outside_window(tmp_path, capsys):
+    from dshp import serialize_graph
+
+    gpath = tmp_path / "octa.txt"
+    gpath.write_text(serialize_graph(octahedron()))
+    code = main(["gen", "reduction", "--graph", str(gpath), "--B", "1/2", "--S", "1/2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ratio window violated: need 2 < S/B = 1 < 5")
 
 
 def test_gen_graph_parity_exit(capsys):

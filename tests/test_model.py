@@ -25,6 +25,7 @@ from dshp import (
     second_stage_greedy,
     serialize_instance,
     serialize_solution,
+    solve_approx,
     validate,
 )
 from dshp.cli import gen_random_instance
@@ -66,6 +67,17 @@ def test_greedy_no_budget_left(tightness_012):
     selections, revenue = second_stage_greedy(inst, {1})  # |F| == k == 1
     assert selections == ((), (), ())
     assert revenue == 0
+
+
+def test_full_first_stage_builds_no_integer_view():
+    # |F| == k leaves nothing to sell, so no solver builds Instance.scaled
+    inst = gen_tightness(0, 1, 2)
+    sol = complete_first_stage(inst, (1,))
+    assert sol == Solution((1,), ((), (), ()), 1)
+    assert "scaled" not in inst.__dict__
+    inst = gen_tightness(0, 1, 2)
+    assert solve_approx(inst) == sol
+    assert "scaled" not in inst.__dict__
 
 
 def test_greedy_tightness_sells_high_asset_per_scenario(tightness_012):

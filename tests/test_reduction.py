@@ -62,7 +62,7 @@ def test_build_octahedron():
     assert inst.k == 5
     assert set(inst.p) == {Fraction(1, 6)}
     assert set(inst.c) == {Fraction(1)}
-    assert sorted(inst.values()) == [Fraction(1, 2), Fraction(1), Fraction(11, 4)]
+    assert sorted(inst.distinct) == [Fraction(1, 2), Fraction(1), Fraction(11, 4)]
 
 
 def test_build_five_cycle_entries():

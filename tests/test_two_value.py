@@ -110,6 +110,34 @@ def test_visit_count_charges_only_the_scan_that_runs():
     assert first.visits - second.visits == inst.n * (inst.m + 1) + inst.n * inst.m
 
 
+def test_visit_count_of_a_fresh_solve_matches_the_plan():
+    # a fresh solve reads: the value scan (c and f), c for detection, the
+    # first stage, then, if budget is left, f for the selling order and each
+    # scenario's order (value descending, ties to the lowest index) up to
+    # the last asset its sale sold
+    rng = random.Random(61)
+    branches = set()
+    for _ in range(40):
+        n, m = rng.randint(1, 9), rng.randint(1, 4)
+        inst = gen_random_instance(n, m, rng.randint(0, n), "2", rng.randrange(10**6))
+        counter = VisitCounter()
+        sol = solve_two_value(inst, counter)
+        expected = n * (m + 1) + n + len(sol.first_stage)
+        if len(sol.first_stage) < inst.k:
+            expected += n * m
+            for j, sold in enumerate(sol.second_stage):
+                order = sorted(range(n), key=lambda i: (-inst.f[i][j], i))
+                expected += max(map(order.index, sold)) + 1
+        branches.add(len(sol.first_stage) < inst.k)
+        assert counter.visits == expected
+    assert branches == {False, True}
+    # single-valued: detection stops after the scan, and the plan is the first k assets
+    inst = Instance(n=4, m=2, k=3, c=(1,) * 4, p=(Fraction(1, 2),) * 2, f=((1, 1),) * 4)
+    counter = VisitCounter()
+    solve_two_value(inst, counter)
+    assert counter.visits == 4 * 3 + 3
+
+
 def test_visit_count_scales_linearly_in_m():
     # operation-count evidence for the O(nm) claim: doubling m at fixed n
     # costs at most 2.5x as many element visits
