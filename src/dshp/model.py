@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from math import lcm
 from typing import Iterable, Sequence
@@ -76,8 +76,8 @@ def as_rational(value) -> Fraction:
 # str() prints at most this many digits of an int (0: no limit, as before
 # Python 3.10.7); a nonzero limit is at least 640, so shorter numerals fit.
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-# A decimal numeral with an exponent, as Fraction reads it.
-_EXPONENT = re.compile(r"[-+]?([\d_]*)\.?([\d_]*)[eE]([-+]?[\d_]+)")
+# A decimal numeral, its exponent optional, as Fraction reads it.
+_DECIMAL = re.compile(r"[-+]?([\d_]*)\.?([\d_]*)(?:[eE]([-+]?[\d_]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -85,20 +85,22 @@ def parse_rational(text: str) -> Fraction:
 
     A numeral whose numerator or denominator has more digits than
     sys.get_int_max_str_digits() allows (no check when it is 0) is refused,
-    since str() could not write it back.  An exponent is judged before the
-    power of ten it asks for is built: Fraction("1e10000000") takes seconds.
+    since str() could not write it back.  A decimal is judged by its digits
+    and exponent before any big integer is built: Fraction("1e10000000")
+    takes seconds, and a numeral of too many digits would otherwise fail in
+    int() as if it were malformed.
     """
     numeral = text.strip()
     try:
         if len(numeral) <= 640 and "e" not in numeral and "E" not in numeral:
             return Fraction(numeral)
         limit = _max_str_digits()
-        match, fits = limit and _EXPONENT.fullmatch(numeral), True
+        match, fits = limit and _DECIMAL.fullmatch(numeral), True
         if match:
-            whole, decimals, exponent = (part.replace("_", "") for part in match.groups())
+            whole, decimals, exponent = (part.replace("_", "") for part in match.groups("0"))
             digits, shift = len((whole + decimals).lstrip("0")), int(exponent) - len(decimals)
             if not digits:  # zero, whatever the exponent
-                return Fraction(numeral[: match.start(3) - 1])
+                return Fraction(numeral[: match.end(2)])
             # A numerator of digits + shift digits, or a denominator over 10**(-shift - digits).
             fits = digits + shift <= limit and -shift - digits < limit
         if fits:
@@ -111,15 +113,33 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
-def _rationals(values: Iterable, where: str) -> tuple[Fraction, ...]:
-    """Each value through as_rational; an error names the cell as where[index]."""
-    out = []
-    for index, value in enumerate(values):
-        try:
-            out.append(as_rational(value))
-        except (TypeError, ParseError) as exc:
-            raise type(exc)(f"{where}[{index}]: {exc}") from None
-    return tuple(out)
+class _Numerals(dict):
+    """Numeral string -> its Fraction, each distinct string parsed once, when first looked up.
+
+    One per parse, never shared: parse_rational reads the digit limit when it
+    runs, and the Fractions live only as long as the instance holding them.
+    """
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = parse_rational(text)
+        return value
+
+
+def _rationals(values: Iterable, where: str, numerals: _Numerals) -> tuple[Fraction, ...]:
+    """Each value as a Fraction: a str through numerals, anything else through as_rational.
+
+    One pass over the row; only when it raises is the row read again, cell by
+    cell, so that the error names the first bad cell as where[index].
+    """
+    try:
+        return tuple([numerals[v] if type(v) is str else as_rational(v) for v in values])
+    except (TypeError, ParseError):
+        for index, value in enumerate(values):
+            try:
+                numerals[value] if type(value) is str else as_rational(value)
+            except (TypeError, ParseError) as exc:
+                raise type(exc)(f"{where}[{index}]: {exc}") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -131,8 +151,10 @@ class Instance:
     second-stage value matrix f with f[i][j] = value of asset i under
     scenario j.  Values may be negative; probabilities may be zero.
     Assets and scenarios are 0-indexed everywhere, including file formats.
-    Every cell of c, p and f goes through as_rational once, here; a cell it
-    rejects raises TypeError or ParseError naming the cell, e.g. "f[1][0]: ...".
+    Every cell of c, p and f is coerced once, here: each distinct numeral
+    string is parsed once per instance, and every cell spelling it shares
+    that Fraction; any other cell goes through as_rational.  A cell refused
+    raises TypeError or ParseError naming the cell, e.g. "f[1][0]: ...".
     """
 
     n: int
@@ -144,10 +166,13 @@ class Instance:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _rationals(self.c, "c"))
-        object.__setattr__(self, "p", _rationals(self.p, "p"))
+        numerals = _Numerals()
+        object.__setattr__(self, "c", _rationals(self.c, "c", numerals))
+        object.__setattr__(self, "p", _rationals(self.p, "p", numerals))
         object.__setattr__(
-            self, "f", tuple(_rationals(row, f"f[{i}]") for i, row in enumerate(self.f))
+            self,
+            "f",
+            tuple([_rationals(row, f"f[{i}]", numerals) for i, row in enumerate(self.f)]),
         )
 
     @cached_property
@@ -261,7 +286,8 @@ def validate(instance: Instance) -> list[str]:
         if pj < 0:
             violations.append(f"p[{j}] = {pj} is negative")
     if instance.p and all(pj >= 0 for pj in instance.p):
-        total = sum(instance.p, Fraction(0))
+        scale = lcm(*[pj.denominator for pj in instance.p])
+        total = Fraction(sum(pj.numerator * (scale // pj.denominator) for pj in instance.p), scale)
         if total != 1:
             violations.append(f"probabilities sum to {total}, not 1")
     return violations
@@ -383,11 +409,19 @@ def check_solution(instance: Instance, solution: Solution) -> list[str]:
 # --- instance / solution file formats (JSON, exact numeric strings) ---
 
 
-def _bare_numeral(literal: str):
+def _bare_numeral(numerals: _Numerals, literal: str):
     """parse_float hook: the literal exactly; a refused one stays text for Instance to name."""
     try:
-        return parse_rational(literal)
+        return numerals[literal]
     except ParseError:
+        return literal
+
+
+def _bare_integer(literal: str):
+    """parse_int hook: the int; one past the digit limit stays text for Instance to name."""
+    try:
+        return int(literal)
+    except ValueError:
         return literal
 
 
@@ -395,7 +429,9 @@ def _loads(text: str, what: str) -> dict:
     try:
         # parse_float receives the raw literal text, so "0.1" becomes exactly
         # 1/10 and never touches binary floating point.
-        obj = json.loads(text, parse_float=_bare_numeral)
+        obj = json.loads(
+            text, parse_float=partial(_bare_numeral, _Numerals()), parse_int=_bare_integer
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed {what}: {exc}") from None
     if not isinstance(obj, dict):

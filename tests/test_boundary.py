@@ -20,7 +20,7 @@ from dshp import (
     parse_solution,
     serialize_instance,
 )
-from dshp.cli import main
+from dshp.cli import gen_random_instance, main
 
 SEEDED = settings(max_examples=80, derandomize=True, deadline=None, database=None)
 
@@ -167,6 +167,8 @@ def test_numerals_within_the_digit_limit(numeral, value, digit_limit):
         "1e10000000",
         "7e-9999999",
         pytest.param("9" * 3000 + "." + "9" * 3000, id="6000-digit-decimal"),
+        # written bare, a JSON integer that int() alone would refuse, naming no cell
+        pytest.param("1" + "0" * 5000, id="5001-digit-integer"),
     ],
 )
 def test_numerals_over_the_digit_limit_are_named(numeral, digit_limit, tmp_path, capsys):
@@ -202,3 +204,59 @@ def test_exponent_is_judged_before_a_power_of_ten_is_built(digit_limit, monkeypa
 def test_no_digit_limit_no_check(digit_limit):
     sys.set_int_max_str_digits(0)
     assert parse_instance(one_cell('"1e5000"')).c == (10**5000,)
+
+
+def test_each_distinct_numeral_is_parsed_once(monkeypatch):
+    instance = gen_random_instance(150, 100, 135, "2", 5)
+    text = serialize_instance(instance)
+    obj = json.loads(text)
+    numerals = {v for row in (obj["c"], obj["p"], *obj["f"]) for v in row}
+    parsed = []
+
+    def counting(numeral):
+        parsed.append(numeral)
+        return parse_rational(numeral)
+
+    monkeypatch.setattr(dshp.model, "parse_rational", counting)
+    assert parse_instance(text) == instance
+    assert len(parsed) <= len(numerals)
+
+
+@pytest.mark.parametrize(
+    "c, p, f, where",
+    [
+        pytest.param(
+            '["x", "1", "x"]', '["x", "1"]', '[["1", "x"], ["x", "x"], ["1", "1"]]', "c[0]",
+            id="first-in-c",
+        ),
+        pytest.param(
+            '["1", "2", "1"]', '["1", "0"]', '[["1", "2"], ["x", "x"], ["1", "x"]]', "f[1][0]",
+            id="first-in-f",
+        ),
+    ],
+)
+def test_repeated_bad_numeral_is_named_at_its_first_cell(c, p, f, where):
+    text = f'{{"n": 3, "m": 2, "k": 0, "c": {c}, "p": {p}, "f": {f}}}'
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert str(info.value).startswith(f"{where}: not a rational numeral: 'x' (")
+
+
+def test_repeated_numeral_over_the_digit_limit_is_named_at_its_first_cell(digit_limit):
+    text = (
+        '{"n": 2, "m": 2, "k": 0, "c": ["1", "2"], "p": ["1", "1e5000"], '
+        '"f": [["1e5000", "1"], ["1", "1e5000"]]}'
+    )
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert str(info.value) == (
+        "p[1]: numeral '1e5000' has a numerator or denominator over 4300 digits"
+    )
+
+
+def test_equal_numerals_spelled_apart_parse_equal():
+    inst = parse_instance(
+        '{"n": 2, "m": 1, "k": 0, "c": ["0.5", "1/2"], "p": ["1"], "f": [["1/2"], [0.5]]}'
+    )
+    assert inst.c == (Fraction(1, 2), Fraction(1, 2))
+    assert inst.f == ((Fraction(1, 2),), (Fraction(1, 2),))
