@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice
 from math import lcm
 from typing import Iterable, Sequence
@@ -116,7 +116,7 @@ def parse_rational(text: str) -> Fraction:
 class _Numerals(dict):
     """Numeral string -> its Fraction, each distinct string parsed once, when first looked up.
 
-    One per parse, never shared: parse_rational reads the digit limit when it
+    One per Instance, never shared: parse_rational reads the digit limit when it
     runs, and the Fractions live only as long as the instance holding them.
     """
 
@@ -129,8 +129,12 @@ def _rationals(values: Iterable, where: str, numerals: _Numerals) -> tuple[Fract
     """Each value as a Fraction: a str through numerals, anything else through as_rational.
 
     One pass over the row; only when it raises is the row read again, cell by
-    cell, so that the error names the first bad cell as where[index].
+    cell, so that the error names the first bad cell as where[index].  A row
+    that is not a list or tuple is made a tuple first, so that a one-shot
+    iterator can be read twice.
     """
+    if not isinstance(values, (list, tuple)):
+        values = tuple(values)
     try:
         return tuple([numerals[v] if type(v) is str else as_rational(v) for v in values])
     except (TypeError, ParseError):
@@ -286,8 +290,7 @@ def validate(instance: Instance) -> list[str]:
         if pj < 0:
             violations.append(f"p[{j}] = {pj} is negative")
     if instance.p and all(pj >= 0 for pj in instance.p):
-        scale = lcm(*[pj.denominator for pj in instance.p])
-        total = Fraction(sum(pj.numerator * (scale // pj.denominator) for pj in instance.p), scale)
+        total = sum(instance.p, Fraction(0))
         if total != 1:
             violations.append(f"probabilities sum to {total}, not 1")
     return violations
@@ -409,10 +412,10 @@ def check_solution(instance: Instance, solution: Solution) -> list[str]:
 # --- instance / solution file formats (JSON, exact numeric strings) ---
 
 
-def _bare_numeral(numerals: _Numerals, literal: str):
+def _bare_numeral(literal: str):
     """parse_float hook: the literal exactly; a refused one stays text for Instance to name."""
     try:
-        return numerals[literal]
+        return parse_rational(literal)
     except ParseError:
         return literal
 
@@ -429,9 +432,14 @@ def _loads(text: str, what: str) -> dict:
     try:
         # parse_float receives the raw literal text, so "0.1" becomes exactly
         # 1/10 and never touches binary floating point.
-        obj = json.loads(
-            text, parse_float=partial(_bare_numeral, _Numerals()), parse_int=_bare_integer
-        )
+        try:
+            obj = json.loads(text, parse_float=_bare_numeral)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # An integer literal past the digit limit.  The hook is kept off
+            # the first read: a call per integer nearly doubles parse_solution's time.
+            obj = json.loads(text, parse_float=_bare_numeral, parse_int=_bare_integer)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed {what}: {exc}") from None
     if not isinstance(obj, dict):

@@ -260,3 +260,11 @@ def test_equal_numerals_spelled_apart_parse_equal():
     )
     assert inst.c == (Fraction(1, 2), Fraction(1, 2))
     assert inst.f == ((Fraction(1, 2),), (Fraction(1, 2),))
+
+
+def test_bad_cell_of_a_one_shot_row_is_named():
+    with pytest.raises(ParseError) as info:
+        Instance(1, 1, 0, iter(["1", "x", "y"]), ["1"], [["1"]])
+    assert str(info.value).startswith("c[1]: not a rational numeral: 'x' (")
+    with pytest.raises(TypeError, match=r"^f\[0\]\[0\]: "):
+        Instance(1, 1, 0, ["1"], ["1"], [(v for v in [1.5])])
