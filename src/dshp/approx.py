@@ -65,7 +65,7 @@ def detect_three_values(instance: Instance) -> ThreeValueProfile:
     return ThreeValueProfile(low, mid, high, high_count, mid_count)
 
 
-def solve_approx(instance: Instance) -> Solution:
+def solve_approx(instance: Instance, profile: ThreeValueProfile | None = None) -> Solution:
     """Run the heuristic: stage 1 takes high- then mid-valued assets.
 
     If the mid/high classes fit the budget they are all sold at stage 1 and
@@ -73,8 +73,11 @@ def solve_approx(instance: Instance) -> Solution:
     highest-class assets (lowest index within a class) are sold and the
     second stage is empty.  Instances with negative values are rejected:
     the mid/high ratio guarantee is only meaningful for nonnegative values.
+    profile is detect_three_values(instance); a caller that has it already
+    passes it, so that the instance is classified once.
     """
-    profile = detect_three_values(instance)
+    if profile is None:
+        profile = detect_three_values(instance)
     if profile.low < 0:
         raise ValueDomainError(
             f"negative value {profile.low} present: the ratio guarantee needs nonnegative values"

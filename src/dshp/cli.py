@@ -168,7 +168,7 @@ def cmd_solve(args) -> int:
         solution = solve_two_value(instance)
     else:
         profile = detect_three_values(instance)
-        solution = solve_approx(instance)  # reuses the value scan stored on the instance
+        solution = solve_approx(instance, profile)
         extras["low"] = str(profile.low)
         extras["mid"] = str(profile.mid)
         extras["high"] = str(profile.high)
@@ -236,7 +236,7 @@ def cmd_compare(args) -> int:
     require_valid(instance)
     cap = _enumeration_cap(args.max_n)
     profile = detect_three_values(instance)
-    solution = solve_approx(instance)
+    solution = solve_approx(instance, profile)
     out = {
         "instance": instance.label,
         "approx_objective": str(solution.value),

@@ -19,16 +19,27 @@ times scale * pscale, is an integer.
   so the larger of the two values.  Where the asset there leaves, the
   position steps back to the previous asset not in F.  A set costs O(m),
   not a walk of every order.
-- Wait-and-see cut.  subtree_bound bounds every set in the subtree of
-  F+{t} (F+{t} plus pool assets after t) by letting each scenario choose,
-  knowing its values, which of those later assets to sell first: the
-  perfect-information relaxation (Madansky 1960; Birge and Louveaux,
-  Introduction to Stochastic Programming, on EVPI), in exact integers.  A
-  subtree whose bound is below the best objective found is skipped, and so
-  is one whose bound equals it when no set inside is smaller than the best
-  found: those sets come later in the order and lose the tie.  The bound
-  costs O(mn) and a set O(m), so only subtrees of at least n sets are
-  bounded.
+- Lagrangian cut.  subtree_bound bounds every set in the subtree of F+{t}
+  (F+{t} plus pool assets after t) by giving each scenario j, of weight
+  w_j = pscale * p_j, its own copy of the first stage, priced with integer
+  multipliers lambda_ij that sum to 0 over the scenarios for every asset
+  (dual decomposition: Caroe and Schultz 1999, after Geoffrion 1974).
+  Each scenario sells, from the assets outside F+{t}, the k-|F|-1 best,
+  a pool asset after t counting max(w_j c_i + lambda_ij, w_j f_ij) and
+  any other asset w_j f_ij; F+{t} adds pscale * c_i per asset.  A plan
+  in the subtree sells one first stage in every scenario, so its
+  multipliers cancel and its objective is a sum of one choice per
+  scenario, each at most that scenario's best: any zero-sum lambda gives
+  a sound bound, exact when no pool asset follows t, and lambda changes
+  how much is cut, never the result.  lambda = 0 is the
+  perfect-information ("wait-and-see") bound.  tune_multipliers picks
+  lambda once, at the root: alpha times each scenario's deviation from
+  the expected second-stage value, alpha from a short scan that keeps the
+  lowest root bound.  A subtree whose bound is below the best objective
+  found is skipped, and so is one whose bound equals it when no set
+  inside is smaller than the best found: those sets come later in the
+  order and lose the tie.  The bound costs O(mn) and a set O(m), so only
+  subtrees of at least n sets are bounded.
 
 Assets whose first-stage value is strictly below their expected
 second-stage value can be excluded from the pool (options.prune) without
@@ -41,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Sequence
 
 from .model import (
@@ -86,17 +98,23 @@ class SearchTables:
     index in pool, or -1 for an asset outside it.  hold is n - k, the number
     of assets every scenario leaves unsold.  Only scenarios of nonzero
     weight w are kept, and every value is multiplied by its scenario's w.
-    Per kept scenario: orders holds the view's selling order, ranked the
-    values in that order, later the pool assets by_value of max(c_i, f_ij)
-    and later_ranked those maxima.  Per asset i:
-    values[i] holds its value and positions[i] its index in the selling
-    order, one entry per kept scenario, and net[i] is pscale * c_i minus
-    the sum of values[i].  everything sums values over all assets, and
-    gain[q] sums max(c_i, f_ij) - f_ij over the kept scenarios and the pool
-    assets from pool[q] on.
+    multipliers holds one row of integers per kept scenario, one per asset,
+    and each column sums to 0 (tune_multipliers; all zeros gives the
+    wait-and-see bound).  In a kept scenario of weight w with row lam, a
+    pool asset's either value is max(w c_i + lam[i], w f_ij): sold first,
+    at its priced value, or in the scenario.  Per kept scenario: orders
+    holds the view's selling order, ranked the values in that order, later
+    the pool assets by_value of their either values and later_ranked those
+    values.  Per asset i: values[i] holds its value and positions[i] its
+    index in the selling order, one entry per kept scenario, and net[i] is
+    pscale * c_i minus the sum of values[i].  everything sums values over
+    all assets, and gain[q] sums either value minus w_j f_ij over the kept
+    scenarios and the pool assets from pool[q] on.
     """
 
-    def __init__(self, view: ScaledView, k: int, pool: Sequence[int]):
+    def __init__(
+        self, view: ScaledView, k: int, pool: Sequence[int], multipliers: Sequence[Sequence[int]]
+    ):
         n = len(view.c)
         rank = [-1] * n
         for q, i in enumerate(pool):
@@ -106,9 +124,9 @@ class SearchTables:
         columns = [[view.weights[j] * v for v in view.columns[j]] for j in kept]
         ranked, later, later_ranked, positions = [], [], [], []
         gain = dict.fromkeys(pool, 0)
-        for j, order, column in zip(kept, orders, columns):
+        for j, order, column, prices in zip(kept, orders, columns, multipliers):
             ranked.append([column[i] for i in order])
-            either = {i: max(view.weights[j] * view.c[i], column[i]) for i in pool}
+            either = {i: max(view.weights[j] * view.c[i] + prices[i], column[i]) for i in pool}
             best = by_value(either, pool)
             later.append(best)
             later_ranked.append([either[i] for i in best])
@@ -135,17 +153,69 @@ class SearchTables:
         self.gain = suffix[::-1]
 
 
+# alpha, in sixteenths, in the order tune_multipliers tries it.
+_ALPHA_SIXTEENTHS = (0, 8, 12, 13, 14, 15, 16)
+
+
+def tune_multipliers(view: ScaledView, k: int, pool: Sequence[int]) -> list[list[int]]:
+    """Zero-sum integer multipliers for SearchTables that lower its root bound.
+
+    The root bound is what SearchTables bounds with nothing forced: the sum
+    over kept scenarios of the top k values, a pool asset counting its
+    either value and any other asset w_j f_ij.  Scenario j's deviation of
+    asset i from its expected value, in scaled units, is
+    w_j (pscale f_ij - sum_j' w_j' f_ij') / pscale.  The multipliers are
+    alpha times it, rounded to the nearest integer, less each column's sum
+    in the last kept scenario so that every column sums to 0.  At alpha = 1
+    every scenario values asset i at about f_ij + max(c_i - E f_i, 0), so
+    all scenarios agree on the first stage.  alpha runs over
+    _ALPHA_SIXTEENTHS and the first alpha with the lowest root bound is
+    kept.  The bound is convex in alpha up to the rounding, so the scan
+    stops at the first rise.
+    """
+    pscale, weights = view.pscale, view.weights
+    kept = [j for j, w in enumerate(weights) if w]
+    outside = sorted(set(range(len(view.c))) - set(pool))
+    firsts = [[weights[j] * v for v in view.c] for j in kept]
+    columns = [[weights[j] * v for v in view.columns[j]] for j in kept]
+    expected = [sum(values) for values in zip(*columns)]  # sum_j w_j f_ij
+    # Each deviation times 2 * pscale, so that e/16 of it, rounded half up,
+    # is (e * d + half) // unit.
+    unit = 32 * pscale
+    half = unit // 2
+    deviations = [
+        [2 * (pscale * f - weights[j] * s) for f, s in zip(column, expected)]
+        for j, column in zip(kept, columns)
+    ]
+    best, best_bound = None, None
+    for e in _ALPHA_SIXTEENTHS:
+        rows = [[(e * d + half) // unit for d in row] for row in deviations]
+        rows[-1] = [p - s for p, s in zip(rows[-1], map(sum, zip(*rows)))]
+        bound = 0
+        for first, column, prices in zip(firsts, columns, rows):
+            values = list(map(max, map(add, first, prices), column))
+            for i in outside:
+                values[i] = column[i]
+            values.sort(reverse=True)
+            bound += sum(values[:k])
+        if best_bound is not None and bound > best_bound:
+            break
+        if best_bound is None or bound < best_bound:
+            best, best_bound = rows, bound
+    return best
+
+
 def subtree_bound(tables: SearchTables, first: Sequence[int], q: int) -> int:
     """Upper bound on every first stage in the search subtree of F+{pool[q]}.
 
     first is F, pool assets before pool[q]; the subtree holds each
     F+{pool[q]}+G with G made of pool assets after pool[q], at most k-|F|-1
     of them.  Each scenario sells, from the assets outside F+{pool[q]}, all
-    but its hold lowest values, where a pool asset after pool[q] counts
-    max(c_i, f_ij) (sold first or in this scenario, whichever pays) and any
-    other asset f_ij.  The result is, like every objective the search
-    compares, times scale * pscale; it equals the objective of F+{pool[q]}
-    when no pool asset follows pool[q].
+    but its hold lowest values, where a pool asset after pool[q] counts its
+    either value (sold first, priced by the tables' multipliers, or in this
+    scenario, whichever pays) and any other asset f_ij.  The result is, like
+    every objective the search compares, times scale * pscale; it equals the
+    objective of F+{pool[q]} when no pool asset follows pool[q].
     """
     t = tables.pool[q]
     rank, net = tables.rank, tables.net
@@ -194,7 +264,7 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
         pool = sorted(set(range(n)) - prunable(instance))
     else:
         pool = list(range(n))
-    tables = SearchTables(view, k, pool)
+    tables = SearchTables(view, k, pool, tune_multipliers(view, k, pool))
     orders, ranked = tables.orders, tables.ranked
     values, positions = tables.values, tables.positions
     size = len(pool)

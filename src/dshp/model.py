@@ -76,8 +76,12 @@ def as_rational(value) -> Fraction:
 # str() prints at most this many digits of an int (0: no limit, as before
 # Python 3.10.7); a nonzero limit is at least 640, so shorter numerals fit.
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-# A decimal numeral, its exponent optional, as Fraction reads it.
-_DECIMAL = re.compile(r"[-+]?([\d_]*)\.?([\d_]*)(?:[eE]([-+]?[\d_]+))?")
+# A numeral as Fraction reads it: a sign, then "a/b" or a decimal with an
+# optional exponent.  Groups: sign, whole part, denominator, decimals, exponent.
+_NUMERAL = re.compile(
+    r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+    r"(?:/(\d+(?:_\d+)*)|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)"
+)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -85,32 +89,52 @@ def parse_rational(text: str) -> Fraction:
 
     A numeral whose numerator or denominator has more digits than
     sys.get_int_max_str_digits() allows (no check when it is 0) is refused,
-    since str() could not write it back.  A decimal is judged by its digits
-    and exponent before any big integer is built: Fraction("1e10000000")
-    takes seconds, and a numeral of too many digits would otherwise fail in
-    int() as if it were malformed.
+    since str() could not write it back.  A long numeral is judged by its
+    digits and exponent before any big integer is built (_judged):
+    Fraction("1e10000000") takes seconds, and int() would refuse a numeral
+    of too many digits, or of too many leading zeros, as if it were
+    malformed.
     """
     numeral = text.strip()
     try:
         if len(numeral) <= 640 and "e" not in numeral and "E" not in numeral:
             return Fraction(numeral)
         limit = _max_str_digits()
-        match, fits = limit and _DECIMAL.fullmatch(numeral), True
-        if match:
-            whole, decimals, exponent = (part.replace("_", "") for part in match.groups("0"))
-            digits, shift = len((whole + decimals).lstrip("0")), int(exponent) - len(decimals)
-            if not digits:  # zero, whatever the exponent
-                return Fraction(numeral[: match.end(2)])
-            # A numerator of digits + shift digits, or a denominator over 10**(-shift - digits).
-            fits = digits + shift <= limit and -shift - digits < limit
-        if fits:
-            value = Fraction(numeral)
-            fits = not limit or max(abs(value.numerator), value.denominator) < 10**limit
+        match = limit and _NUMERAL.fullmatch(numeral)
+        value = _judged(match, limit) if match else Fraction(numeral)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational numeral: {text!r} ({exc})") from None
-    if not fits:
+    if value is None or (limit and max(abs(value.numerator), value.denominator) >= 10**limit):
         raise ParseError(f"numeral {text!r} has a numerator or denominator over {limit} digits")
     return value
+
+
+def _judged(match: re.Match, limit: int) -> Fraction | None:
+    """A matched numeral's value, or None when a numerator or denominator has over limit digits.
+
+    Digits are counted without underscores and leading zeros, and a
+    decimal's trailing zeros go into its exponent, so int() never reads more
+    than limit digits and no power of ten is built for a numeral refused.
+    """
+    sign, whole, denominator, decimals, exponent = (
+        part.replace("_", "") for part in match.groups("")
+    )
+    if denominator:
+        numerator, denominator = whole.lstrip("0") or "0", denominator.lstrip("0") or "0"
+        if max(len(numerator), len(denominator)) > limit:
+            return None
+        return Fraction(int(sign + numerator), int(denominator))
+    significant = (whole + decimals).lstrip("0")
+    digits = significant.rstrip("0")
+    if not digits:  # zero, whatever the exponent
+        return Fraction(0)
+    shift = int(exponent or 0) - len(decimals) + len(significant) - len(digits)
+    # A numerator of len(digits) + shift digits, or a denominator over 10**(-shift - len(digits)).
+    if len(digits) + max(shift, 0) > limit or -shift - len(digits) >= limit:
+        return None
+    if shift >= 0:
+        return Fraction(int(sign + digits) * 10**shift)
+    return Fraction(int(sign + digits), 10**-shift)
 
 
 class _Numerals(dict):

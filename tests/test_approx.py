@@ -133,6 +133,7 @@ def test_guarantee_on_random_instances():
         )
         profile = detect_three_values(inst)
         sol = solve_approx(inst)
+        assert solve_approx(inst, profile) == sol  # a profile passed in is the one computed
         best = solve_exact(inst)
         assert profile.high * sol.value >= profile.mid * best.value
         assert profile.guarantee == profile.mid / profile.high

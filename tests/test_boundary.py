@@ -186,6 +186,42 @@ def test_numerals_over_the_digit_limit_are_named(numeral, digit_limit, tmp_path,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "numeral",
+    [
+        pytest.param("1" * 5000 + "/3", id="numerator"),
+        pytest.param("3/" + "1" * 5000, id="denominator"),
+        pytest.param("-" + "9" * 4301 + "/" + "7" * 4301, id="both"),
+    ],
+)
+def test_ratio_numerals_over_the_digit_limit_are_named(numeral, digit_limit, tmp_path, capsys):
+    message = f"c[0]: numeral '{numeral}' has a numerator or denominator over 4300 digits"
+    with pytest.raises(ParseError) as info:
+        parse_instance(one_cell(json.dumps(numeral)))
+    assert str(info.value) == message
+    path = tmp_path / "big.json"
+    path.write_text(one_cell(json.dumps(numeral)))
+    assert main(["solve", "--algo", "exact", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "numeral, value",
+    [
+        pytest.param("0" * 5000 + "1", 1, id="leading-zeros"),
+        pytest.param("-" + "0" * 5000, 0, id="zeros"),
+        pytest.param("1." + "0" * 5000, 1, id="trailing-zeros"),
+        pytest.param("0" * 5000 + ".5e-1", Fraction(1, 20), id="leading-zeros-and-exponent"),
+        pytest.param("0" * 5000 + "2/" + "0" * 5000 + "6", Fraction(1, 3), id="ratio"),
+        pytest.param("1" * 4300 + "/" + "3" * 4300, Fraction(1, 3), id="ratio-at-the-limit"),
+    ],
+)
+def test_zeros_do_not_count_toward_the_digit_limit(numeral, value, digit_limit):
+    inst = parse_instance(one_cell(json.dumps(numeral)))
+    assert inst.c == (value,)
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
 def test_exponent_is_judged_before_a_power_of_ten_is_built(digit_limit, monkeypatch):
     built = []
 
@@ -198,7 +234,7 @@ def test_exponent_is_judged_before_a_power_of_ten_is_built(digit_limit, monkeypa
         with pytest.raises(ParseError, match="over 4300 digits"):
             parse_rational(numeral)
     assert parse_rational("-0.0e10000000") == 0
-    assert built == ["-0.0"]
+    assert built == [0]  # the zero, from the int 0: no power of ten, no text
 
 
 def test_no_digit_limit_no_check(digit_limit):

@@ -55,6 +55,24 @@ def test_solve_approx_on_tightness(tmp_path, capsys):
     assert report["extras"]["guarantee"] == "1/2"
 
 
+@pytest.mark.parametrize("argv", [("solve", "--algo", "approx"), ("compare",)])
+def test_approx_requests_classify_the_instance_once(argv, tmp_path, capsys, monkeypatch):
+    import dshp.approx
+
+    calls = []
+
+    def counted(instance):
+        calls.append(instance)
+        return detect_three_values(instance)
+
+    monkeypatch.setattr(cli, "detect_three_values", counted)
+    monkeypatch.setattr(dshp.approx, "detect_three_values", counted)
+    path = write_tightness(tmp_path, capsys)
+    code, _ = run(capsys, *argv, "--instance", str(path))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_solve_two_value_domain_mismatch(tmp_path, capsys):
     path = write_tightness(tmp_path, capsys)
     code, _ = run(capsys, "solve", "--algo", "two-value", "--instance", str(path))

@@ -15,14 +15,16 @@ from dshp import (
     brute_force_mds,
     build_reduction,
     default_params,
+    dominating_solution_revenue,
     extract_dominating,
     gen_regular_graph,
+    is_dominating,
     prunable,
     second_stage_greedy,
     solve_exact,
 )
 from dshp.cli import gen_random_instance
-from dshp.exact import SearchTables, subtree_bound
+from dshp.exact import SearchTables, subtree_bound, tune_multipliers
 
 from conftest import brute_force_second_stage, first_optimum_by_enumeration
 
@@ -223,8 +225,18 @@ def test_cut_on_an_equal_bound_still_finds_the_first_optimum(shape, seed):
     assert solve_exact(inst) == first_optimum_by_enumeration(inst, range(inst.n))
 
 
+def random_multipliers(rng, view, spread):
+    """Integers in -spread..spread, a row per kept scenario, each column summing to 0."""
+    kept = sum(1 for w in view.weights if w)
+    rows = [[rng.randint(-spread, spread) for _ in view.c] for _ in range(kept - 1)]
+    rows.append([-sum(column) for column in zip(*rows)] if rows else [0] * len(view.c))
+    return rows
+
+
 def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
-    rng = random.Random(41)
+    # Any zero-sum multipliers give a sound bound, exact at the last pool
+    # asset: none (the wait-and-see bound), random ones and the tuned ones.
+    rng, draws = random.Random(41), random.Random(47)
     checked = exact_at_last = 0
     for _ in range(60):
         n = rng.randint(2, 6)
@@ -234,27 +246,35 @@ def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
         )
         view = inst.scaled
         units = view.scale * view.pscale
+        kept = sum(1 for w in view.weights if w)
         for pool in (list(range(n)), pruned_pool(inst)):
-            tables = SearchTables(view, inst.k, pool)
+            tuned = tune_multipliers(view, inst.k, pool)
+            assert len(tuned) == kept and all(len(row) == n for row in tuned)
+            assert all(sum(column) == 0 for column in zip(*tuned)), (inst, pool, tuned)
             objective = {
                 first: units * (sum((inst.c[i] for i in first), Fraction(0))
                                 + brute_force_second_stage(inst, first))
                 for size in range(min(inst.k, len(pool)) + 1)
                 for first in itertools.combinations(pool, size)
             }
-            for first in objective:
-                if len(first) == inst.k:
-                    continue
-                for q in range(pool.index(first[-1]) + 1 if first else 0, len(pool)):
-                    child = (*first, pool[q])
-                    subtree = [s for s in objective if s[: len(child)] == child]
-                    bound = subtree_bound(tables, first, q)
-                    assert bound >= max(objective[s] for s in subtree), (inst, pool, child)
-                    if q == len(pool) - 1:
-                        assert bound == objective[child], (inst, pool, child)
-                        exact_at_last += 1
-                    checked += 1
-    assert checked > 1000 and exact_at_last > 100
+            for multipliers in (
+                [[0] * n] * kept, random_multipliers(draws, view, 3 * units), tuned
+            ):
+                tables = SearchTables(view, inst.k, pool, multipliers)
+                for first in objective:
+                    if len(first) == inst.k:
+                        continue
+                    for q in range(pool.index(first[-1]) + 1 if first else 0, len(pool)):
+                        child = (*first, pool[q])
+                        subtree = [s for s in objective if s[: len(child)] == child]
+                        bound = subtree_bound(tables, first, q)
+                        where = (inst, pool, multipliers, child)
+                        assert bound >= max(objective[s] for s in subtree), where
+                        if q == len(pool) - 1:
+                            assert bound == objective[child], where
+                            exact_at_last += 1
+                        checked += 1
+    assert checked > 3000 and exact_at_last > 300
 
 
 def greedy_second_stage(instance, first):
@@ -276,3 +296,25 @@ def test_reduction_search_holds_back_a_minimum_dominating_set(seed):
     graph = gen_regular_graph(14, 3, seed)
     solution = solve_exact(build_reduction(graph, default_params(14, 3)))
     assert len(extract_dominating(graph, solution)) == len(brute_force_mds(graph))
+
+
+def test_reduction_search_returns_the_first_minimum_dominating_plan():
+    # On the dominating-set reduction every optimal first stage is the
+    # complement of a minimum dominating set, and each such plan earns
+    # dominating_solution_revenue; the search keeps the lexicographically
+    # first complement.  The multipliers cut hardest on this shape.
+    rng = random.Random(43)
+    for _ in range(12):
+        n, d = rng.choice([(8, 3), (10, 3), (12, 3), (6, 4), (8, 4), (10, 4), (12, 4)])
+        graph = gen_regular_graph(n, d, rng.randrange(10**6))
+        params = default_params(n, d)
+        size = len(brute_force_mds(graph))
+        first = min(
+            tuple(v for v in range(n) if v not in dominating)
+            for dominating in itertools.combinations(range(n), size)
+            if is_dominating(graph, dominating)
+        )
+        solution = solve_exact(build_reduction(graph, params))
+        assert solution.first_stage == first, (graph, solution)
+        assert len(extract_dominating(graph, solution)) == size
+        assert solution.value == dominating_solution_revenue(n, params, size)
