@@ -20,7 +20,6 @@ from .model import (
     as_rational,
     by_value,
     complete_first_stage,
-    require_valid,
 )
 
 
@@ -48,8 +47,7 @@ class ThreeValueProfile:
 
 
 def detect_three_values(instance: Instance) -> ThreeValueProfile:
-    """Classify an instance as exactly three-valued or raise."""
-    require_valid(instance)
+    """Classify an instance as exactly three-valued or raise; only its values need a check."""
     distinct = instance.distinct
     if len(distinct) > 3:
         witness = ", ".join(str(x) for x in sorted(distinct[:4]))

@@ -27,12 +27,12 @@ from .model import (
     parse_instance,
     parse_rational,
     parse_solution,
-    require_valid,
     serialize_instance,
     serialize_solution,
 )
 from .reduction import (
     GenerationError,
+    ReductionError,
     ReductionParams,
     brute_force_mds,
     build_reduction,
@@ -45,7 +45,7 @@ from .reduction import (
     parse_graph,
     regular_degree,
     serialize_graph,
-    window_holds,
+    window_bounds,
 )
 from .two_value import DegenerateValuesError, detect_two_values, solve_two_value
 
@@ -147,7 +147,6 @@ def gen_random_instance(n: int, m: int, k: int, values: str, seed: int) -> Insta
 
 def cmd_solve(args) -> int:
     instance = parse_instance(_read(args.instance))
-    require_valid(instance)
     cap = _enumeration_cap(args.max_n)
     started = time.perf_counter()
     extras: dict = {}
@@ -196,7 +195,6 @@ def cmd_solve(args) -> int:
 def cmd_gen(args) -> int:
     if args.kind == "random":
         instance = gen_random_instance(args.n, args.m, args.k, args.values, args.seed)
-        require_valid(instance)
         print(serialize_instance(instance))
     elif args.kind == "tightness":
         instance = gen_tightness(
@@ -233,7 +231,6 @@ def cmd_mds(args) -> int:
 
 def cmd_compare(args) -> int:
     instance = parse_instance(_read(args.instance))
-    require_valid(instance)
     cap = _enumeration_cap(args.max_n)
     profile = detect_three_values(instance)
     solution = solve_approx(instance, profile)
@@ -260,7 +257,6 @@ def cmd_compare(args) -> int:
 
 def cmd_check_solution(args) -> int:
     instance = parse_instance(_read(args.instance))
-    require_valid(instance)
     solution = parse_solution(_read(args.solution))
     failures = check_solution(instance, solution)
     checks = [
@@ -274,7 +270,6 @@ def cmd_check_solution(args) -> int:
 def cmd_check_reduction(args) -> int:
     graph = parse_graph(_read(args.graph))
     instance = parse_instance(_read(args.instance))
-    require_valid(instance)
     solution = parse_solution(_read(args.solution))
     cap = _enumeration_cap(args.max_n)
     checks: list[dict] = []
@@ -302,7 +297,13 @@ def cmd_check_reduction(args) -> int:
         params = ReductionParams(
             degree=degree, discount=1 - values[0], premium=values[2] - 1
         )
-        ok = add("ratio_window", window_holds(graph.n, params)) and ok
+        ratio = params.premium / params.discount
+        try:
+            lo, hi = window_bounds(graph.n, degree)
+            detail = "ok" if lo < ratio < hi else f"need {lo} < S/B = {ratio} < {hi}"
+        except ReductionError as exc:  # degree >= n-1: no S/B fits
+            detail = f"{exc}; S/B = {ratio}"
+        ok = add("ratio_window", detail == "ok", detail) and ok
     else:
         ok = add(
             "ratio_window",

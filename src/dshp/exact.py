@@ -62,7 +62,6 @@ from .model import (
     Solution,
     by_value,
     complete_first_stage,
-    require_valid,
 )
 
 
@@ -247,11 +246,11 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
     The result is the set exhaustive enumeration by increasing size,
     lexicographically within each size, keeps first among those of maximal
     objective, so it is deterministic.  With options.prune, the search is
-    restricted to assets outside prunable(instance).
+    restricted to assets outside prunable(instance).  An Instance is valid
+    by construction, so only n > options.max_n is refused here.
     """
     if options is None:
         options = ExactOptions()
-    require_valid(instance)
     if instance.n > options.max_n:
         raise EnumerationCapError(
             f"n={instance.n} exceeds the enumeration cap max_n={options.max_n}; "

@@ -4,7 +4,9 @@ An instance holds n assets with known first-stage values c, and m future
 scenarios with probabilities p and per-scenario values f.  Exactly k assets
 are sold in total along every scenario path: a first-stage set F plus
 k - |F| assets per scenario.  All arithmetic is exact rational; nothing in
-this package ever rounds.
+this package ever rounds.  An Instance is valid by construction: building
+one whose shapes, budget or probabilities break the invariant raises
+InstanceError.
 
 Every solver picks a first-stage set F and returns complete_first_stage(F):
 with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
@@ -183,6 +185,10 @@ class Instance:
     string is parsed once per instance, and every cell spelling it shares
     that Fraction; any other cell goes through as_rational.  A cell refused
     raises TypeError or ParseError naming the cell, e.g. "f[1][0]: ...".
+    Then the invariant is checked: n, m >= 1, 0 <= k <= n, len(c) = len(f)
+    = n, len(p) = len(f[i]) = m, p >= 0 and sum(p) = 1.  Breaking it, by
+    dataclasses.replace too, raises InstanceError listing every violation,
+    so no solver or command checks an Instance again.
     """
 
     n: int
@@ -202,6 +208,9 @@ class Instance:
             "f",
             tuple([_rationals(row, f"f[{i}]", numerals) for i, row in enumerate(self.f)]),
         )
+        violations = _violations(self)
+        if violations:
+            raise InstanceError(violations)
 
     @cached_property
     def distinct(self) -> tuple[Fraction, ...]:
@@ -290,8 +299,8 @@ class Solution:
         }
 
 
-def validate(instance: Instance) -> list[str]:
-    """Return every violated instance invariant; an empty list means ok."""
+def _violations(instance: Instance) -> list[str]:
+    """Every violated instance invariant, in a fixed order; an empty list means ok."""
     violations = []
     if instance.n < 1:
         violations.append(f"n must be >= 1, got {instance.n}")
@@ -318,12 +327,6 @@ def validate(instance: Instance) -> list[str]:
         if total != 1:
             violations.append(f"probabilities sum to {total}, not 1")
     return violations
-
-
-def require_valid(instance: Instance) -> None:
-    violations = validate(instance)
-    if violations:
-        raise InstanceError(violations)
 
 
 def _check_plan(instance: Instance, first_stage, second_stage=None) -> tuple[int, ...]:
@@ -481,7 +484,7 @@ def _require_int(obj: dict, key: str) -> int:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse the JSON instance format; Instance coerces the cells exactly."""
+    """Parse the JSON instance format; Instance coerces the cells and checks the invariant."""
     obj = _loads(text, "instance")
     n = _require_int(obj, "n")
     m = _require_int(obj, "m")
@@ -495,17 +498,9 @@ def parse_instance(text: str) -> Instance:
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise ParseError(f"label: expected a string, got {label!r}")
-    if len(c) != n:
-        raise ParseError(f"c has {len(c)} entries, expected n={n}")
-    if len(p) != m:
-        raise ParseError(f"p has {len(p)} entries, expected m={m}")
-    if len(f) != n:
-        raise ParseError(f"f has {len(f)} rows, expected n={n}")
     for i, row in enumerate(f):
         if not isinstance(row, list):
             raise ParseError(f"f[{i}]: expected an array (row of asset {i})")
-        if len(row) != m:
-            raise ParseError(f"f[{i}] has {len(row)} entries, expected m={m}")
     try:
         return Instance(n=n, m=m, k=k, c=c, p=p, f=f, label=label)
     except TypeError as exc:  # a cell that is no numeral; the message names it

@@ -21,7 +21,6 @@ from .model import (
     Solution,
     ValueDomainError,
     complete_first_stage,
-    require_valid,
 )
 
 
@@ -55,9 +54,9 @@ def detect_two_values(
     triple; a single distinct value raises DegenerateValuesError (all
     feasible plans then share one objective, which solve_two_value handles).
     The counter is charged the cells of the instance's value scan, if this
-    call runs it, and the n first-stage values.
+    call runs it, and the n first-stage values.  Only the values are
+    checked: an Instance is valid by construction.
     """
-    require_valid(instance)
     if counter and "distinct" not in instance.__dict__:
         counter.add(instance.n * (instance.m + 1))
     distinct = instance.distinct

@@ -38,7 +38,9 @@ def written_instances(draw):
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     k = draw(st.integers(0, n))
     c = draw(st.lists(values, min_size=n, max_size=n))
-    p = draw(st.lists(values, min_size=m, max_size=m))
+    # p on the simplex, in thousandths, so it too has decimal numerals.
+    cuts = sorted(draw(st.lists(st.integers(0, 1000), min_size=m - 1, max_size=m - 1)))
+    p = [Fraction(b - a, 1000) for a, b in zip([0, *cuts], [*cuts, 1000])]
     f = [draw(st.lists(values, min_size=m, max_size=m)) for _ in range(n)]
 
     def cell(x: Fraction) -> str:
@@ -74,8 +76,9 @@ def test_cell_forms_parse_to_the_same_fractions(case):
 @given(values)
 def test_fractions_are_not_coerced_again(x):
     assert as_rational(x) is x
-    inst = Instance(n=1, m=1, k=0, c=(x,), p=(x,), f=((x,),))
-    assert inst.c[0] is x and inst.p[0] is x and inst.f[0][0] is x
+    one = Fraction(1)
+    inst = Instance(n=1, m=1, k=0, c=(x,), p=(one,), f=((x,),))
+    assert inst.c[0] is x and inst.p[0] is one and inst.f[0][0] is x
 
 
 @SEEDED

@@ -399,3 +399,97 @@ def test_mds_cap_follows_max_n_and_env(input_files, capsys, monkeypatch):
     code, out = run(capsys, "mds", "--graph", graph)
     assert code == 0
     assert json.loads(out)["size"] == 7
+
+
+INVALID_INSTANCES = {
+    "p-sums-to-half": (
+        '{"n": 1, "m": 2, "k": 1, "c": ["1"], "p": ["1/4", "1/4"], "f": [["1", "1"]]}',
+        "probabilities sum to 1/2, not 1",
+    ),
+    "c-too-short": (
+        '{"n": 2, "m": 1, "k": 1, "c": ["1"], "p": ["1"], "f": [["1"], ["2"]]}',
+        "c has 1 entries, expected n=2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INSTANCES))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--algo", "exact", "--instance", "{instance}"],
+        ["solve", "--algo", "two-value", "--instance", "{instance}"],
+        ["solve", "--algo", "approx", "--instance", "{instance}"],
+        ["compare", "--instance", "{instance}"],
+        ["check", "solution", "--instance", "{instance}", "--solution", "{solution}"],
+        ["check", "reduction", "--graph", "{graph}", "--instance", "{instance}",
+         "--solution", "{solution}"],
+    ],
+    ids=["solve-exact", "solve-two-value", "solve-approx", "compare", "check-solution",
+         "check-reduction"],
+)
+def test_every_command_refuses_an_invalid_instance(argv, case, tmp_path, capsys):
+    """Each command that reads an instance exits 2 with one stderr line naming the violation."""
+    from dshp import serialize_graph
+
+    text, violation = INVALID_INSTANCES[case]
+    paths = {name: tmp_path / name for name in ("instance", "solution", "graph")}
+    paths["instance"].write_text(text)
+    paths["solution"].write_text('{"first_stage": [0], "second_stage": [[]], "value": "1"}')
+    paths["graph"].write_text(serialize_graph(octahedron()))
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: invalid instance: {violation}"]
+
+
+def write_reduction_check_files(tmp_path, graph, instance):
+    """Graph, instance and a feasible plan's files for check reduction."""
+    from dshp import complete_first_stage, serialize_graph, serialize_solution
+
+    paths = [tmp_path / name for name in ("g.txt", "inst.json", "sol.json")]
+    paths[0].write_text(serialize_graph(graph))
+    paths[1].write_text(serialize_instance(instance))
+    paths[2].write_text(serialize_solution(complete_first_stage(instance, ())))
+    return ["--graph", str(paths[0]), "--instance", str(paths[1]), "--solution", str(paths[2])]
+
+
+def test_check_reduction_reports_a_ratio_outside_the_window(tmp_path, capsys):
+    # The octahedron's reduction with 1+S = 11/10 instead of the midpoint 11/4:
+    # B = 1/2, S/B = 1/5, outside the window (2, 5).
+    from dshp import build_reduction, default_params
+
+    built = build_reduction(octahedron(), default_params(6, 4))
+    far = max(built.distinct)
+    f = tuple(tuple(Fraction(11, 10) if v == far else v for v in row) for row in built.f)
+    instance = Instance(n=6, m=6, k=5, c=built.c, p=built.p, f=f)
+    code, out = run(capsys, "check", "reduction", *write_reduction_check_files(
+        tmp_path, octahedron(), instance))
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["checks"][-1] == {
+        "name": "ratio_window", "ok": False, "detail": "need 2 < S/B = 1/5 < 5"
+    }
+
+
+@pytest.mark.parametrize("n", [4, 2], ids=["K4", "single-edge"])
+def test_check_reduction_reports_an_empty_window(n, tmp_path, capsys):
+    # Degree n-1 leaves no S/B in the window; values {1/2, 1, 3/2} give S/B = 1.
+    from conftest import complete_graph
+
+    half = Fraction(1, 2)
+    f = tuple(tuple(half if i == j else 3 * half for j in range(n)) for i in range(n))
+    instance = Instance(n=n, m=n, k=n - 1, c=(1,) * n, p=(Fraction(1, n),) * n, f=f)
+    code, out = run(capsys, "check", "reduction", *write_reduction_check_files(
+        tmp_path, complete_graph(n), instance))
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["checks"][-1] == {
+        "name": "ratio_window",
+        "ok": False,
+        "detail": f"empty ratio window: need 0 <= degree < n-1, got degree={n - 1}, n={n}; "
+        "S/B = 1",
+    }

@@ -149,9 +149,9 @@ def test_enumeration_cap():
 
 
 def test_invalid_instance_rejected():
-    inst = Instance(n=2, m=1, k=3, c=(1, 1), p=(1,), f=((1,), (1,)))
-    with pytest.raises(InstanceError):
-        solve_exact(inst)
+    # Refused at construction, so no solver is ever handed one.
+    with pytest.raises(InstanceError, match="k > n"):
+        Instance(n=2, m=1, k=3, c=(1, 1), p=(1,), f=((1,), (1,)))
 
 
 def test_deterministic_tie_break_prefers_smaller_first_stage():

@@ -1,5 +1,7 @@
 """Instance/solution model: validation, greedy completion, evaluation, formats."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dshp import (
     Instance,
+    InstanceError,
     ParseError,
     Solution,
     SolutionError,
@@ -26,7 +29,6 @@ from dshp import (
     serialize_instance,
     serialize_solution,
     solve_approx,
-    validate,
 )
 from dshp.cli import gen_random_instance
 from dshp.model import by_value
@@ -35,31 +37,76 @@ from conftest import brute_force_second_stage, octahedron
 
 
 def test_validate_budget_exceeds_assets():
-    inst = Instance(n=2, m=1, k=3, c=(1, 1), p=(1,), f=((1,), (1,)))
-    assert any("k > n" in v for v in validate(inst))
+    with pytest.raises(InstanceError) as caught:
+        Instance(n=2, m=1, k=3, c=(1, 1), p=(1,), f=((1,), (1,)))
+    assert any("k > n" in v for v in caught.value.violations)
 
 
 def test_validate_probability_simplex():
-    inst = Instance(
-        n=1, m=2, k=1, c=(1,), p=(Fraction(1, 2), Fraction(1, 3)), f=((1, 1),)
-    )
-    violations = validate(inst)
-    assert any("5/6" in v for v in violations)
+    with pytest.raises(InstanceError) as caught:
+        Instance(n=1, m=2, k=1, c=(1,), p=(Fraction(1, 2), Fraction(1, 3)), f=((1, 1),))
+    assert any("5/6" in v for v in caught.value.violations)
 
 
 def test_validate_negative_probability_and_shape():
-    inst = Instance(n=2, m=2, k=1, c=(1,), p=(Fraction(3, 2), Fraction(-1, 2)), f=((1, 1),))
-    violations = validate(inst)
+    with pytest.raises(InstanceError) as caught:
+        Instance(n=2, m=2, k=1, c=(1,), p=(Fraction(3, 2), Fraction(-1, 2)), f=((1, 1),))
+    violations = caught.value.violations
     assert any("p[1]" in v for v in violations)
     assert any("c has 1 entries" in v for v in violations)
     assert any("f has 1 rows" in v for v in violations)
 
 
 def test_validate_generator_output_is_ok(tightness_012):
-    assert validate(tightness_012) == []
+    # Building an Instance checks it: each generator's output was built without InstanceError.
+    assert isinstance(tightness_012, Instance)
     for seed in range(5):
-        inst = gen_random_instance(5, 3, 2, "any", seed)
-        assert validate(inst) == []
+        assert isinstance(gen_random_instance(5, 3, 2, "any", seed), Instance)
+
+
+BROKEN = [
+    (
+        dict(n=2, m=2, k=3, c=(1,), p=(Fraction(3, 2), Fraction(-1, 2)), f=((1, 1), (1,))),
+        [
+            "k > n (k=3, n=2)",
+            "c has 1 entries, expected n=2",
+            "f[1] has 1 entries, expected m=2",
+            "p[1] = -1/2 is negative",
+        ],
+    ),
+    (
+        dict(n=0, m=1, k=-1, c=(), p=(Fraction(1, 4), Fraction(1, 4)), f=()),
+        [
+            "n must be >= 1, got 0",
+            "k must be >= 0, got -1",
+            "p has 2 entries, expected m=1",
+            "probabilities sum to 1/2, not 1",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("fields, expected", BROKEN)
+def test_every_way_of_building_a_broken_instance_lists_every_violation(
+    fields, expected, tightness_012
+):
+    text = json.dumps(
+        {
+            **fields,
+            "c": [str(v) for v in fields["c"]],
+            "p": [str(v) for v in fields["p"]],
+            "f": [[str(v) for v in row] for row in fields["f"]],
+        }
+    )
+    for build in (
+        lambda: Instance(**fields),
+        lambda: parse_instance(text),
+        lambda: dataclasses.replace(tightness_012, **fields),
+    ):
+        with pytest.raises(InstanceError) as caught:
+            build()
+        assert caught.value.violations == expected
+        assert str(caught.value) == "invalid instance: " + "; ".join(expected)
 
 
 def test_greedy_no_budget_left(tightness_012):
@@ -239,7 +286,7 @@ def test_parse_errors_carry_positions():
             '{"n": 2, "m": 1, "k": 1, "c": ["1", "1"], "p": ["1"],'
             ' "f": [["1"], ["nope"]]}'
         )
-    with pytest.raises(ParseError, match="p"):
+    with pytest.raises(InstanceError, match="p has 1 entries"):
         parse_instance('{"n": 1, "m": 2, "k": 1, "c": ["1"], "p": ["1"], "f": [["1", "1"]]}')
     with pytest.raises(ParseError):
         parse_instance("{not json")
