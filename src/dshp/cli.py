@@ -28,7 +28,6 @@ from .model import (
     parse_rational,
     parse_solution,
     serialize_instance,
-    serialize_solution,
 )
 from .reduction import (
     GenerationError,
@@ -175,16 +174,17 @@ def cmd_solve(args) -> int:
         extras["mid_count"] = profile.mid_count
         extras["guarantee"] = str(profile.guarantee)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
+    plan = solution.as_dict()
     if args.solution_out:
         with open(args.solution_out, "w", encoding="utf-8") as handle:
-            handle.write(serialize_solution(solution) + "\n")
+            handle.write(json.dumps(plan) + "\n")
     _emit(
         {
             "algorithm": args.algo,
             "instance": instance.label,
             "objective": str(solution.value),
             "wall_time_ms": elapsed_ms,
-            "solution": solution.as_dict(),
+            "solution": plan,
             "extras": extras,
         },
         args.pretty,

@@ -8,6 +8,12 @@ this package ever rounds.  An Instance is valid by construction: building
 one whose shapes, budget or probabilities break the invariant raises
 InstanceError.
 
+Cells of equal value mostly share one Fraction object: every cell spelling
+one numeral does.  So Instance coerces a row of strings in one C-level pass,
+and builds its distinct values and its integer view (Instance.scaled) from a
+table of its value objects keyed by id: the per-cell passes run in C (map,
+zip), and the value work runs once per object.
+
 Every solver picks a first-stage set F and returns complete_first_stage(F):
 with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
 optimal.  It walks each scenario's selling order (ScaledView.order), built
@@ -22,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain, filterfalse, islice
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -147,6 +153,8 @@ class _Numerals(dict):
     """
 
     def __missing__(self, text: str) -> Fraction:
+        if type(text) is not str:
+            raise TypeError("not a numeral string")
         value = self[text] = parse_rational(text)
         return value
 
@@ -154,13 +162,19 @@ class _Numerals(dict):
 def _rationals(values: Iterable, where: str, numerals: _Numerals) -> tuple[Fraction, ...]:
     """Each value as a Fraction: a str through numerals, anything else through as_rational.
 
-    One pass over the row; only when it raises is the row read again, cell by
-    cell, so that the error names the first bad cell as where[index].  A row
-    that is not a list or tuple is made a tuple first, so that a one-shot
-    iterator can be read twice.
+    A row of strings only is looked up in one C-level pass.  A row holding
+    any other cell (numerals refuses it with TypeError) is read again by a
+    comprehension that sends each cell its own way.  Only when that raises
+    is the row read once more, cell by cell, so that the error names the
+    first bad cell as where[index].  A row that is not a list or tuple is
+    made a tuple first, so that a one-shot iterator can be read again.
     """
     if not isinstance(values, (list, tuple)):
         values = tuple(values)
+    try:
+        return tuple(map(numerals.__getitem__, values))
+    except (TypeError, ParseError):
+        pass
     try:
         return tuple([numerals[v] if type(v) is str else as_rational(v) for v in values])
     except (TypeError, ParseError):
@@ -212,25 +226,45 @@ class Instance:
         if violations:
             raise InstanceError(violations)
 
+    def _value_table(self) -> tuple[list[int], dict[int, Fraction]]:
+        """The id of every cell of c, then f row by row, and id -> object of each value object.
+
+        Two C-level passes over the cells; the objects come in order of first
+        appearance.  Equal cells mostly share one object (every cell spelling
+        one numeral does), so the table is about as small as the set of
+        distinct values.  The instance holds every object, so no id is
+        reused while the table lives; only the caller keeps it.
+        """
+        ids = list(map(id, chain(self.c, *self.f)))
+        return ids, dict(zip(ids, chain(self.c, *self.f)))
+
     @cached_property
     def distinct(self) -> tuple[Fraction, ...]:
         """Every distinct value in c or f, in order of first appearance.
 
-        The one value scan: it reads c, then f row by row, on first use.
+        The one value scan, run on first use: each value object, not each
+        cell, is keyed by its (numerator, denominator), since hashing a
+        Fraction is slow.
         """
-        # Keyed by (numerator, denominator): on a 150 x 100 two-valued
-        # instance this takes 2.8 ms, keying by the Fractions 18 ms.
-        rows = (self.c, *self.f)
-        return tuple({(v.numerator, v.denominator): v for row in rows for v in row}.values())
+        objects = self._value_table()[1].values()
+        return tuple(dict(zip(map(Fraction.as_integer_ratio, objects), objects)).values())
 
     @cached_property
     def scaled(self) -> ScaledView:
-        """The integer view of this instance, built on first use."""
-        scale = lcm(*(v.denominator for row in (self.c, *self.f) for v in row))
+        """The integer view of this instance, built on first use.
+
+        Each value object is scaled once; each cell then looks its integer
+        up by id.  The cells run c, then f row by row, so column j is every
+        m-th cell from f[0][j].
+        """
+        ids, objects = self._value_table()
+        scale = lcm(*{v.denominator for v in objects.values()})
+        ratios = map(Fraction.as_integer_ratio, objects.values())
+        ints = dict(zip(objects, [n * (scale // d) for n, d in ratios]))
+        cells = list(map(ints.__getitem__, ids))
+        c = tuple(cells[: self.n])
+        columns = tuple([tuple(cells[self.n + j :: self.m]) for j in range(self.m)])
         pscale = lcm(*(v.denominator for v in self.p))
-        c = tuple(v.numerator * (scale // v.denominator) for v in self.c)
-        rows = ([v.numerator * (scale // v.denominator) for v in row] for row in self.f)
-        columns = tuple(zip(*rows))
         weights = tuple(v.numerator * (pscale // v.denominator) for v in self.p)
         return ScaledView(c, columns, weights, scale, pscale)
 
@@ -398,7 +432,7 @@ def second_stage_greedy(
     total = 0  # sum_j weights[j] * (sum of sold values): the revenue times scale * pscale
     selections = []
     for weight, order, column in zip(view.weights, view.order, view.columns):
-        sold = list(islice((i for i in order if i not in first), need))
+        sold = list(islice(filterfalse(first.__contains__, order), need))
         total += weight * sum(map(column.__getitem__, sold))
         selections.append(tuple(sorted(sold)))
     return tuple(selections), Fraction(total, view.scale * view.pscale)

@@ -307,3 +307,18 @@ def test_bad_cell_of_a_one_shot_row_is_named():
     assert str(info.value).startswith("c[1]: not a rational numeral: 'x' (")
     with pytest.raises(TypeError, match=r"^f\[0\]\[0\]: "):
         Instance(1, 1, 0, ["1"], ["1"], [(v for v in [1.5])])
+
+
+def test_a_row_the_all_strings_lookup_refuses_names_its_bad_cell():
+    # a row holding any cell that is not a str is read again cell by cell
+    with pytest.raises(ParseError) as info:
+        Instance(3, 1, 0, ["1", Fraction(1, 2), "x"], ["1"], [["1"], ["1"], ["1"]])
+    assert str(info.value).startswith("c[2]: not a rational numeral: 'x' (")
+    with pytest.raises(TypeError, match=r"^f\[1\]\[1\]: not a rational: True$"):
+        Instance(2, 3, 0, ["1", "1"], ["1", "0", "0"], [["1", "1", "1"], ["1", True, "1"]])
+    text = (
+        '{"n": 2, "m": 3, "k": 0, "c": ["1", "1"], "p": ["1", "0", "0"], '
+        '"f": [["1", "1", "1"], ["1", true, "1"]]}'
+    )
+    with pytest.raises(ParseError, match=r"^f\[1\]\[1\]: not a rational: True$"):
+        parse_instance(text)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,3 +322,93 @@ def test_by_value_is_value_descending_ties_to_lowest_index(values, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
     items = [i for i, kept in enumerate(keep) if kept]
     assert by_value(values, items) == sorted(items, key=lambda i: (-values[i], i))
+
+
+# Each value with numerals that spell it; a numeral JSON reads as a number may
+# also be written bare in a file.
+SPELLED = {
+    Fraction(1, 2): ("0.5", "1/2", "2/4", "5e-1"),
+    Fraction(-3, 4): ("-0.75", "-3/4", "-6/8"),
+    Fraction(7, 3): ("7/3", "14/6"),
+    Fraction(2): ("2", "2.0", "4/2"),
+    Fraction(0): ("0", "-0", "0/5", "0.0"),
+    Fraction(-5): ("-5", "-5.00"),
+}
+WHOLE = [v for v in SPELLED if v.denominator == 1]
+
+
+def reference_distinct(inst):
+    """The per-cell value scan: c, then f row by row, keyed by (numerator, denominator)."""
+    rows = (inst.c, *inst.f)
+    return tuple({(v.numerator, v.denominator): v for row in rows for v in row}.values())
+
+
+def reference_scaled(inst):
+    """The per-cell integer view: (c, columns, weights, scale, pscale)."""
+    scale = lcm(*(v.denominator for row in (inst.c, *inst.f) for v in row))
+    pscale = lcm(*(v.denominator for v in inst.p))
+    c = tuple(v.numerator * (scale // v.denominator) for v in inst.c)
+    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in inst.f]
+    weights = tuple(v.numerator * (pscale // v.denominator) for v in inst.p)
+    return c, tuple(zip(*rows)), weights, scale, pscale
+
+
+def is_bare_number(numeral: str) -> bool:
+    try:
+        return not isinstance(json.loads(numeral), str)
+    except json.JSONDecodeError:
+        return False
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.sampled_from(["file", "shared", "fresh", "int", "mixed"]),
+    st.data(),
+)
+def test_value_table_matches_the_per_cell_scan(n, m, mode, data):
+    pool = WHOLE if mode == "int" else list(SPELLED)
+    value = st.sampled_from(pool)
+    c = data.draw(st.lists(value, min_size=n, max_size=n))
+    f = data.draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n))
+    # 1/m may be a p-only value, which distinct leaves out
+    p = [Fraction(1, m)] * m
+
+    def cell(v):
+        kind = mode if mode != "mixed" else data.draw(
+            st.sampled_from(["file", "shared", "fresh"] + ["int"] * (v in WHOLE))
+        )
+        if kind == "file":
+            return data.draw(st.sampled_from(SPELLED[v]))
+        if kind == "shared":
+            return v
+        if kind == "fresh":
+            return Fraction(v.numerator, v.denominator)
+        return int(v)
+
+    c = [cell(v) for v in c]
+    f = [[cell(v) for v in row] for row in f]
+    if mode == "file":
+        def literal(numeral):
+            bare = is_bare_number(numeral) and data.draw(st.booleans())
+            return numeral if bare else json.dumps(numeral)
+
+        text = '{"n": %d, "m": %d, "k": 0, "c": [%s], "p": %s, "f": [%s]}' % (
+            n,
+            m,
+            ", ".join(map(literal, c)),
+            json.dumps([str(v) for v in p]),
+            ", ".join("[" + ", ".join(map(literal, row)) + "]" for row in f),
+        )
+        inst = parse_instance(text)
+    else:
+        inst = Instance(n=n, m=m, k=0, c=c, p=p, f=f)
+    assert inst.distinct == reference_distinct(inst)
+    view = inst.scaled
+    assert (view.c, view.columns, view.weights, view.scale, view.pscale) == reference_scaled(inst)
+    # equal values spelled apart share one integer
+    assert len({*view.c, *(x for column in view.columns for x in column)}) == len(inst.distinct)
+    # neither build keeps its value table on the instance
+    fields = {field.name for field in dataclasses.fields(inst)}
+    assert set(vars(inst)) == fields | {"distinct", "scaled"}
