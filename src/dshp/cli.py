@@ -150,8 +150,7 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     extras: dict = {}
     if args.algo == "exact":
-        options = ExactOptions(prune=args.prune, max_n=cap)
-        solution = solve_exact(instance, options)
+        solution = solve_exact(instance, ExactOptions(max_n=cap))
         extras["prune"] = args.prune
         if args.prune:
             extras["pruned_assets"] = len(prunable(instance))
@@ -387,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", required=True, choices=["exact", "two-value", "approx"])
     p_solve.add_argument("--instance", required=True, help="instance JSON file")
     p_solve.add_argument(
-        "--prune", action="store_true", help="exclude first-stage-dominated assets (exact only)"
+        "--prune", action="store_true", help="report pruned_assets (exact always prunes)"
     )
     p_solve.add_argument("--max-n", type=int, default=None, help="enumeration cap override")
     p_solve.add_argument("--solution-out", default=None, help="also write the solution to a file")

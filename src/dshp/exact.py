@@ -41,11 +41,11 @@ times scale * pscale, is an integer.
   order and lose the tie.  The bound costs O(mn) and a set O(m), so only
   subtrees of at least n sets are bounded.
 
-Assets whose first-stage value is strictly below their expected
-second-stage value can be excluded from the pool (options.prune) without
-changing the optimal objective (an exchange argument: moving such an asset
-to every scenario's second stage strictly improves any plan that sells it
-early).  The returned plan is built by model.complete_first_stage.
+The pool always excludes the prunable assets, those whose first-stage
+value is strictly below their expected second-stage value.  No optimal plan
+sells one first (an exchange argument: moving it to every scenario's second
+stage gains E f_i - c_i > 0), so searching the full pool would return the
+same plan.  The returned plan is built by model.complete_first_stage.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class EnumerationCapError(DshpError):
 
 @dataclass(frozen=True)
 class ExactOptions:
+    """solve_exact's options; prune is not read, the search always prunes."""
+
     prune: bool = False
     max_n: int = 24
 
@@ -245,9 +247,9 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
 
     The result is the set exhaustive enumeration by increasing size,
     lexicographically within each size, keeps first among those of maximal
-    objective, so it is deterministic.  With options.prune, the search is
-    restricted to assets outside prunable(instance).  An Instance is valid
-    by construction, so only n > options.max_n is refused here.
+    objective, so it is deterministic.  The pool leaves out prunable(instance),
+    which no optimal plan sells first.  An Instance is valid by construction,
+    so only n > options.max_n is refused here.
     """
     if options is None:
         options = ExactOptions()
@@ -259,10 +261,7 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
 
     n, k = instance.n, instance.k
     view = instance.scaled
-    if options.prune:
-        pool = sorted(set(range(n)) - prunable(instance))
-    else:
-        pool = list(range(n))
+    pool = sorted(set(range(n)) - prunable(instance))
     tables = SearchTables(view, k, pool, tune_multipliers(view, k, pool))
     orders, ranked = tables.orders, tables.ranked
     values, positions = tables.values, tables.positions

@@ -162,19 +162,21 @@ class _Numerals(dict):
 def _rationals(values: Iterable, where: str, numerals: _Numerals) -> tuple[Fraction, ...]:
     """Each value as a Fraction: a str through numerals, anything else through as_rational.
 
-    A row of strings only is looked up in one C-level pass.  A row holding
-    any other cell (numerals refuses it with TypeError) is read again by a
-    comprehension that sends each cell its own way.  Only when that raises
-    is the row read once more, cell by cell, so that the error names the
-    first bad cell as where[index].  A row that is not a list or tuple is
-    made a tuple first, so that a one-shot iterator can be read again.
+    A row whose first cell is a str is tried as strings only, in one C-level
+    pass.  Any other row, or one where that pass meets another cell
+    (numerals refuses it with TypeError), is read by a comprehension that
+    sends each cell its own way.  Only when that raises is the row read
+    once more, cell by cell, so that the error names the first bad cell as
+    where[index].  A row that is not a list or tuple is made a tuple first,
+    so that a one-shot iterator can be read again.
     """
     if not isinstance(values, (list, tuple)):
         values = tuple(values)
-    try:
-        return tuple(map(numerals.__getitem__, values))
-    except (TypeError, ParseError):
-        pass
+    if values and type(values[0]) is str:
+        try:
+            return tuple(map(numerals.__getitem__, values))
+        except (TypeError, ParseError):
+            pass
     try:
         return tuple([numerals[v] if type(v) is str else as_rational(v) for v in values])
     except (TypeError, ParseError):

@@ -20,13 +20,16 @@ from dshp import (
     gen_regular_graph,
     is_dominating,
     prunable,
-    second_stage_greedy,
     solve_exact,
 )
 from dshp.cli import gen_random_instance
 from dshp.exact import SearchTables, subtree_bound, tune_multipliers
 
-from conftest import brute_force_second_stage, first_optimum_by_enumeration
+from conftest import (
+    brute_force_second_stage,
+    first_optimum_by_enumeration,
+    greedy_second_stage,
+)
 
 
 def brute_force_optimum(instance):
@@ -104,18 +107,6 @@ def test_prunable_boundary_excluded():
 
 def test_prunable_on_tightness(tightness_012):
     assert prunable(tightness_012) == {0, 2, 3}
-
-
-def test_prune_preserves_objective():
-    rng = random.Random(29)
-    for _ in range(40):
-        n = rng.randint(1, 7)
-        inst = gen_random_instance(
-            n, rng.randint(1, 4), rng.randint(0, n), "any", rng.randrange(10**6)
-        )
-        plain = solve_exact(inst, ExactOptions(prune=False))
-        pruned = solve_exact(inst, ExactOptions(prune=True))
-        assert plain.value == pruned.value
 
 
 def test_value_bounds():
@@ -207,10 +198,11 @@ SIGNED = dict(n=3, m=2, c=(1, -2, 3), p=(HALF, HALF), f=((1, 2), (3, 4), (-5, 6)
     )
 )
 def test_search_returns_first_optimum_by_enumeration(instance):
-    """The full Solution, tie-break included, prune off and on."""
-    assert solve_exact(instance) == first_optimum_by_enumeration(instance, range(instance.n))
-    pruned = solve_exact(instance, ExactOptions(prune=True))
-    assert pruned == first_optimum_by_enumeration(instance, pruned_pool(instance))
+    """The full Solution, tie-break included.  Enumerating without the
+    prunable assets finds the same first optimum (the exchange argument)."""
+    expected = first_optimum_by_enumeration(instance, range(instance.n))
+    assert solve_exact(instance) == expected
+    assert first_optimum_by_enumeration(instance, pruned_pool(instance)) == expected
 
 
 @pytest.mark.parametrize(
@@ -275,10 +267,6 @@ def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
                             exact_at_last += 1
                         checked += 1
     assert checked > 3000 and exact_at_last > 300
-
-
-def greedy_second_stage(instance, first):
-    return second_stage_greedy(instance, first)[1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
