@@ -2,7 +2,10 @@
 
 Reports are single-line JSON objects on stdout (pass --pretty for indented
 output).  Exit codes: 0 success, 1 check failed, 2 invalid instance or
-arguments, 3 algorithm/domain mismatch, 4 I/O failure.
+arguments, 3 algorithm/domain mismatch, 4 I/O failure.  The searches
+(solve_exact, brute_force_mds) alone enforce the cap from --max-n or
+DSHP_MAX_N, raising EnumerationCapError: solve and mds exit 2 on it, compare
+and check reduction report that search as skipped.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .approx import detect_three_values, gen_tightness, solve_approx
 from .exact import ExactOptions, prunable, solve_exact
 from .model import (
     DshpError,
+    EnumerationCapError,
     Instance,
     ValueDomainError,
     check_solution,
@@ -238,18 +242,13 @@ def cmd_compare(args) -> int:
         "approx_objective": str(solution.value),
         "guarantee_value_ratio": str(profile.guarantee),
     }
-    if instance.n <= cap:
-        best = solve_exact(instance, ExactOptions(max_n=cap))
-        out["exact_objective"] = str(best.value)
-        out["exact_skipped"] = False
-        if best.value != 0:
-            out["realized_ratio"] = str(solution.value / best.value)
-        else:
-            out["realized_ratio"] = None
-    else:
-        out["exact_objective"] = None
-        out["exact_skipped"] = True
-        out["realized_ratio"] = None
+    try:
+        best = solve_exact(instance, ExactOptions(max_n=cap)).value
+    except EnumerationCapError:
+        best = None
+    out["exact_objective"] = None if best is None else str(best)
+    out["exact_skipped"] = best is None
+    out["realized_ratio"] = str(solution.value / best) if best else None
     _emit(out, args.pretty)
     return EXIT_OK
 
@@ -272,23 +271,22 @@ def cmd_check_reduction(args) -> int:
     solution = parse_solution(_read(args.solution))
     cap = _enumeration_cap(args.max_n)
     checks: list[dict] = []
-    mds_size = None
 
-    def add(name: str, ok: bool, detail: str = "ok") -> bool:
+    def add(name: str, ok: bool, detail: str = "ok") -> None:
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
-        return bool(ok)
 
-    def bail() -> int:
-        _emit({"checks": checks, "passed": False, "mds_size": mds_size}, args.pretty)
-        return EXIT_CHECK_FAILED
+    def report(mds_size: int | None = None) -> int:
+        passed = all(check["ok"] for check in checks)
+        _emit({"checks": checks, "passed": passed, "mds_size": mds_size}, args.pretty)
+        return EXIT_OK if passed else EXIT_CHECK_FAILED
 
     degree = regular_degree(graph)
-    ok = add(
+    add(
         "graph_regular",
         degree is not None,
         f"degree {degree}" if degree is not None else "vertex degrees differ",
     )
-    ok = add("graph_connected", is_connected(graph)) and ok
+    add("graph_connected", is_connected(graph))
 
     params = None
     values = sorted(instance.distinct)
@@ -302,73 +300,64 @@ def cmd_check_reduction(args) -> int:
             detail = "ok" if lo < ratio < hi else f"need {lo} < S/B = {ratio} < {hi}"
         except ReductionError as exc:  # degree >= n-1: no S/B fits
             detail = f"{exc}; S/B = {ratio}"
-        ok = add("ratio_window", detail == "ok", detail) and ok
+        add("ratio_window", detail == "ok", detail)
     else:
-        ok = add(
+        add(
             "ratio_window",
             False,
             f"cannot infer (B, S): instance values {[str(v) for v in values]} "
             f"are not of the form {{1-B, 1, 1+S}}",
         )
-    if not ok:
-        return bail()
+    if not all(check["ok"] for check in checks):
+        return report()
 
     rebuilt = build_reduction(graph, params)
     same = dataclasses.replace(rebuilt, label=instance.label) == instance
-    ok = add(
+    add(
         "instance_matches_reduction", same, "ok" if same else "instance differs from the construction"
     )
 
     failures = check_solution(instance, solution)
-    ok = add("solution_valid", not failures, "; ".join(failures) or "ok") and ok
-    if not ok:
-        return bail()
+    add("solution_valid", not failures, "; ".join(failures) or "ok")
+    if not all(check["ok"] for check in checks):
+        return report()
 
-    if instance.n <= cap:
-        best = solve_exact(instance, ExactOptions(max_n=cap))
-        ok = (
-            add(
-                "solution_optimal",
-                solution.value == best.value,
-                f"solution {solution.value}, optimum {best.value}",
-            )
-            and ok
-        )
+    skipped = f"skipped: n={graph.n} exceeds cap {cap}"  # instance.n == graph.n here
+    try:
+        optimum = solve_exact(instance, ExactOptions(max_n=cap)).value
+    except EnumerationCapError:
+        add("solution_optimal", True, skipped)
     else:
-        add("solution_optimal", True, f"skipped: n={instance.n} exceeds cap {cap}")
+        add(
+            "solution_optimal",
+            solution.value == optimum,
+            f"solution {solution.value}, optimum {optimum}",
+        )
 
     dominating = extract_dominating(graph, solution)
-    ok = (
-        add(
-            "extracted_set_dominates",
-            is_dominating(graph, dominating),
-            f"complement of first stage: {list(dominating)}",
-        )
-        and ok
+    add(
+        "extracted_set_dominates",
+        is_dominating(graph, dominating),
+        f"complement of first stage: {list(dominating)}",
     )
-    if graph.n <= cap:
+    try:
         mds_size = len(brute_force_mds(graph, cap))
-        ok = (
-            add(
-                "mds_size_matches",
-                len(dominating) == mds_size,
-                f"extracted {len(dominating)}, brute force {mds_size}",
-            )
-            and ok
-        )
+    except EnumerationCapError:
+        mds_size = None
+        add("mds_size_matches", True, skipped)
     else:
-        add("mds_size_matches", True, f"skipped: n={graph.n} exceeds cap {cap}")
-    formula = dominating_solution_revenue(graph.n, params, len(dominating))
-    ok = (
         add(
-            "revenue_formula",
-            formula == solution.value,
-            f"formula {formula}, solution {solution.value}",
+            "mds_size_matches",
+            len(dominating) == mds_size,
+            f"extracted {len(dominating)}, brute force {mds_size}",
         )
-        and ok
+    formula = dominating_solution_revenue(graph.n, params, len(dominating))
+    add(
+        "revenue_formula",
+        formula == solution.value,
+        f"formula {formula}, solution {solution.value}",
     )
-    _emit({"checks": checks, "passed": ok, "mds_size": mds_size}, args.pretty)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return report(mds_size)
 
 
 @functools.cache

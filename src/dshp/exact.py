@@ -56,7 +56,8 @@ from operator import add
 from typing import Sequence
 
 from .model import (
-    DshpError,
+    DEFAULT_MAX_N,
+    EnumerationCapError,
     Instance,
     ScaledView,
     Solution,
@@ -65,16 +66,12 @@ from .model import (
 )
 
 
-class EnumerationCapError(DshpError):
-    """n exceeds the safety cap on exhaustive enumeration."""
-
-
 @dataclass(frozen=True)
 class ExactOptions:
     """solve_exact's options; prune is not read, the search always prunes."""
 
     prune: bool = False
-    max_n: int = 24
+    max_n: int = DEFAULT_MAX_N
 
     def __post_init__(self):
         if self.max_n < 1:
@@ -254,10 +251,7 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
     if options is None:
         options = ExactOptions()
     if instance.n > options.max_n:
-        raise EnumerationCapError(
-            f"n={instance.n} exceeds the enumeration cap max_n={options.max_n}; "
-            f"pass a larger max_n (CLI: --max-n or DSHP_MAX_N) to override"
-        )
+        raise EnumerationCapError("enumeration", instance.n, options.max_n)
 
     n, k = instance.n, instance.k
     view = instance.scaled

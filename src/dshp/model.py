@@ -61,6 +61,19 @@ class DegenerateValuesError(ValueDomainError):
     """Every value in the instance is identical: all feasible plans tie."""
 
 
+DEFAULT_MAX_N = 24  # the default cap on n of solve_exact and brute_force_mds
+
+
+class EnumerationCapError(DshpError):
+    """An exhaustive search refused an input whose n exceeds its cap."""
+
+    def __init__(self, search: str, n: int, max_n: int):
+        super().__init__(
+            f"n={n} exceeds the {search} cap max_n={max_n}; "
+            f"pass a larger max_n (CLI: --max-n or DSHP_MAX_N) to override"
+        )
+
+
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction or numeric string to an exact Fraction.
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
+    DEFAULT_MAX_N,
     DshpError,
+    EnumerationCapError,
     Instance,
     ParseError,
     Solution,
@@ -179,12 +181,10 @@ def is_dominating(graph: Graph, vertices) -> bool:
     return all(v in chosen or adj[v] & chosen for v in range(graph.n))
 
 
-def brute_force_mds(graph: Graph, max_n: int = 24) -> tuple[int, ...]:
-    """Lexicographically first minimum dominating set, by exhaustive search."""
+def brute_force_mds(graph: Graph, max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]:
+    """Lexicographically first minimum dominating set, by exhaustive search up to max_n."""
     if graph.n > max_n:
-        raise DshpError(
-            f"n={graph.n} exceeds the brute-force cap max_n={max_n}; pass a larger cap to override"
-        )
+        raise EnumerationCapError("brute-force", graph.n, max_n)
     n = graph.n
     closed = [1 << v for v in range(n)]
     for u, v in graph.edges:

@@ -13,6 +13,7 @@ from dshp import (
     parse_graph,
     parse_instance,
     serialize_instance,
+    solve_exact,
 )
 from dshp import cli
 from dshp.cli import main
@@ -178,6 +179,20 @@ def test_compare_respects_cap(tmp_path, capsys, monkeypatch):
     assert report["approx_objective"] == "1"
 
 
+@pytest.mark.parametrize("cap, skipped", [(4, False), (3, True)])
+def test_compare_cap_boundary(cap, skipped, tmp_path, capsys):
+    # The tightness instance has n=4: a cap of n runs exact, n-1 skips it.
+    path = write_tightness(tmp_path, capsys)
+    code, out = run(capsys, "compare", "--instance", str(path), "--max-n", str(cap))
+    assert code == 0
+    report = json.loads(out)
+    assert report["exact_skipped"] is skipped
+    if skipped:
+        assert report["exact_objective"] is None and report["realized_ratio"] is None
+    else:
+        assert report["exact_objective"] == "2" and report["realized_ratio"] == "1/2"
+
+
 def test_env_cap_blocks_solve(tmp_path, capsys, monkeypatch):
     path = write_tightness(tmp_path, capsys)
     monkeypatch.setenv("DSHP_MAX_N", "3")
@@ -263,6 +278,42 @@ def test_check_reduction_skips_brute_force_above_cap(tmp_path, capsys):
     details = {check["name"]: check["detail"] for check in report["checks"]}
     assert details["solution_optimal"] == "skipped: n=26 exceeds cap 25"
     assert details["mds_size_matches"] == "skipped: n=26 exceeds cap 25"
+
+
+@pytest.mark.parametrize("cap", [6, 5])
+def test_check_reduction_cap_boundary(cap, tmp_path, capsys):
+    # The octahedron has n=6 and a minimum dominating set of size 2.  Holding
+    # every vertex back is a valid plan but not an optimal one: at a cap of n
+    # solution_optimal and mds_size_matches are checked and fail, at n-1 both
+    # are skipped.
+    from dshp import dominating_plan, serialize_graph, serialize_solution
+
+    gpath, ipath, spath = (tmp_path / name for name in ("g.txt", "inst.json", "sol.json"))
+    gpath.write_text(serialize_graph(octahedron()))
+    code, out = run(capsys, "gen", "reduction", "--graph", str(gpath))
+    assert code == 0
+    ipath.write_text(out)
+    instance = parse_instance(out)
+    spath.write_text(serialize_solution(dominating_plan(instance, range(6))))
+    code, out = run(capsys, "check", "reduction", "--graph", str(gpath), "--instance",
+                    str(ipath), "--solution", str(spath), "--max-n", str(cap))
+    report = json.loads(out)
+    checks = {check["name"]: check for check in report["checks"]}
+    if cap == 6:
+        assert code == 1 and report["passed"] is False
+        assert report["mds_size"] == 2
+        assert checks["solution_optimal"]["ok"] is False
+        optimum = solve_exact(instance).value
+        assert checks["solution_optimal"]["detail"].endswith(f"optimum {optimum}")
+        assert checks["mds_size_matches"] == {
+            "name": "mds_size_matches", "ok": False, "detail": "extracted 6, brute force 2"
+        }
+    else:
+        assert code == 0 and report["passed"] is True
+        assert report["mds_size"] is None
+        skipped = {"ok": True, "detail": "skipped: n=6 exceeds cap 5"}
+        for name in ("solution_optimal", "mds_size_matches"):
+            assert checks[name] == {"name": name, **skipped}
 
 
 def test_mds_subcommand(tmp_path, capsys):
@@ -371,6 +422,7 @@ def input_files(tmp_path, capsys):
         (["check", "reduction", "--graph", "{graph26}", "--instance", "{three}",
           "--solution", "{plan}", "--max-n", "-3"], None, 2),
         (["mds", "--graph", "{graph26}", "--max-n", "0"], None, 2),
+        (["mds", "--graph", "{graph26}", "--max-n", "25"], None, 2),
     ],
 )
 def test_cap_and_domain_errors_exit_with_one_error_line(

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from dshp.cli import main
+from dshp.cli import gen_random_instance, main
+from dshp.model import serialize_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -85,6 +86,19 @@ def test_golden(name, tmp_path):
     assert got["err"] == (err.read_text() if err.exists() else "")
     sol = EXPECTED / f"{name}.sol"
     assert got["sol"] == (sol.read_text() if sol.exists() else None)
+
+
+RANDOM_LABEL = re.compile(r"random\(n=(\d+),m=(\d+),k=(\d+),values=(\w+),seed=(\d+)\)")
+
+
+@pytest.mark.parametrize("name", ["any", "two", "three", "two_top"])
+def test_random_inputs_regenerate_byte_for_byte(name):
+    """The seeded generator, which the bench's inputs also come from, still
+    writes these committed inputs exactly as `dshp gen random` did."""
+    text = (INPUTS / f"{name}.json").read_text()
+    n, m, k, values, seed = RANDOM_LABEL.fullmatch(json.loads(text)["label"]).groups()
+    instance = gen_random_instance(int(n), int(m), int(k), values, int(seed))
+    assert serialize_instance(instance) + "\n" == text
 
 
 def regenerate() -> None:

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from dshp import (
+    EnumerationCapError,
+    ExactOptions,
     Graph,
     GraphError,
     ParseError,
@@ -29,6 +31,7 @@ from dshp import (
     window_bounds,
     window_holds,
 )
+from dshp import exact
 from dshp.reduction import adjacency
 
 from conftest import complete_graph, cycle_graph, octahedron
@@ -116,6 +119,17 @@ def test_brute_force_mds():
     assert brute_force_mds(complete_graph(7)) == (0,)
     with pytest.raises(Exception, match="cap"):
         brute_force_mds(cycle_graph(30))
+
+
+def test_brute_force_mds_over_its_cap_raises_enumeration_cap_error():
+    # The cap and its default are the exact solver's: one constant, one error type.
+    with pytest.raises(EnumerationCapError, match=r"n=25 exceeds .* max_n=24; .*--max-n"):
+        brute_force_mds(cycle_graph(25))
+    with pytest.raises(EnumerationCapError, match="max_n=5"):
+        brute_force_mds(octahedron(), max_n=5)
+    assert len(brute_force_mds(octahedron(), max_n=6)) == 2
+    assert ExactOptions().max_n == 24
+    assert exact.EnumerationCapError is EnumerationCapError
 
 
 def test_round_trip_octahedron():
