@@ -155,9 +155,7 @@ def cmd_solve(args) -> int:
     extras: dict = {}
     if args.algo == "exact":
         solution = solve_exact(instance, ExactOptions(max_n=cap))
-        extras["prune"] = args.prune
-        if args.prune:
-            extras["pruned_assets"] = len(prunable(instance))
+        extras["pruned_assets"] = len(prunable(instance))
     elif args.algo == "two-value":
         try:
             profile = detect_two_values(instance)
@@ -206,7 +204,7 @@ def cmd_gen(args) -> int:
         print(serialize_instance(instance))
     elif args.kind == "reduction":
         graph = parse_graph(_read(args.graph))
-        degree = args.d if args.d is not None else regular_degree(graph)
+        degree = regular_degree(graph)
         if degree is None:
             raise DshpError("graph is not regular; the reduction needs a regular graph")
         params = default_params(graph.n, degree)
@@ -286,7 +284,8 @@ def cmd_check_reduction(args) -> int:
         degree is not None,
         f"degree {degree}" if degree is not None else "vertex degrees differ",
     )
-    add("graph_connected", is_connected(graph))
+    connected = is_connected(graph)
+    add("graph_connected", connected, "ok" if connected else "graph is not connected")
 
     params = None
     values = sorted(instance.distinct)
@@ -365,19 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (building takes about 2 ms)."""
     pretty = argparse.ArgumentParser(add_help=False)
     pretty.add_argument("--pretty", action="store_true", help="indent JSON output")
+    max_n = argparse.ArgumentParser(add_help=False)
+    max_n.add_argument(
+        "--max-n", type=int, help=f"search cap (default: DSHP_MAX_N, else {ExactOptions.max_n})"
+    )
 
     parser = argparse.ArgumentParser(
         prog="dshp", description="Discrete sell-or-hold problem toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[pretty], help="solve an instance file")
+    p_solve = sub.add_parser("solve", parents=[pretty, max_n], help="solve an instance file")
     p_solve.add_argument("--algo", required=True, choices=["exact", "two-value", "approx"])
     p_solve.add_argument("--instance", required=True, help="instance JSON file")
-    p_solve.add_argument(
-        "--prune", action="store_true", help="report pruned_assets (exact always prunes)"
-    )
-    p_solve.add_argument("--max-n", type=int, default=None, help="enumeration cap override")
     p_solve.add_argument("--solution-out", default=None, help="also write the solution to a file")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -400,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g_red = gen_sub.add_parser("reduction", help="instance from a regular graph")
     g_red.add_argument("--graph", required=True, help="graph file")
-    g_red.add_argument("--d", type=int, default=None, help="expected degree (default: inferred)")
     g_red.add_argument("--B", default=None, help="discount below 1 (rational)")
     g_red.add_argument("--S", default=None, help="premium above 1 (rational)")
     g_red.set_defaults(func=cmd_gen)
@@ -411,16 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     g_graph.add_argument("--seed", type=int, default=0)
     g_graph.set_defaults(func=cmd_gen)
 
-    p_mds = sub.add_parser("mds", parents=[pretty], help="brute-force minimum dominating set")
+    p_mds = sub.add_parser(
+        "mds", parents=[pretty, max_n], help="brute-force minimum dominating set"
+    )
     p_mds.add_argument("--graph", required=True)
-    p_mds.add_argument("--max-n", type=int, default=None, help="brute-force cap override")
     p_mds.set_defaults(func=cmd_mds)
 
     p_cmp = sub.add_parser(
-        "compare", parents=[pretty], help="approx vs exact on a three-valued instance"
+        "compare", parents=[pretty, max_n], help="approx vs exact on a three-valued instance"
     )
     p_cmp.add_argument("--instance", required=True)
-    p_cmp.add_argument("--max-n", type=int, default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_check = sub.add_parser("check", help="verify solution or reduction files")
@@ -432,12 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     c_sol.set_defaults(func=cmd_check_solution)
 
     c_red = check_sub.add_parser(
-        "reduction", parents=[pretty], help="dominating-set round-trip checks"
+        "reduction", parents=[pretty, max_n], help="dominating-set round-trip checks"
     )
     c_red.add_argument("--graph", required=True)
     c_red.add_argument("--instance", required=True)
     c_red.add_argument("--solution", required=True)
-    c_red.add_argument("--max-n", type=int, default=None)
     c_red.set_defaults(func=cmd_check_reduction)
 
     return parser

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .model import (
@@ -68,7 +68,7 @@ from .model import (
 
 @dataclass(frozen=True)
 class ExactOptions:
-    """solve_exact's options; prune is not read, the search always prunes."""
+    """solve_exact's options; prune is unread, accepted for the bench until ROADMAP item 3."""
 
     prune: bool = False
     max_n: int = DEFAULT_MAX_N
@@ -84,8 +84,8 @@ def prunable(instance: Instance) -> frozenset[int]:
     # Both sides times scale * pscale: c_i * pscale against sum_j weights[j] * f_ij.
     return frozenset(
         i
-        for i, ci in enumerate(view.c)
-        if ci * view.pscale < sum(w * column[i] for w, column in zip(view.weights, view.columns))
+        for i, (ci, row) in enumerate(zip(view.c, zip(*view.columns)))
+        if ci * view.pscale < sum(map(mul, view.weights, row))
     )
 
 

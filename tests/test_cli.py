@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 from dshp import (
+    Graph,
     Instance,
+    build_reduction,
+    default_params,
     detect_three_values,
     detect_two_values,
     gen_tightness,
@@ -372,10 +375,22 @@ def test_pretty_flag(tmp_path, capsys):
     assert json.loads(out)["objective"] == "2"
 
 
-def test_bad_arguments_exit_two(capsys):
-    code = main(["solve", "--algo", "nonsense", "--instance", "x"])
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--algo", "nonsense", "--instance", "x"],
+        ["solve", "--algo", "exact", "--instance", "x", "--prune"],
+        ["gen", "reduction", "--graph", "x", "--d", "3"],
+    ],
+    ids=["unknown-algo", "solve-prune", "gen-reduction-d"],
+)
+def test_bad_arguments_exit_two(argv, capsys):
+    """Arguments the parser refuses, removed options among them, exit 2 with usage."""
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: dshp ")
     # the parser is built once and reused by every call
     assert cli.build_parser() is cli.build_parser()
 
@@ -400,6 +415,8 @@ def input_files(tmp_path, capsys):
     assert code == 0
     files["graph26"] = tmp_path / "g26.txt"
     files["graph26"].write_text(out)
+    files["path3"] = tmp_path / "path3.txt"
+    files["path3"].write_text("3 2\n0 1\n1 2\n")
     files["plan"] = tmp_path / "plan.json"
     files["plan"].write_text('{"first_stage": [1], "second_stage": [[], [], []], "value": "1"}')
     return files
@@ -423,14 +440,18 @@ def input_files(tmp_path, capsys):
           "--solution", "{plan}", "--max-n", "-3"], None, 2),
         (["mds", "--graph", "{graph26}", "--max-n", "0"], None, 2),
         (["mds", "--graph", "{graph26}", "--max-n", "25"], None, 2),
+        (["gen", "random", "--n", "1", "--m", "1", "--k", "1", "--values", "3"], None, 2),
+        (["gen", "random", "--n", "2", "--m", "1", "--k", "3"], None, 2),
+        (["gen", "reduction", "--graph", "{path3}"], None, 2),
     ],
 )
 def test_cap_and_domain_errors_exit_with_one_error_line(
     input_files, capsys, monkeypatch, argv, env, expected
 ):
-    """Caps exceeded, caps below 1 (in every command that takes one) and a bad
-    DSHP_MAX_N exit 2, value-domain mismatches exit 3; either prints one
-    stderr line starting "error: " and no report."""
+    """Caps exceeded, caps below 1 (in every command that takes one), a bad
+    DSHP_MAX_N and generator arguments no instance fits exit 2, value-domain
+    mismatches exit 3; either prints one stderr line starting "error: " and no
+    report."""
     if env is not None:
         monkeypatch.setenv("DSHP_MAX_N", env)
     code = main([arg.format(**input_files) for arg in argv])
@@ -496,15 +517,75 @@ def test_every_command_refuses_an_invalid_instance(argv, case, tmp_path, capsys)
     assert captured.err.splitlines() == [f"error: invalid instance: {violation}"]
 
 
-def write_reduction_check_files(tmp_path, graph, instance):
-    """Graph, instance and a feasible plan's files for check reduction."""
+def write_reduction_check_files(tmp_path, graph, instance, plan=None):
+    """Graph, instance and plan files for check reduction; the plan defaults
+    to a feasible one."""
     from dshp import complete_first_stage, serialize_graph, serialize_solution
 
     paths = [tmp_path / name for name in ("g.txt", "inst.json", "sol.json")]
     paths[0].write_text(serialize_graph(graph))
     paths[1].write_text(serialize_instance(instance))
-    paths[2].write_text(serialize_solution(complete_first_stage(instance, ())))
+    paths[2].write_text(plan or serialize_solution(complete_first_stage(instance, ())))
     return ["--graph", str(paths[0]), "--instance", str(paths[1]), "--solution", str(paths[2])]
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "graph, instance, plan, failing, last",
+    [
+        pytest.param(
+            Graph(4, frozenset({(0, 1), (2, 3)})),  # 1-regular, two components
+            # values {1/2, 1, 4/3}: S/B = 2/3 lies inside the window (1/3, 1)
+            Instance(n=4, m=2, k=3, c=(1,) * 4, p=(HALF, HALF), f=((HALF, Fraction(4, 3)),) * 4),
+            None,
+            {"name": "graph_connected", "ok": False, "detail": "graph is not connected"},
+            "ratio_window",
+            id="disconnected",
+        ),
+        pytest.param(
+            octahedron(),
+            Instance(n=6, m=2, k=5, c=(1,) * 6, p=(HALF, HALF), f=((2, 1),) * 6),
+            None,
+            {
+                "name": "ratio_window",
+                "ok": False,
+                "detail": "cannot infer (B, S): instance values ['1', '2'] are not of the "
+                "form {1-B, 1, 1+S}",
+            },
+            "ratio_window",
+            id="two-valued",
+        ),
+        pytest.param(
+            octahedron(),
+            build_reduction(octahedron(), default_params(6, 4)),
+            '{"first_stage": [0], "second_stage": [[], [], [], [], [], []], "value": "1"}',
+            {
+                "name": "solution_valid",
+                "ok": False,
+                "detail": "budget constraint sum(x) + sum(y) = k violated in scenario 0: "
+                "1 + 0 != 5",
+            },
+            "solution_valid",
+            id="infeasible-plan",
+        ),
+    ],
+)
+def test_check_reduction_stops_at_the_first_failing_stage(
+    graph, instance, plan, failing, last, tmp_path, capsys
+):
+    """A failing graph or window check ends the report before the instance
+    is rebuilt; a failing instance or plan check ends it before the searches.
+    Either way no dominating set is sized."""
+    code, out = run(capsys, "check", "reduction", *write_reduction_check_files(
+        tmp_path, graph, instance, plan))
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["mds_size"] is None
+    assert [check for check in report["checks"] if not check["ok"]] == [failing]
+    assert report["checks"][-1]["name"] == last
 
 
 def test_check_reduction_reports_a_ratio_outside_the_window(tmp_path, capsys):

@@ -30,12 +30,8 @@ CHECK_REDUCTION = [
 ]
 CASES = {
     "solve-exact-any": SOLVE + ["exact", "--instance", "{inputs}/any.json"],
-    "solve-exact-any-prune": SOLVE + ["exact", "--instance", "{inputs}/any.json", "--prune"],
     "solve-exact-two": SOLVE + ["exact", "--instance", "{inputs}/two.json"],
     "solve-exact-reduction": SOLVE + ["exact", "--instance", "{inputs}/reduction.json"],
-    "solve-exact-reduction-prune": SOLVE + [
-        "exact", "--instance", "{inputs}/reduction.json", "--prune",
-    ],
     "solve-exact-tight-pretty": [
         "solve", "--algo", "exact", "--instance", "{inputs}/tight.json", "--pretty",
     ],

@@ -295,6 +295,59 @@ def test_parse_errors_carry_positions():
         parse_instance('{"n": 1, "m": 1, "c": ["1"], "p": ["1"], "f": [["1"]]}')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 1, "m": 1, "k": 0, "p": ["1"], "f": [["1"]]}', "missing field 'c'"),
+        ('{"n": "1", "m": 1, "k": 0, "c": ["1"], "p": ["1"], "f": [["1"]]}',
+         "n: expected an integer, got '1'"),
+        ('{"n": 1, "m": 1, "k": 0, "c": "1", "p": ["1"], "f": [["1"]]}', "c: expected an array"),
+        ('{"n": 1, "m": 1, "k": 0, "c": ["1"], "p": ["1"], "f": [["1"]], "label": 7}',
+         "label: expected a string, got 7"),
+        ('{"n": 1, "m": 1, "k": 0, "c": ["1"], "p": ["1"], "f": ["1"]}',
+         "f[0]: expected an array (row of asset 0)"),
+    ],
+    ids=["missing-field", "n-not-integer", "c-not-array", "label-not-string", "f-row-not-array"],
+)
+def test_parse_instance_refuses_a_malformed_structure(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"first_stage": [], "second_stage": []}', "missing field 'value'"),
+        ('{"first_stage": [], "second_stage": {}, "value": "0"}',
+         "second_stage: expected an array of arrays"),
+        ('{"first_stage": [], "second_stage": [["0"]], "value": "0"}',
+         "second_stage[0]: expected integer asset indices, got '0'"),
+    ],
+    ids=["missing-field", "second-stage-not-array", "index-not-integer"],
+)
+def test_parse_solution_refuses_a_malformed_structure(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_solution(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "first, second, failure",
+    [
+        ((), ((0, 1),), "second_stage has 1 scenario lists, expected m=2"),
+        ((), ((0, 0), (0, 1)), "second_stage[0] contains duplicate assets"),
+        ((3,), ((0,), (1,)), "first-stage asset 3 out of range 0..2"),
+        ((), ((0, 1), (0, 3)), "second_stage[1] asset 3 out of range 0..2"),
+    ],
+    ids=["scenario-count", "duplicate-in-scenario", "first-stage-range", "second-stage-range"],
+)
+def test_check_solution_names_a_malformed_plan(first, second, failure):
+    half = Fraction(1, 2)
+    instance = Instance(n=3, m=2, k=2, c=(1, 2, 1), p=(half, half), f=((2, 1), (1, 1), (1, 2)))
+    assert check_solution(instance, Solution(first, second, 0)) == [failure]
+
+
 def test_floats_rejected_outside_parsing():
     with pytest.raises(TypeError):
         as_rational(0.1)

@@ -296,6 +296,21 @@ def test_graph_file_errors():
         parse_graph("3 1\nzero one\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n", "line 1: expected header 'n e', got '3'"),
+        ("3 x\n", "line 1: expected integers in header, got '3 x'"),
+        ("3 1\n0 1 2\n", "line 2: expected edge 'u v', got '0 1 2'"),
+    ],
+    ids=["header-arity", "header-not-integer", "edge-arity"],
+)
+def test_graph_file_refuses_a_malformed_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
 def test_graph_construction_errors():
     with pytest.raises(GraphError, match="loop"):
         Graph(3, frozenset({(1, 1)}))
