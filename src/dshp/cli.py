@@ -5,7 +5,9 @@ output).  Exit codes: 0 success, 1 check failed, 2 invalid instance or
 arguments, 3 algorithm/domain mismatch, 4 I/O failure.  The searches
 (solve_exact, brute_force_mds) alone enforce the cap from --max-n or
 DSHP_MAX_N, raising EnumerationCapError: solve and mds exit 2 on it, compare
-and check reduction report that search as skipped.
+and check reduction report that search as skipped.  The check commands only
+read their files and emit a report: model.check_solution and
+reduction.check_reduction decide every check in it.
 """
 
 from __future__ import annotations
@@ -35,20 +37,14 @@ from .model import (
 )
 from .reduction import (
     GenerationError,
-    ReductionError,
-    ReductionParams,
     brute_force_mds,
     build_reduction,
+    check_reduction,
     default_params,
-    dominating_solution_revenue,
-    extract_dominating,
     gen_regular_graph,
-    is_connected,
-    is_dominating,
     parse_graph,
     regular_degree,
     serialize_graph,
-    window_bounds,
 )
 from .two_value import DegenerateValuesError, detect_two_values, solve_two_value
 
@@ -255,108 +251,19 @@ def cmd_check_solution(args) -> int:
     instance = parse_instance(_read(args.instance))
     solution = parse_solution(_read(args.solution))
     failures = check_solution(instance, solution)
-    checks = [
-        {"name": "solution", "ok": not failures, "detail": "; ".join(failures) or "ok"}
-    ]
-    passed = all(entry["ok"] for entry in checks)
-    _emit({"checks": checks, "passed": passed}, args.pretty)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    check = {"name": "solution", "ok": not failures, "detail": "; ".join(failures) or "ok"}
+    _emit({"checks": [check], "passed": not failures}, args.pretty)
+    return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 def cmd_check_reduction(args) -> int:
     graph = parse_graph(_read(args.graph))
     instance = parse_instance(_read(args.instance))
     solution = parse_solution(_read(args.solution))
-    cap = _enumeration_cap(args.max_n)
-    checks: list[dict] = []
-
-    def add(name: str, ok: bool, detail: str = "ok") -> None:
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-    def report(mds_size: int | None = None) -> int:
-        passed = all(check["ok"] for check in checks)
-        _emit({"checks": checks, "passed": passed, "mds_size": mds_size}, args.pretty)
-        return EXIT_OK if passed else EXIT_CHECK_FAILED
-
-    degree = regular_degree(graph)
-    add(
-        "graph_regular",
-        degree is not None,
-        f"degree {degree}" if degree is not None else "vertex degrees differ",
-    )
-    connected = is_connected(graph)
-    add("graph_connected", connected, "ok" if connected else "graph is not connected")
-
-    params = None
-    values = sorted(instance.distinct)
-    if degree is not None and len(values) == 3 and values[1] == 1 and values[0] < 1 < values[2]:
-        params = ReductionParams(
-            degree=degree, discount=1 - values[0], premium=values[2] - 1
-        )
-        ratio = params.premium / params.discount
-        try:
-            lo, hi = window_bounds(graph.n, degree)
-            detail = "ok" if lo < ratio < hi else f"need {lo} < S/B = {ratio} < {hi}"
-        except ReductionError as exc:  # degree >= n-1: no S/B fits
-            detail = f"{exc}; S/B = {ratio}"
-        add("ratio_window", detail == "ok", detail)
-    else:
-        add(
-            "ratio_window",
-            False,
-            f"cannot infer (B, S): instance values {[str(v) for v in values]} "
-            f"are not of the form {{1-B, 1, 1+S}}",
-        )
-    if not all(check["ok"] for check in checks):
-        return report()
-
-    rebuilt = build_reduction(graph, params)
-    same = dataclasses.replace(rebuilt, label=instance.label) == instance
-    add(
-        "instance_matches_reduction", same, "ok" if same else "instance differs from the construction"
-    )
-
-    failures = check_solution(instance, solution)
-    add("solution_valid", not failures, "; ".join(failures) or "ok")
-    if not all(check["ok"] for check in checks):
-        return report()
-
-    skipped = f"skipped: n={graph.n} exceeds cap {cap}"  # instance.n == graph.n here
-    try:
-        optimum = solve_exact(instance, ExactOptions(max_n=cap)).value
-    except EnumerationCapError:
-        add("solution_optimal", True, skipped)
-    else:
-        add(
-            "solution_optimal",
-            solution.value == optimum,
-            f"solution {solution.value}, optimum {optimum}",
-        )
-
-    dominating = extract_dominating(graph, solution)
-    add(
-        "extracted_set_dominates",
-        is_dominating(graph, dominating),
-        f"complement of first stage: {list(dominating)}",
-    )
-    try:
-        mds_size = len(brute_force_mds(graph, cap))
-    except EnumerationCapError:
-        mds_size = None
-        add("mds_size_matches", True, skipped)
-    else:
-        add(
-            "mds_size_matches",
-            len(dominating) == mds_size,
-            f"extracted {len(dominating)}, brute force {mds_size}",
-        )
-    formula = dominating_solution_revenue(graph.n, params, len(dominating))
-    add(
-        "revenue_formula",
-        formula == solution.value,
-        f"formula {formula}, solution {solution.value}",
-    )
-    return report(mds_size)
+    checks, mds_size = check_reduction(graph, instance, solution, _enumeration_cap(args.max_n))
+    passed = all(check["ok"] for check in checks)
+    _emit({"checks": checks, "passed": passed, "mds_size": mds_size}, args.pretty)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 @functools.cache

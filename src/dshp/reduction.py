@@ -6,16 +6,21 @@ worth 1-B under scenario j when j is i itself or a neighbor, 1+S otherwise.
 When S/B sits strictly inside (d/(n-d), (d+1)/(n-d-1)), the assets NOT sold
 at the first stage of an optimal plan form a minimum dominating set, so the
 optimizer doubles as an (exponential) dominating-set solver and vice versa.
+
+reduction_premises decides those premises once, for build_reduction and for
+check_reduction, the round trip that checks an instance and a plan against
+the graph they came from.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
+from .exact import ExactOptions, solve_exact
 from .model import (
     DEFAULT_MAX_N,
     DshpError,
@@ -24,8 +29,11 @@ from .model import (
     ParseError,
     Solution,
     as_rational,
+    check_solution,
     complete_first_stage,
 )
+
+PAIRING_ATTEMPTS = 5000
 
 
 class GraphError(DshpError):
@@ -82,14 +90,11 @@ def regular_degree(graph: Graph) -> int | None:
 
 def is_connected(graph: Graph) -> bool:
     adj = adjacency(graph)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+    seen, frontier = {0}, [0]
+    while frontier:
+        fresh = adj[frontier.pop()] - seen
+        seen |= fresh
+        frontier.extend(fresh)
     return len(seen) == graph.n
 
 
@@ -121,17 +126,61 @@ def window_bounds(n: int, degree: int) -> tuple[Fraction, Fraction]:
     return Fraction(degree, n - degree), Fraction(degree + 1, n - degree - 1)
 
 
-def window_holds(n: int, params: ReductionParams) -> bool:
-    lo, hi = window_bounds(n, params.degree)
-    ratio = params.premium / params.discount
-    return lo < ratio < hi
-
-
 def default_params(n: int, degree: int) -> ReductionParams:
     """B = 1/2 and S/B at the window midpoint: maximal margin from both bounds."""
     lo, hi = window_bounds(n, degree)
     midpoint = (lo + hi) / 2
     return ReductionParams(degree=degree, discount=Fraction(1, 2), premium=midpoint / 2)
+
+
+class Check(NamedTuple):
+    """A named check; if it fails, build_reduction raises error, else detail."""
+
+    name: str
+    ok: bool
+    detail: str = "ok"
+    error: str | None = None
+
+
+def reduction_premises(
+    graph: Graph, params: ReductionParams | Instance
+) -> tuple[list[Check], ReductionParams | None]:
+    """The checks graph_regular, graph_connected and ratio_window, and the params.
+
+    Given a built instance instead, B and S are decoded from its values and d is
+    the graph's; the params are None if the graph is irregular or the values do not decode.
+    """
+    degree = regular_degree(graph)
+    regular = Check("graph_regular", True, f"degree {degree}")
+    untestable = None  # why the window cannot be tested
+    if degree is None:
+        regular = Check("graph_regular", False, "vertex degrees differ", "graph is not regular")
+        params, untestable = None, "window undefined: the graph is not regular"
+    elif isinstance(params, Instance):
+        values, params = sorted(params.distinct), decode_params(params, degree)
+        if params is None:
+            untestable = (
+                f"cannot infer (B, S): instance values {[str(v) for v in values]} "
+                "are not of the form {1-B, 1, 1+S}"
+            )
+    elif params.degree != degree:
+        detail = f"params.degree={params.degree} but graph is {degree}-regular"
+        regular = Check("graph_regular", False, detail)
+    if untestable:
+        window = Check("ratio_window", False, untestable)
+    else:
+        ratio = params.premium / params.discount
+        try:
+            lo, hi = window_bounds(graph.n, params.degree)
+        except ReductionError as exc:  # degree >= n-1: no S/B fits
+            window = Check("ratio_window", False, f"{exc}; S/B = {ratio}", str(exc))
+        else:
+            detail = "ok" if lo < ratio < hi else f"need {lo} < S/B = {ratio} < {hi}"
+            error = f"ratio window violated: {detail}"
+            window = Check("ratio_window", detail == "ok", detail, error)
+    connected = is_connected(graph)
+    detail = "ok" if connected else "graph is not connected"
+    return [regular, Check("graph_connected", connected, detail), window], params
 
 
 def build_reduction(graph: Graph, params: ReductionParams) -> Instance:
@@ -141,25 +190,13 @@ def build_reduction(graph: Graph, params: ReductionParams) -> Instance:
     1; asset i is worth 1-B under its own scenario and its neighbors'
     scenarios, 1+S under every other.
     """
-    d = regular_degree(graph)
-    if d is None:
-        raise ReductionError("graph is not regular")
-    if d != params.degree:
-        raise ReductionError(f"params.degree={params.degree} but graph is {d}-regular")
-    if not is_connected(graph):
-        raise ReductionError("graph is not connected")
-    if not window_holds(graph.n, params):
-        lo, hi = window_bounds(graph.n, params.degree)
-        ratio = params.premium / params.discount
-        raise ReductionError(f"ratio window violated: need {lo} < S/B = {ratio} < {hi}")
+    for check in reduction_premises(graph, params)[0]:
+        if not check.ok:
+            raise ReductionError(check.error or check.detail)
     n = graph.n
-    near = Fraction(1) - params.discount
-    far = Fraction(1) + params.premium
+    near, far = 1 - params.discount, 1 + params.premium
     adj = adjacency(graph)
-    f = tuple(
-        tuple(near if j == i or j in adj[i] else far for j in range(n))
-        for i in range(n)
-    )
+    f = tuple(tuple(near if j == i or j in adj[i] else far for j in range(n)) for i in range(n))
     return Instance(
         n=n,
         m=n,
@@ -167,8 +204,16 @@ def build_reduction(graph: Graph, params: ReductionParams) -> Instance:
         c=(Fraction(1),) * n,
         p=(Fraction(1, n),) * n,
         f=f,
-        label=f"reduction(n={n},d={d},B={params.discount},S={params.premium})",
+        label=f"reduction(n={n},d={params.degree},B={params.discount},S={params.premium})",
     )
+
+
+def decode_params(instance: Instance, degree: int) -> ReductionParams | None:
+    """B and S read back from values {1-B, 1, 1+S}, or None for other values."""
+    values = sorted(instance.distinct)
+    if len(values) == 3 and values[1] == 1 and values[0] < 1 < values[2]:
+        return ReductionParams(degree, 1 - values[0], values[2] - 1)
+    return None
 
 
 def is_dominating(graph: Graph, vertices) -> bool:
@@ -233,13 +278,62 @@ def dominating_plan(instance: Instance, dominating) -> Solution:
     return complete_first_stage(instance, first)
 
 
-def gen_regular_graph(n: int, degree: int, seed: int, max_attempts: int = 5000) -> Graph:
+def check_reduction(
+    graph: Graph, instance: Instance, solution: Solution, max_n: int = DEFAULT_MAX_N
+) -> tuple[list[dict], int | None]:
+    """The round trip's nine named checks, and the brute-force MDS size or None.
+
+    A failed premise stops the checks before the instance is rebuilt, and a
+    failed instance or plan check before the searches; a search over max_n
+    is reported as skipped.
+    """
+    checks, params = reduction_premises(graph, instance)
+    if all(check.ok for check in checks):
+        same = replace(build_reduction(graph, params), label=instance.label) == instance
+        failures = check_solution(instance, solution)
+        checks += [
+            Check("instance_matches_reduction", same, "ok" if same else
+                  "instance differs from the construction"),
+            Check("solution_valid", not failures, "; ".join(failures) or "ok"),
+        ]
+    mds_size = None
+    if all(check.ok for check in checks):
+        skipped = f"skipped: n={graph.n} exceeds cap {max_n}"  # instance.n == graph.n here
+        try:
+            optimum = solve_exact(instance, ExactOptions(max_n=max_n)).value
+        except EnumerationCapError:
+            optimal = Check("solution_optimal", True, skipped)
+        else:
+            detail = f"solution {solution.value}, optimum {optimum}"
+            optimal = Check("solution_optimal", solution.value == optimum, detail)
+        dominating = extract_dominating(graph, solution)
+        try:
+            mds_size = len(brute_force_mds(graph, max_n))
+        except EnumerationCapError:
+            matches = Check("mds_size_matches", True, skipped)
+        else:
+            detail = f"extracted {len(dominating)}, brute force {mds_size}"
+            matches = Check("mds_size_matches", len(dominating) == mds_size, detail)
+        formula = dominating_solution_revenue(graph.n, params, len(dominating))
+        checks += [
+            optimal,
+            Check("extracted_set_dominates", is_dominating(graph, dominating),
+                  f"complement of first stage: {list(dominating)}"),
+            matches,
+            Check("revenue_formula", formula == solution.value,
+                  f"formula {formula}, solution {solution.value}"),
+        ]
+    return [{"name": n, "ok": ok, "detail": d} for n, ok, d, _ in checks], mds_size
+
+
+def gen_regular_graph(n: int, degree: int, seed: int) -> Graph:
     """Connected d-regular simple graph via the pairing model.
 
     Stubs (d copies of each vertex) are shuffled and paired; any attempt
     producing a loop, a repeated edge or a disconnected graph is rejected
-    and retried with the attempt counter folded into the seed, so results
-    are reproducible for a fixed (n, degree, seed).
+    and retried, at most PAIRING_ATTEMPTS times, with the attempt counter
+    folded into the seed, so results are reproducible for a fixed
+    (n, degree, seed).
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
@@ -248,29 +342,18 @@ def gen_regular_graph(n: int, degree: int, seed: int, max_attempts: int = 5000) 
     if (n * degree) % 2:
         raise ValueError(f"n*degree = {n * degree} is odd: no {degree}-regular graph on {n} vertices")
     stubs_base = [v for v in range(n) for _ in range(degree)]
-    for attempt in range(max_attempts):
+    for attempt in range(PAIRING_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt)
         stubs = stubs_base[:]
         rng.shuffle(stubs)
-        edges = set()
-        simple = True
-        for u, v in zip(stubs[::2], stubs[1::2]):
-            if u == v:
-                simple = False
-                break
-            edge = (u, v) if u < v else (v, u)
-            if edge in edges:
-                simple = False
-                break
-            edges.add(edge)
-        if not simple:
-            continue
-        graph = Graph(n, frozenset(edges))
-        if is_connected(graph):
-            return graph
+        edges = {(u, v) if u < v else (v, u) for u, v in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == len(stubs) // 2 and all(u < v for u, v in edges):
+            graph = Graph(n, frozenset(edges))
+            if is_connected(graph):
+                return graph
     raise GenerationError(
         f"no connected {degree}-regular simple graph on {n} vertices found in "
-        f"{max_attempts} pairing attempts (seed {seed})"
+        f"{PAIRING_ATTEMPTS} pairing attempts (seed {seed})"
     )
 
 
@@ -279,12 +362,8 @@ def parse_graph(text: str) -> Graph:
 
     Blank lines and lines starting with "#" are ignored.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((lineno, stripped))
+    rows = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    lines = [(lineno, line) for lineno, line in rows if line and not line.startswith("#")]
     if not lines:
         raise ParseError("empty graph file: missing 'n e' header")
     header_no, header = lines[0]

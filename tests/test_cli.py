@@ -12,6 +12,7 @@ from dshp import (
     default_params,
     detect_three_values,
     detect_two_values,
+    gen_regular_graph,
     gen_tightness,
     parse_graph,
     parse_instance,
@@ -145,6 +146,21 @@ def test_gen_reduction_rejects_ratio_outside_window(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ratio window violated: need 2 < S/B = 1 < 5")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 1, 0, "any", 1), "need n >= 1 and m >= 1, got n=0, m=1"),
+        ((2, 2, 1, "4", 1), "values must be one of 2, 3, any; got '4'"),
+    ],
+    ids=["no-asset", "unknown-values"],
+)
+def test_gen_random_instance_refuses_bad_arguments(args, message):
+    with pytest.raises(ValueError) as info:
+        cli.gen_random_instance(*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
 
 def test_gen_graph_parity_exit(capsys):
@@ -540,7 +556,7 @@ HALF = Fraction(1, 2)
             # values {1/2, 1, 4/3}: S/B = 2/3 lies inside the window (1/3, 1)
             Instance(n=4, m=2, k=3, c=(1,) * 4, p=(HALF, HALF), f=((HALF, Fraction(4, 3)),) * 4),
             None,
-            {"name": "graph_connected", "ok": False, "detail": "graph is not connected"},
+            [{"name": "graph_connected", "ok": False, "detail": "graph is not connected"}],
             "ratio_window",
             id="disconnected",
         ),
@@ -548,12 +564,12 @@ HALF = Fraction(1, 2)
             octahedron(),
             Instance(n=6, m=2, k=5, c=(1,) * 6, p=(HALF, HALF), f=((2, 1),) * 6),
             None,
-            {
+            [{
                 "name": "ratio_window",
                 "ok": False,
                 "detail": "cannot infer (B, S): instance values ['1', '2'] are not of the "
                 "form {1-B, 1, 1+S}",
-            },
+            }],
             "ratio_window",
             id="two-valued",
         ),
@@ -561,14 +577,31 @@ HALF = Fraction(1, 2)
             octahedron(),
             build_reduction(octahedron(), default_params(6, 4)),
             '{"first_stage": [0], "second_stage": [[], [], [], [], [], []], "value": "1"}',
-            {
+            [{
                 "name": "solution_valid",
                 "ok": False,
                 "detail": "budget constraint sum(x) + sum(y) = k violated in scenario 0: "
                 "1 + 0 != 5",
-            },
+            }],
             "solution_valid",
             id="infeasible-plan",
+        ),
+        pytest.param(
+            # gen_regular_graph(6, 3, 1) without its edge 3-5: vertices 3 and 5 have degree 2
+            Graph(6, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)})),
+            # values {1/2, 1, 7/4}, B = 1/2 and S = 3/4: they decode, but d is undefined
+            build_reduction(gen_regular_graph(6, 3, 1), default_params(6, 3)),
+            None,
+            [
+                {"name": "graph_regular", "ok": False, "detail": "vertex degrees differ"},
+                {
+                    "name": "ratio_window",
+                    "ok": False,
+                    "detail": "window undefined: the graph is not regular",
+                },
+            ],
+            "ratio_window",
+            id="irregular",
         ),
     ],
 )
@@ -584,7 +617,7 @@ def test_check_reduction_stops_at_the_first_failing_stage(
     report = json.loads(out)
     assert report["passed"] is False
     assert report["mds_size"] is None
-    assert [check for check in report["checks"] if not check["ok"]] == [failing]
+    assert [check for check in report["checks"] if not check["ok"]] == failing
     assert report["checks"][-1]["name"] == last
 
 

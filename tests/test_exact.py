@@ -137,6 +137,9 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapError, match="max_n"):
         solve_exact(inst, ExactOptions(max_n=2))
     assert solve_exact(inst, ExactOptions(max_n=3)).value == 1
+    with pytest.raises(ValueError) as info:
+        ExactOptions(max_n=0)
+    assert str(info.value) == "max_n must be >= 1, got 0"
 
 
 def test_invalid_instance_rejected():

@@ -84,6 +84,7 @@ BROKEN = [
             "probabilities sum to 1/2, not 1",
         ],
     ),
+    (dict(n=1, m=0, k=0, c=(1,), p=(), f=((),)), ["m must be >= 1, got 0"]),
 ]
 
 
@@ -306,8 +307,10 @@ def test_parse_errors_carry_positions():
          "label: expected a string, got 7"),
         ('{"n": 1, "m": 1, "k": 0, "c": ["1"], "p": ["1"], "f": ["1"]}',
          "f[0]: expected an array (row of asset 0)"),
+        ("[]", "malformed instance: expected a JSON object"),
     ],
-    ids=["missing-field", "n-not-integer", "c-not-array", "label-not-string", "f-row-not-array"],
+    ids=["missing-field", "n-not-integer", "c-not-array", "label-not-string", "f-row-not-array",
+         "not-an-object"],
 )
 def test_parse_instance_refuses_a_malformed_structure(text, message):
     with pytest.raises(ParseError) as info:
@@ -323,8 +326,10 @@ def test_parse_instance_refuses_a_malformed_structure(text, message):
          "second_stage: expected an array of arrays"),
         ('{"first_stage": [], "second_stage": [["0"]], "value": "0"}',
          "second_stage[0]: expected integer asset indices, got '0'"),
+        ('{"first_stage": 5, "second_stage": [], "value": "0"}', "first_stage: expected an array"),
     ],
-    ids=["missing-field", "second-stage-not-array", "index-not-integer"],
+    ids=["missing-field", "second-stage-not-array", "index-not-integer",
+         "first-stage-not-array"],
 )
 def test_parse_solution_refuses_a_malformed_structure(text, message):
     with pytest.raises(ParseError) as info:

@@ -1,7 +1,9 @@
 """Reduction machinery: params window, construction, domination, formulas."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,16 +27,19 @@ from dshp import (
     is_connected,
     is_dominating,
     parse_graph,
+    parse_instance,
+    parse_solution,
     regular_degree,
     serialize_graph,
     solve_exact,
     window_bounds,
-    window_holds,
 )
-from dshp import exact
-from dshp.reduction import adjacency
+from dshp import exact, reduction
+from dshp.reduction import adjacency, check_reduction, reduction_premises
 
 from conftest import complete_graph, cycle_graph, octahedron
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_window_and_default_params_octahedron_case():
@@ -51,7 +56,7 @@ def test_default_params_five_cycle_case():
     params = default_params(5, 2)
     assert params.discount == Fraction(1, 2)
     assert params.premium == Fraction(13, 24)
-    assert window_holds(5, params)
+    assert all(check.ok for check in reduction_premises(cycle_graph(5), params)[0])
 
 
 def test_empty_window_rejected():
@@ -261,11 +266,15 @@ def test_gen_regular_graph_deterministic():
     assert a == b
 
 
-def test_gen_regular_graph_attempt_budget():
+def test_gen_regular_graph_attempt_budget(monkeypatch):
     from dshp import GenerationError
 
-    with pytest.raises(GenerationError, match="attempts"):
-        gen_regular_graph(8, 3, 7, max_attempts=0)
+    monkeypatch.setattr(reduction, "PAIRING_ATTEMPTS", 0)
+    with pytest.raises(GenerationError, match="attempts") as info:
+        gen_regular_graph(8, 3, 7)
+    assert str(info.value) == (
+        "no connected 3-regular simple graph on 8 vertices found in 0 pairing attempts (seed 7)"
+    )
 
 
 def test_graph_file_round_trip():
@@ -309,6 +318,71 @@ def test_graph_file_refuses_a_malformed_line(text, message):
     with pytest.raises(ParseError) as info:
         parse_graph(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Graph(0, frozenset()), GraphError, "need at least one vertex, got n=0"),
+        (lambda: ReductionParams(-1, 1, 1), ValueError, "degree must be >= 0, got -1"),
+        (lambda: ReductionParams(1, 0, 1), ValueError,
+         "discount and premium must be positive, got B=0, S=1"),
+        (lambda: gen_regular_graph(0, 0, 1), ValueError, "need at least one vertex, got n=0"),
+        (lambda: gen_regular_graph(4, 4, 1), ValueError,
+         "need 0 <= degree < n, got degree=4, n=4"),
+    ],
+    ids=["graph-no-vertex", "params-negative-degree", "params-zero-discount",
+         "gen-graph-no-vertex", "gen-graph-degree-n"],
+)
+def test_bad_arguments_raise_their_message(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_graph_normalizes_a_reversed_edge():
+    assert Graph(3, frozenset({(2, 0)})).edges == frozenset({(0, 2)})
+    assert Graph(3, frozenset({(2, 0)})) == Graph(3, frozenset({(0, 2)}))
+
+
+def test_premises_of_the_octahedron_default_params_all_hold():
+    premises, params = reduction_premises(octahedron(), default_params(6, 4))
+    assert [(check.name, check.ok, check.detail) for check in premises] == [
+        ("graph_regular", True, "degree 4"),
+        ("graph_connected", True, "ok"),
+        ("ratio_window", True, "ok"),
+    ]
+    assert params == default_params(6, 4)
+
+
+def test_premises_report_a_ratio_outside_the_window():
+    params = ReductionParams(4, Fraction(1, 2), Fraction(1, 2))
+    premises, _ = reduction_premises(octahedron(), params)
+    assert [check.ok for check in premises] == [True, True, False]
+    assert premises[2].name == "ratio_window"
+    assert premises[2].detail == "need 2 < S/B = 1 < 5"
+
+
+def test_premises_decode_b_and_s_from_a_built_instance():
+    params = default_params(6, 4)
+    premises, decoded = reduction_premises(octahedron(), build_reduction(octahedron(), params))
+    assert all(check.ok for check in premises)
+    assert decoded == params
+
+
+@pytest.mark.parametrize("plan", ["pass", "fail"])
+def test_check_reduction_matches_the_golden_report(plan):
+    inputs = GOLDEN / "inputs"
+    solution = {"pass": "reduction_solution.json", "fail": "reduction_suboptimal.json"}[plan]
+    checks, mds_size = check_reduction(
+        parse_graph((inputs / "graph.txt").read_text()),
+        parse_instance((inputs / "reduction.json").read_text()),
+        parse_solution((inputs / solution).read_text()),
+    )
+    expected = json.loads((GOLDEN / "expected" / f"check-reduction-{plan}.out").read_text())
+    assert checks == expected["checks"]
+    assert mds_size == expected["mds_size"]
 
 
 def test_graph_construction_errors():
