@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 
 from .approx import detect_three_values, gen_tightness, solve_approx
-from .exact import ExactOptions, prunable, solve_exact
+from .exact import ExactOptions, solve_exact
 from .model import (
     DshpError,
     EnumerationCapError,
@@ -40,10 +40,9 @@ from .reduction import (
     brute_force_mds,
     build_reduction,
     check_reduction,
-    default_params,
     gen_regular_graph,
     parse_graph,
-    regular_degree,
+    reduction_premises,
     serialize_graph,
 )
 from .two_value import DegenerateValuesError, detect_two_values, solve_two_value
@@ -150,8 +149,7 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     extras: dict = {}
     if args.algo == "exact":
-        solution = solve_exact(instance, ExactOptions(max_n=cap))
-        extras["pruned_assets"] = len(prunable(instance))
+        solution = solve_exact(instance, ExactOptions(max_n=cap), extras)
     elif args.algo == "two-value":
         try:
             profile = detect_two_values(instance)
@@ -200,14 +198,13 @@ def cmd_gen(args) -> int:
         print(serialize_instance(instance))
     elif args.kind == "reduction":
         graph = parse_graph(_read(args.graph))
-        degree = regular_degree(graph)
-        if degree is None:
-            raise DshpError("graph is not regular; the reduction needs a regular graph")
-        params = default_params(graph.n, degree)
-        if args.B is not None:
-            params = dataclasses.replace(params, discount=parse_rational(args.B))
-        if args.S is not None:
-            params = dataclasses.replace(params, premium=parse_rational(args.S))
+        # None when a premise fails, which build_reduction then raises.
+        params = reduction_premises(graph)[1]
+        if params is not None:
+            if args.B is not None:
+                params = dataclasses.replace(params, discount=parse_rational(args.B))
+            if args.S is not None:
+                params = dataclasses.replace(params, premium=parse_rational(args.S))
         instance = build_reduction(graph, params)
         print(serialize_instance(instance))
     else:

@@ -19,27 +19,36 @@ times scale * pscale, is an integer.
   so the larger of the two values.  Where the asset there leaves, the
   position steps back to the previous asset not in F.  A set costs O(m),
   not a walk of every order.
-- Lagrangian cut.  subtree_bound bounds every set in the subtree of F+{t}
-  (F+{t} plus pool assets after t) by giving each scenario j, of weight
-  w_j = pscale * p_j, its own copy of the first stage, priced with integer
-  multipliers lambda_ij that sum to 0 over the scenarios for every asset
-  (dual decomposition: Caroe and Schultz 1999, after Geoffrion 1974).
-  Each scenario sells, from the assets outside F+{t}, the k-|F|-1 best,
-  a pool asset after t counting max(w_j c_i + lambda_ij, w_j f_ij) and
-  any other asset w_j f_ij; F+{t} adds pscale * c_i per asset.  A plan
-  in the subtree sells one first stage in every scenario, so its
-  multipliers cancel and its objective is a sum of one choice per
-  scenario, each at most that scenario's best: any zero-sum lambda gives
-  a sound bound, exact when no pool asset follows t, and lambda changes
-  how much is cut, never the result.  lambda = 0 is the
+- Lagrangian cut.  SearchTables.bound bounds every set in the subtree of
+  F+{t} (F+{t} plus pool assets after t) by giving each scenario j, of
+  weight w_j = pscale * p_j, its own copy of the first stage, priced with
+  integer multipliers lambda_ij that sum to 0 over the scenarios for every
+  asset (dual decomposition: Caroe and Schultz 1999, after Geoffrion
+  1974).  Each scenario sells, from the assets outside F+{t}, all but the
+  r = n-k lowest, a pool asset after t counting its either value
+  max(w_j c_i + lambda_ij, w_j f_ij) and any other asset w_j f_ij; F+{t}
+  adds pscale * c_i per asset.  A plan in the subtree sells one first
+  stage in every scenario, so its multipliers cancel and its objective is
+  a sum of one choice per scenario, each at most that scenario's best: any
+  zero-sum lambda gives a sound bound, exact when no pool asset follows t,
+  and lambda changes how much is cut, never the result.  lambda = 0 is the
   perfect-information ("wait-and-see") bound.  tune_multipliers picks
-  lambda once, at the root: alpha times each scenario's deviation from
-  the expected second-stage value, alpha from a short scan that keeps the
+  lambda once, at the root: alpha times each scenario's deviation from the
+  expected second-stage value, alpha from a short scan that keeps the
   lowest root bound.  A subtree whose bound is below the best objective
-  found is skipped, and so is one whose bound equals it when no set
-  inside is smaller than the best found: those sets come later in the
-  order and lose the tie.  The bound costs O(mn) and a set O(m), so only
-  subtrees of at least n sets are bounded.
+  found is skipped, and so is one whose bound equals it when no set inside
+  is smaller than the best found: those sets come later in the order and
+  lose the tie.
+- Incremental bound.  A scenario's r lowest take s from the held assets
+  (outside the pool, or in it before t and not in F) and r-s from the free
+  ones (the pool after t, at either value), so their sum is the least of
+  H_s + S_(r-s) over s, where H_s and S_s sum the s lowest of each group.
+  The free sums depend on t alone and are built once per solve.  The held
+  sums grow by one asset per sibling step, and a child starts from its
+  parent's at its own t; adding a value v sets H_s to min(H_s, H_(s-1) + v),
+  one pass over the scenarios per s, and is done only when a bound is
+  taken.  So a bound costs O(rm), one pass at r = 1 as on every reduction
+  instance, and a set O(m): subtrees of more than r sets are bounded.
 
 The pool always excludes the prunable assets, those whose first-stage
 value is strictly below their expected second-stage value.  No optimal plan
@@ -61,7 +70,6 @@ from .model import (
     Instance,
     ScaledView,
     Solution,
-    by_value,
     complete_first_stage,
 )
 
@@ -92,63 +100,105 @@ def prunable(instance: Instance) -> frozenset[int]:
 class SearchTables:
     """What the search reads of an instance's integer view, for one pool.
 
-    pool lists the assets a first stage may hold, ascending; rank[i] is i's
-    index in pool, or -1 for an asset outside it.  hold is n - k, the number
-    of assets every scenario leaves unsold.  Only scenarios of nonzero
-    weight w are kept, and every value is multiplied by its scenario's w.
-    multipliers holds one row of integers per kept scenario, one per asset,
-    and each column sums to 0 (tune_multipliers; all zeros gives the
-    wait-and-see bound).  In a kept scenario of weight w with row lam, a
-    pool asset's either value is max(w c_i + lam[i], w f_ij): sold first,
-    at its priced value, or in the scenario.  Per kept scenario: orders
-    holds the view's selling order, ranked the values in that order, later
-    the pool assets by_value of their either values and later_ranked those
-    values.  Per asset i: values[i] holds its value and positions[i] its
-    index in the selling order, one entry per kept scenario, and net[i] is
-    pscale * c_i minus the sum of values[i].  everything sums values over
-    all assets, and gain[q] sums either value minus w_j f_ij over the kept
-    scenarios and the pool assets from pool[q] on.
+    pool lists the assets a first stage may hold, ascending.  hold is n - k,
+    the number of assets every scenario leaves unsold.  Only scenarios of
+    nonzero weight w are kept, and every value is multiplied by its
+    scenario's w.  multipliers holds one row of integers per kept scenario,
+    one per asset, and each column sums to 0 (tune_multipliers; all zeros
+    gives the wait-and-see bound).  In a kept scenario of weight w with row
+    lam, a pool asset's either value is max(w c_i + lam[i], w f_ij): sold
+    first, at its priced value, or in the scenario.  Per kept scenario:
+    orders holds the view's selling order and ranked the values in that
+    order.  Per asset i: values[i] holds its value and positions[i] its index
+    in the selling order, one entry per kept scenario, and net[i] is
+    pscale * c_i minus the sum of values[i].
+
+    The bound reads lowest-value tables: the table of a set of assets lists,
+    for s = 1..min(hold, its size), the per-scenario sums of the s lowest
+    values in the set (insert adds one asset).  free[q] is the table of the
+    either values of the pool assets after pool[q], and held that of the
+    values of the assets outside the pool.  tail[q] is the sum of values over
+    all assets plus, over the kept scenarios and the pool assets after
+    pool[q], either value minus value.
     """
 
     def __init__(
         self, view: ScaledView, k: int, pool: Sequence[int], multipliers: Sequence[Sequence[int]]
     ):
         n = len(view.c)
-        rank = [-1] * n
-        for q, i in enumerate(pool):
-            rank[i] = q
         kept = [j for j, w in enumerate(view.weights) if w]
         orders = [view.order[j] for j in kept]
         columns = [[view.weights[j] * v for v in view.columns[j]] for j in kept]
-        ranked, later, later_ranked, positions = [], [], [], []
-        gain = dict.fromkeys(pool, 0)
-        for j, order, column, prices in zip(kept, orders, columns, multipliers):
-            ranked.append([column[i] for i in order])
-            either = {i: max(view.weights[j] * view.c[i] + prices[i], column[i]) for i in pool}
-            best = by_value(either, pool)
-            later.append(best)
-            later_ranked.append([either[i] for i in best])
-            for i in pool:
-                gain[i] += either[i] - column[i]
+        values = list(zip(*columns))
+        either = list(zip(*(
+            [max(view.weights[j] * c + lam, f) for c, lam, f in zip(view.c, prices, column)]
+            for j, prices, column in zip(kept, multipliers, columns)
+        )))
+        positions = []
+        for order in orders:
             position = [0] * n
             for q, i in enumerate(order):
                 position[i] = q
             positions.append(position)
-        suffix = [0]
-        for i in reversed(pool):
-            suffix.append(suffix[-1] + gain[i])
         self.pool = list(pool)
-        self.rank = rank
         self.hold = n - k
         self.orders = orders
-        self.ranked = ranked
-        self.later = later
-        self.later_ranked = later_ranked
-        self.values = list(zip(*columns))
+        self.ranked = [[column[i] for i in order] for column, order in zip(columns, orders)]
+        self.values = values
         self.positions = list(zip(*positions))
-        self.net = [view.pscale * ci - sum(v) for ci, v in zip(view.c, self.values)]
-        self.everything = sum(map(sum, columns))
-        self.gain = suffix[::-1]
+        self.net = [view.pscale * ci - sum(v) for ci, v in zip(view.c, values)]
+        held = []
+        for i in sorted(set(range(n)) - set(pool)):
+            held = self.insert(held, values[i])
+        self.held = held
+        free = [[]]
+        tail = [sum(map(sum, columns))]
+        for i in reversed(self.pool[1:]):
+            free.append(self.insert(free[-1], either[i]))
+            tail.append(tail[-1] + sum(either[i]) - sum(values[i]))
+        self.free = free[::-1]
+        self.tail = tail[::-1]
+
+    def insert(self, table: list[list[int]], row: Sequence[int]) -> list[list[int]]:
+        """table with one more asset, of per-scenario values row: the s
+        lowest values either leave it out or add it to the s - 1 lowest."""
+        # Comprehensions with a comparison beat map(min, ...), whose every
+        # call parses arguments.
+        out = [[x if x < v else v for x, v in zip(table[0], row)]] if table else []
+        for fewer, more in zip(table, table[1:]):
+            out.append([x if x < (y := f + v) else y for x, f, v in zip(more, fewer, row)])
+        if len(table) < self.hold:
+            out.append(list(map(add, table[-1], row)) if table else list(row))
+        return out
+
+    def bound(self, q: int, net: int, held: list[list[int]]) -> int:
+        """Upper bound on every first stage in the search subtree of F+{pool[q]}.
+
+        The subtree holds each F+{pool[q]}+G with G made of pool assets after
+        pool[q], at most k-|F|-1 of them.  net is the sum of net over
+        F+{pool[q]}, and held the table of the assets outside the pool and
+        the pool assets before pool[q] not in F.  Each scenario sells, from
+        the assets outside F+{pool[q]}, all but its hold lowest values, where
+        a pool asset after pool[q] counts its either value and any other
+        asset f_ij.  The hold lowest split into s from held and hold - s
+        from free[q], so their sum is the least such split.  The result is,
+        like every objective the search compares, times scale * pscale; it
+        equals the objective of F+{pool[q]} when no pool asset follows
+        pool[q].
+        """
+        hold, free = self.hold, self.free[q]
+        if not hold:
+            return self.tail[q] + net
+        lowest = None
+        for s in range(hold - len(free), len(held) + 1):
+            if s == 0:
+                split = free[-1]
+            elif s == hold:
+                split = held[-1]
+            else:
+                split = map(add, held[s - 1], free[hold - s - 1])
+            lowest = split if lowest is None else [x if x < y else y for x, y in zip(lowest, split)]
+        return self.tail[q] + net - sum(lowest)
 
 
 # alpha, in sixteenths, in the order tune_multipliers tries it.
@@ -203,50 +253,17 @@ def tune_multipliers(view: ScaledView, k: int, pool: Sequence[int]) -> list[list
     return best
 
 
-def subtree_bound(tables: SearchTables, first: Sequence[int], q: int) -> int:
-    """Upper bound on every first stage in the search subtree of F+{pool[q]}.
-
-    first is F, pool assets before pool[q]; the subtree holds each
-    F+{pool[q]}+G with G made of pool assets after pool[q], at most k-|F|-1
-    of them.  Each scenario sells, from the assets outside F+{pool[q]}, all
-    but its hold lowest values, where a pool asset after pool[q] counts its
-    either value (sold first, priced by the tables' multipliers, or in this
-    scenario, whichever pays) and any other asset f_ij.  The result is, like
-    every objective the search compares, times scale * pscale; it equals the
-    objective of F+{pool[q]} when no pool asset follows pool[q].
-    """
-    t = tables.pool[q]
-    rank, net = tables.rank, tables.net
-    sold = set(first)
-    total = tables.everything + sum(net[i] for i in sold) + net[t] + tables.gain[q + 1]
-    for order, ranked, later, later_ranked in zip(
-        tables.orders, tables.ranked, tables.later, tables.later_ranked
-    ):
-        # Walk both lists from their low end; F+{t} leaves at least hold assets.
-        a, b = len(later) - 1, len(order) - 1
-        for _ in range(tables.hold):
-            while a >= 0 and later[a] <= t:
-                a -= 1
-            # Pool assets from t on count in later (or are t); F is sold.
-            while b >= 0 and (rank[order[b]] >= q or order[b] in sold):
-                b -= 1
-            if b < 0 or (a >= 0 and later_ranked[a] <= ranked[b]):
-                total -= later_ranked[a]
-                a -= 1
-            else:
-                total -= ranked[b]
-                b -= 1
-    return total
-
-
-def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solution:
+def solve_exact(
+    instance: Instance, options: ExactOptions | None = None, extras: dict | None = None
+) -> Solution:
     """Globally optimal solution by depth-first search over first-stage sets.
 
     The result is the set exhaustive enumeration by increasing size,
     lexicographically within each size, keeps first among those of maximal
     objective, so it is deterministic.  The pool leaves out prunable(instance),
-    which no optimal plan sells first.  An Instance is valid by construction,
-    so only n > options.max_n is refused here.
+    which no optimal plan sells first; given extras, a dict, the solver sets
+    extras["pruned_assets"] to their number.  An Instance is valid by
+    construction, so only n > options.max_n is refused here.
     """
     if options is None:
         options = ExactOptions()
@@ -256,29 +273,46 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
     n, k = instance.n, instance.k
     view = instance.scaled
     pool = sorted(set(range(n)) - prunable(instance))
+    if extras is not None:
+        extras["pruned_assets"] = n - len(pool)
     tables = SearchTables(view, k, pool, tune_multipliers(view, k, pool))
     orders, ranked = tables.orders, tables.ranked
-    values, positions = tables.values, tables.positions
+    values, positions, net = tables.values, tables.positions, tables.net
+    insert = tables.insert
     size = len(pool)
     first_value = [view.pscale * ci for ci in view.c]
-    # large[a][r]: a subtree with a pool assets after t and r picks left holds
-    # sum_{s <= r} C(a, s) >= n sets, enough to repay the O(mn) bound.
-    large = []
+    # bounded[a][r]: a subtree with a pool assets after t and r picks left
+    # holds sum_{s <= r} C(a, s) sets.  A bound costs about hold passes over
+    # the kept scenarios and a set about one, so only subtrees of more than
+    # hold sets are bounded.
+    bounded = []
     for a in range(size):
         sets = 0
-        large.append([(sets := sets + comb(a, r)) >= n for r in range(k)])
+        bounded.append([(sets := sets + comb(a, r)) > tables.hold for r in range(k)])
     chosen = bytearray(n)
     path: list[int] = []
     # The empty first stage: each scenario sells the first k assets of its order.
     best_total = sum(sum(row[:k]) for row in ranked)
     best_first: tuple[int, ...] = ()
 
-    def visit(start: int, base: int, second: int, lasts: list[int], at_last: list[int]) -> None:
+    def visit(
+        start: int,
+        base: int,
+        second: int,
+        lasts: list[int],
+        at_last: list[int],
+        net_sum: int,
+        held: list[list[int]],
+        folded: int,
+    ) -> None:
         """Search the children F+{pool[q]}, q >= start, of F = path.
 
         second is F's weighted second-stage total; per kept scenario, lasts
         holds the position of the last asset F's completion sells and
-        at_last that asset's value.
+        at_last that asset's value.  net_sum sums net over F.  held is the
+        lowest-value table of the assets outside the pool and of the pool
+        assets before pool[folded] not in F; the others before a child
+        join it only when that child is bounded.
         """
         nonlocal best_total, best_first
         depth = len(path) + 1
@@ -286,14 +320,21 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
         for q in range(start, size):
             t = pool[q]
             child_base = base + first_value[t]
-            if large[size - q - 1][need]:
-                bound = subtree_bound(tables, path, q)
+            child_net = net_sum + net[t]
+            if bounded[size - q - 1][need]:
+                for i in pool[folded:q]:
+                    if not chosen[i]:
+                        held = insert(held, values[i])
+                folded = q
+                bound = tables.bound(q, child_net, held)
                 if bound < best_total or (bound == best_total and depth >= len(best_first)):
                     continue
             # Orders are by value, so t leaves the sale if it sells at or
             # before the last position (value >= the value there) and the
             # asset at that position leaves otherwise: the larger one leaves.
-            child_second = second - sum(map(max, values[t], at_last)) if need else 0
+            child_second = (
+                second - sum([x if x > y else y for x, y in zip(values[t], at_last)]) if need else 0
+            )
             total = child_base + child_second
             if total > best_total or (total == best_total and depth < len(best_first)):
                 best_total = total
@@ -312,12 +353,18 @@ def solve_exact(instance: Instance, options: ExactOptions | None = None) -> Solu
                     child_at_last[j] = ranked[j][last]
             chosen[t] = 1
             path.append(t)
-            visit(q + 1, child_base, child_second, child_lasts, child_at_last)
+            visit(
+                q + 1, child_base, child_second, child_lasts, child_at_last,
+                child_net, held, folded,
+            )
             path.pop()
             chosen[t] = 0
 
     if k and size:
-        visit(0, 0, best_total, [k - 1] * len(orders), [row[k - 1] for row in ranked])
+        visit(
+            0, 0, best_total, [k - 1] * len(orders), [row[k - 1] for row in ranked],
+            0, tables.held, 0,
+        )
     # visit's closure refers to visit; emptying that cell lets reference
     # counting free the search state here instead of a later cycle collection.
     del visit

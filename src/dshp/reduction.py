@@ -143,12 +143,14 @@ class Check(NamedTuple):
 
 
 def reduction_premises(
-    graph: Graph, params: ReductionParams | Instance
+    graph: Graph, params: ReductionParams | Instance | None = None
 ) -> tuple[list[Check], ReductionParams | None]:
     """The checks graph_regular, graph_connected and ratio_window, and the params.
 
     Given a built instance instead, B and S are decoded from its values and d is
-    the graph's; the params are None if the graph is irregular or the values do not decode.
+    the graph's; given None, the params are default_params for the graph's
+    degree.  The params are None if the graph is irregular, the values do not
+    decode or no default fits.
     """
     degree = regular_degree(graph)
     regular = Check("graph_regular", True, f"degree {degree}")
@@ -156,6 +158,11 @@ def reduction_premises(
     if degree is None:
         regular = Check("graph_regular", False, "vertex degrees differ", "graph is not regular")
         params, untestable = None, "window undefined: the graph is not regular"
+    elif params is None:
+        try:
+            params = default_params(graph.n, degree)
+        except ReductionError as exc:  # degree >= n-1: no S/B fits
+            untestable = str(exc)
     elif isinstance(params, Instance):
         values, params = sorted(params.distinct), decode_params(params, degree)
         if params is None:
@@ -183,14 +190,16 @@ def reduction_premises(
     return [regular, Check("graph_connected", connected, detail), window], params
 
 
-def build_reduction(graph: Graph, params: ReductionParams) -> Instance:
+def build_reduction(graph: Graph, params: ReductionParams | None = None) -> Instance:
     """DSHP instance encoding minimum domination of a connected regular graph.
 
     n assets and n uniform scenarios, budget k = n-1, all first-stage values
     1; asset i is worth 1-B under its own scenario and its neighbors'
-    scenarios, 1+S under every other.
+    scenarios, 1+S under every other.  params default to default_params for
+    the graph's degree.  A failing premise raises its reduction_premises error.
     """
-    for check in reduction_premises(graph, params)[0]:
+    checks, params = reduction_premises(graph, params)
+    for check in checks:
         if not check.ok:
             raise ReductionError(check.error or check.detail)
     n = graph.n

@@ -149,6 +149,27 @@ def test_gen_reduction_rejects_ratio_outside_window(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, error",
+    [
+        ("3 2\n0 1\n1 2\n", "graph is not regular"),
+        ("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+         "empty ratio window: need 0 <= degree < n-1, got degree=3, n=4"),
+    ],
+    ids=["irregular", "complete"],
+)
+def test_gen_reduction_refuses_with_the_premise_error(text, error, tmp_path, capsys):
+    # The same words build_reduction and check reduction use, also with --B.
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(text)
+    for overrides in ([], ["--B", "1/4"]):
+        code = main(["gen", "reduction", "--graph", str(gpath), *overrides])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         ((0, 1, 0, "any", 1), "need n >= 1 and m >= 1, got n=0, m=1"),

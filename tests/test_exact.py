@@ -23,7 +23,7 @@ from dshp import (
     solve_exact,
 )
 from dshp.cli import gen_random_instance
-from dshp.exact import SearchTables, subtree_bound, tune_multipliers
+from dshp.exact import SearchTables, tune_multipliers
 
 from conftest import (
     brute_force_second_stage,
@@ -107,6 +107,12 @@ def test_prunable_boundary_excluded():
 
 def test_prunable_on_tightness(tightness_012):
     assert prunable(tightness_012) == {0, 2, 3}
+
+
+def test_solve_exact_reports_its_pruned_count(tightness_012):
+    extras = {"kept": True}
+    assert solve_exact(tightness_012, extras=extras) == solve_exact(tightness_012)
+    assert extras == {"kept": True, "pruned_assets": 3}
 
 
 def test_value_bounds():
@@ -228,6 +234,48 @@ def random_multipliers(rng, view, spread):
     return rows
 
 
+def subtree_bound(view, k, pool, multipliers, first, q):
+    """The search's bound on the subtree of F+{pool[q]}, from its definition.
+
+    first is F, pool assets before pool[q].  Each kept scenario j, of weight
+    w, sells from the assets outside F+{pool[q]} all but its n - k lowest,
+    where a pool asset after pool[q] is worth max(w c_i + lambda_ij, w f_ij)
+    and any other asset w f_ij; F+{pool[q]} adds pscale * c_i per asset.
+    O(n m log n) per node, where SearchTables.bound costs O((n - k) m).
+    """
+    sold, later = {*first, pool[q]}, set(pool[q + 1 :])
+    kept = [j for j, w in enumerate(view.weights) if w]
+    total = view.pscale * sum(view.c[i] for i in sold)
+    for j, prices in zip(kept, multipliers):
+        w = view.weights[j]
+        worth = sorted(
+            max(w * view.c[i] + prices[i], w * f) if i in later else w * f
+            for i, f in enumerate(view.columns[j])
+            if i not in sold
+        )
+        total += sum(worth[len(view.c) - k :])
+    return total
+
+
+def incremental_bounds(tables, k):
+    """(F, q, tables.bound) at every node F+{pool[q]} of the search tree, the
+    held table carried down the tree as the search carries it: a child starts
+    from its parent's table at its own q, and each sibling step inserts one
+    asset."""
+    pool, net, values = tables.pool, tables.net, tables.values
+
+    def walk(first, start, net_sum, held):
+        if len(first) == k:
+            return
+        for q in range(start, len(pool)):
+            t = pool[q]
+            yield first, q, tables.bound(q, net_sum + net[t], held)
+            yield from walk((*first, t), q + 1, net_sum + net[t], held)
+            held = tables.insert(held, values[t])
+
+    return walk((), 0, 0, tables.held)
+
+
 def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
     # Any zero-sum multipliers give a sound bound, exact at the last pool
     # asset: none (the wait-and-see bound), random ones and the tuned ones.
@@ -256,20 +304,83 @@ def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
                 [[0] * n] * kept, random_multipliers(draws, view, 3 * units), tuned
             ):
                 tables = SearchTables(view, inst.k, pool, multipliers)
-                for first in objective:
-                    if len(first) == inst.k:
-                        continue
-                    for q in range(pool.index(first[-1]) + 1 if first else 0, len(pool)):
-                        child = (*first, pool[q])
-                        subtree = [s for s in objective if s[: len(child)] == child]
-                        bound = subtree_bound(tables, first, q)
-                        where = (inst, pool, multipliers, child)
-                        assert bound >= max(objective[s] for s in subtree), where
-                        if q == len(pool) - 1:
-                            assert bound == objective[child], where
-                            exact_at_last += 1
-                        checked += 1
+                for first, q, bound in incremental_bounds(tables, inst.k):
+                    child = (*first, pool[q])
+                    subtree = [s for s in objective if s[: len(child)] == child]
+                    where = (inst, pool, multipliers, child)
+                    assert bound >= max(objective[s] for s in subtree), where
+                    if q == len(pool) - 1:
+                        assert bound == objective[child], where
+                        exact_at_last += 1
+                    checked += 1
     assert checked > 3000 and exact_at_last > 300
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    instance=small_instances(),
+    pruned=st.booleans(),
+    kind=st.sampled_from(["zero", "random", "tuned"]),
+    draws=st.randoms(use_true_random=False),
+)
+@example(instance=Instance(k=2, **SIGNED), pruned=False, kind="random", draws=random.Random(1))
+@example(
+    instance=Instance(
+        n=4, m=3, k=3, c=(2, 0, -1, 3), p=(0, 1, 0),
+        f=((1, 5, 9), (4, 4, -2), (3, -6, 0), (-1, 2, 7)),
+    ),
+    pruned=True, kind="tuned", draws=random.Random(2),
+)
+def test_incremental_bound_equals_the_definition_at_every_node(instance, pruned, kind, draws):
+    """Every hold n - k, full and pruned pools, zero, random and tuned
+    multipliers, signed values and zero-weight scenarios: exact equality."""
+    view, k = instance.scaled, instance.k
+    pool = pruned_pool(instance) if pruned else list(range(instance.n))
+    kept = sum(1 for w in view.weights if w)
+    multipliers = {
+        "zero": lambda: [[0] * instance.n] * kept,
+        "random": lambda: random_multipliers(draws, view, 3 * view.scale * view.pscale),
+        "tuned": lambda: tune_multipliers(view, k, pool),
+    }[kind]()
+    tables = SearchTables(view, k, pool, multipliers)
+    for first, q, bound in incremental_bounds(tables, k):
+        assert bound == subtree_bound(view, k, pool, multipliers, first, q), (first, q)
+
+
+def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch):
+    # The search folds its held table lazily.  Each bound it takes must be
+    # the definition's bound at a node of the same q and sum of net: a fold
+    # that skipped, repeated or wrongly took an asset would loosen it.
+    taken = []
+    original = SearchTables.bound
+
+    def recording(self, q, net, held):
+        taken.append((q, net, original(self, q, net, held)))
+        return taken[-1][2]
+
+    monkeypatch.setattr(SearchTables, "bound", recording)
+    rng = random.Random(53)
+    instances = [build_reduction(gen_regular_graph(8, 3, seed)) for seed in range(3)]
+    instances += [
+        gen_random_instance(8, rng.randint(1, 4), rng.randint(4, 7), "any", rng.randrange(10**6))
+        for _ in range(6)
+    ]
+    checked = 0
+    for inst in instances:
+        taken.clear()
+        solve_exact(inst)
+        search = list(taken)
+        view, k, pool = inst.scaled, inst.k, pruned_pool(inst)
+        multipliers = tune_multipliers(view, k, pool)
+        tables = SearchTables(view, k, pool, multipliers)
+        nodes = {
+            (q, sum(tables.net[i] for i in (*first, pool[q])),
+             subtree_bound(view, k, pool, multipliers, first, q))
+            for first, q, _ in incremental_bounds(tables, k)
+        }
+        assert set(search) <= nodes, inst
+        checked += len(search)
+    assert checked > 100
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -308,4 +419,23 @@ def test_reduction_search_returns_the_first_minimum_dominating_plan():
         solution = solve_exact(build_reduction(graph, params))
         assert solution.first_stage == first, (graph, solution)
         assert len(extract_dominating(graph, solution)) == size
+        assert solution.value == dominating_solution_revenue(n, params, size)
+
+
+@pytest.mark.parametrize("n, d", [(12, 3), (12, 4), (13, 4), (14, 3), (14, 4)])
+def test_reduction_plan_on_the_bench_shapes(n, d):
+    # The bench's reduction shapes (no 3-regular graph has 13 vertices), where
+    # the search bounds every node with more than one set below it.  The plan
+    # is the lexicographically first complement of a minimum dominating set.
+    for seed in range(4):
+        graph = gen_regular_graph(n, d, seed)
+        params = default_params(n, d)
+        size = len(brute_force_mds(graph))
+        first = min(
+            tuple(v for v in range(n) if v not in dominating)
+            for dominating in itertools.combinations(range(n), size)
+            if is_dominating(graph, dominating)
+        )
+        solution = solve_exact(build_reduction(graph, params))
+        assert solution.first_stage == first, (graph, solution)
         assert solution.value == dominating_solution_revenue(n, params, size)

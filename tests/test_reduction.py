@@ -364,6 +364,30 @@ def test_premises_report_a_ratio_outside_the_window():
     assert premises[2].detail == "need 2 < S/B = 1 < 5"
 
 
+def test_premises_default_to_the_graph_degree_params():
+    premises, params = reduction_premises(octahedron())
+    assert all(check.ok for check in premises)
+    assert params == default_params(6, 4)
+    assert build_reduction(octahedron()) == build_reduction(octahedron(), params)
+
+
+@pytest.mark.parametrize(
+    "graph, error",
+    [
+        (Graph(3, frozenset({(0, 1), (1, 2)})), "graph is not regular"),
+        (complete_graph(5), "empty ratio window: need 0 <= degree < n-1, got degree=4, n=5"),
+    ],
+    ids=["irregular", "complete"],
+)
+def test_default_premises_fail_with_the_build_error(graph, error):
+    premises, params = reduction_premises(graph)
+    assert params is None
+    assert [check.ok for check in premises] == [error != "graph is not regular", True, False]
+    with pytest.raises(ReductionError) as info:
+        build_reduction(graph)
+    assert str(info.value) == error
+
+
 def test_premises_decode_b_and_s_from_a_built_instance():
     params = default_params(6, 4)
     premises, decoded = reduction_premises(octahedron(), build_reduction(octahedron(), params))
