@@ -32,13 +32,14 @@ times scale * pscale, is an integer.
   a sum of one choice per scenario, each at most that scenario's best: any
   zero-sum lambda gives a sound bound, exact when no pool asset follows t,
   and lambda changes how much is cut, never the result.  lambda = 0 is the
-  perfect-information ("wait-and-see") bound.  tune_multipliers picks
-  lambda once, at the root: alpha times each scenario's deviation from the
+  perfect-information ("wait-and-see") bound.  SearchTables picks lambda
+  once, at the root: alpha times each scenario's deviation from the
   expected second-stage value, alpha from a short scan that keeps the
-  lowest root bound.  A subtree whose bound is below the best objective
-  found is skipped, and so is one whose bound equals it when no set inside
-  is smaller than the best found: those sets come later in the order and
-  lose the tie.
+  lowest root bound (the bound with nothing forced), priced through the
+  tables the search bounds with.  A subtree whose bound is below the best
+  objective found is skipped, and so is one whose bound equals it when no
+  set inside is smaller than the best found: those sets come later in the
+  order and lose the tie.
 - Incremental bound.  A scenario's r lowest take s from the held assets
   (outside the pool, or in it before t and not in F) and r-s from the free
   ones (the pool after t, at either value), so their sum is the least of
@@ -97,21 +98,35 @@ def prunable(instance: Instance) -> frozenset[int]:
     )
 
 
+# alpha, in sixteenths, in the order SearchTables tries it.
+_ALPHA_SIXTEENTHS = (0, 8, 12, 13, 14, 15, 16)
+
+
 class SearchTables:
     """What the search reads of an instance's integer view, for one pool.
 
     pool lists the assets a first stage may hold, ascending.  hold is n - k,
     the number of assets every scenario leaves unsold.  Only scenarios of
     nonzero weight w are kept, and every value is multiplied by its
-    scenario's w.  multipliers holds one row of integers per kept scenario,
-    one per asset, and each column sums to 0 (tune_multipliers; all zeros
-    gives the wait-and-see bound).  In a kept scenario of weight w with row
-    lam, a pool asset's either value is max(w c_i + lam[i], w f_ij): sold
-    first, at its priced value, or in the scenario.  Per kept scenario:
-    orders holds the view's selling order and ranked the values in that
-    order.  Per asset i: values[i] holds its value and positions[i] its index
-    in the selling order, one entry per kept scenario, and net[i] is
-    pscale * c_i minus the sum of values[i].
+    scenario's w.  Per kept scenario: orders holds the view's selling order
+    and ranked the values in that order.  Per asset i, with one entry per
+    kept scenario: values[i] holds its value, positions[i] its index in the
+    selling order and firsts[i] its first-stage value w c_i; expected[i] is
+    the sum of values[i], and net[i] is pscale * c_i minus expected[i].
+
+    multipliers holds one row of integers per kept scenario, one per asset,
+    and each column sums to 0 (all zeros gives the wait-and-see bound).  In
+    a kept scenario of weight w with row lam, a pool asset's either value is
+    max(w c_i + lam[i], w f_ij): sold first, at its priced value, or in the
+    scenario.  The constructor tunes them: alpha times scenario j's deviation
+    of asset i from its expected value, w_j (pscale f_ij - sum_j' w_j'
+    f_ij') / pscale in scaled units, rounded to the nearest integer, less
+    each column's sum in the last kept scenario.  At alpha = 1 every scenario
+    values asset i at about f_ij + max(c_i - E f_i, 0), so all scenarios
+    agree on the first stage.  price gives each alpha in _ALPHA_SIXTEENTHS
+    its root bound, and the first alpha with the lowest is kept; the bound
+    is convex in alpha up to the rounding, so the scan stops at the first
+    rise.
 
     The bound reads lowest-value tables: the table of a set of assets lists,
     for s = 1..min(hold, its size), the per-scenario sums of the s lowest
@@ -122,42 +137,67 @@ class SearchTables:
     pool[q], either value minus value.
     """
 
-    def __init__(
-        self, view: ScaledView, k: int, pool: Sequence[int], multipliers: Sequence[Sequence[int]]
-    ):
-        n = len(view.c)
-        kept = [j for j, w in enumerate(view.weights) if w]
+    def __init__(self, view: ScaledView, k: int, pool: Sequence[int]):
+        n, pscale, weights = len(view.c), view.pscale, view.weights
+        kept = [j for j, w in enumerate(weights) if w]
         orders = [view.order[j] for j in kept]
-        columns = [[view.weights[j] * v for v in view.columns[j]] for j in kept]
+        columns = [[weights[j] * v for v in view.columns[j]] for j in kept]
         values = list(zip(*columns))
-        either = list(zip(*(
-            [max(view.weights[j] * c + lam, f) for c, lam, f in zip(view.c, prices, column)]
-            for j, prices, column in zip(kept, multipliers, columns)
-        )))
-        positions = []
-        for order in orders:
-            position = [0] * n
-            for q, i in enumerate(order):
-                position[i] = q
-            positions.append(position)
+        expected = list(map(sum, values))  # sum_j w_j f_ij
         self.pool = list(pool)
         self.hold = n - k
         self.orders = orders
         self.ranked = [[column[i] for i in order] for column, order in zip(columns, orders)]
         self.values = values
-        self.positions = list(zip(*positions))
-        self.net = [view.pscale * ci - sum(v) for ci, v in zip(view.c, values)]
+        # Each order's inverse: asset i's index in it.
+        self.positions = list(zip(*(sorted(range(n), key=order.__getitem__) for order in orders)))
+        self.net = [pscale * ci - e for ci, e in zip(view.c, expected)]
+        self.firsts = [tuple(weights[j] * ci for j in kept) for ci in view.c]
+        self.expected = expected
         held = []
         for i in sorted(set(range(n)) - set(pool)):
             held = self.insert(held, values[i])
         self.held = held
+        # Each deviation times 2 * pscale, so that e/16 of it, rounded half up,
+        # is (e * d + half) // unit.
+        unit = 32 * pscale
+        half = unit // 2
+        deviations = [
+            [2 * (pscale * f - weights[j] * s) for f, s in zip(column, expected)]
+            for j, column in zip(kept, columns)
+        ]
+        best = None
+        for e in _ALPHA_SIXTEENTHS:
+            rows = [[(e * d + half) // unit for d in row] for row in deviations]
+            rows[-1] = [p - s for p, s in zip(rows[-1], map(sum, zip(*rows)))]
+            bound = self.price(rows)
+            if best is not None and bound > best[0]:
+                break
+            if best is None or bound < best[0]:
+                best = (bound, rows, self.free, self.tail)
+        _, self.multipliers, self.free, self.tail = best
+
+    def price(self, multipliers: Sequence[Sequence[int]]) -> int:
+        """Set multipliers, fill free and tail for them, and return the root bound.
+
+        The root bound is the bound with nothing forced: every value, a pool
+        asset counting its either value, less each scenario's hold lowest.
+        It is times scale * pscale, like every objective the search compares.
+        """
+        self.multipliers = multipliers
+        values, firsts, expected = self.values, self.firsts, self.expected
+        prices = list(zip(*multipliers))
         free = [[]]
-        tail = [sum(map(sum, columns))]
-        for i in reversed(self.pool[1:]):
-            free.append(self.insert(free[-1], either[i]))
-            tail.append(tail[-1] + sum(either[i]) - sum(values[i]))
-        self.free = free[::-1]
-        self.tail = tail[::-1]
+        tail = [sum(expected)]
+        for i in reversed(self.pool):
+            either = [x if x > v else v for x, v in zip(map(add, firsts[i], prices[i]), values[i])]
+            free.append(self.insert(free[-1], either))
+            tail.append(tail[-1] + sum(either) - expected[i])
+        # Built from the back: free[-1] covers the whole pool, and the search's
+        # free[q] covers the pool after pool[q].
+        self.free = free[-2::-1]
+        self.tail = tail[-2::-1]
+        return tail[-1] - self.lowest(self.held, free[-1])
 
     def insert(self, table: list[list[int]], row: Sequence[int]) -> list[list[int]]:
         """table with one more asset, of per-scenario values row: the s
@@ -171,24 +211,13 @@ class SearchTables:
             out.append(list(map(add, table[-1], row)) if table else list(row))
         return out
 
-    def bound(self, q: int, net: int, held: list[list[int]]) -> int:
-        """Upper bound on every first stage in the search subtree of F+{pool[q]}.
-
-        The subtree holds each F+{pool[q]}+G with G made of pool assets after
-        pool[q], at most k-|F|-1 of them.  net is the sum of net over
-        F+{pool[q]}, and held the table of the assets outside the pool and
-        the pool assets before pool[q] not in F.  Each scenario sells, from
-        the assets outside F+{pool[q]}, all but its hold lowest values, where
-        a pool asset after pool[q] counts its either value and any other
-        asset f_ij.  The hold lowest split into s from held and hold - s
-        from free[q], so their sum is the least such split.  The result is,
-        like every objective the search compares, times scale * pscale; it
-        equals the objective of F+{pool[q]} when no pool asset follows
-        pool[q].
-        """
-        hold, free = self.hold, self.free[q]
+    def lowest(self, held: list[list[int]], free: list[list[int]]) -> int:
+        """The sum over kept scenarios of the hold lowest values of two
+        disjoint sets of assets, given their tables: s of them from held and
+        hold - s from free, for the least such split."""
+        hold = self.hold
         if not hold:
-            return self.tail[q] + net
+            return 0
         lowest = None
         for s in range(hold - len(free), len(held) + 1):
             if s == 0:
@@ -198,59 +227,23 @@ class SearchTables:
             else:
                 split = map(add, held[s - 1], free[hold - s - 1])
             lowest = split if lowest is None else [x if x < y else y for x, y in zip(lowest, split)]
-        return self.tail[q] + net - sum(lowest)
+        return sum(lowest)
 
+    def bound(self, q: int, net: int, held: list[list[int]]) -> int:
+        """Upper bound on every first stage in the search subtree of F+{pool[q]}.
 
-# alpha, in sixteenths, in the order tune_multipliers tries it.
-_ALPHA_SIXTEENTHS = (0, 8, 12, 13, 14, 15, 16)
-
-
-def tune_multipliers(view: ScaledView, k: int, pool: Sequence[int]) -> list[list[int]]:
-    """Zero-sum integer multipliers for SearchTables that lower its root bound.
-
-    The root bound is what SearchTables bounds with nothing forced: the sum
-    over kept scenarios of the top k values, a pool asset counting its
-    either value and any other asset w_j f_ij.  Scenario j's deviation of
-    asset i from its expected value, in scaled units, is
-    w_j (pscale f_ij - sum_j' w_j' f_ij') / pscale.  The multipliers are
-    alpha times it, rounded to the nearest integer, less each column's sum
-    in the last kept scenario so that every column sums to 0.  At alpha = 1
-    every scenario values asset i at about f_ij + max(c_i - E f_i, 0), so
-    all scenarios agree on the first stage.  alpha runs over
-    _ALPHA_SIXTEENTHS and the first alpha with the lowest root bound is
-    kept.  The bound is convex in alpha up to the rounding, so the scan
-    stops at the first rise.
-    """
-    pscale, weights = view.pscale, view.weights
-    kept = [j for j, w in enumerate(weights) if w]
-    outside = sorted(set(range(len(view.c))) - set(pool))
-    firsts = [[weights[j] * v for v in view.c] for j in kept]
-    columns = [[weights[j] * v for v in view.columns[j]] for j in kept]
-    expected = [sum(values) for values in zip(*columns)]  # sum_j w_j f_ij
-    # Each deviation times 2 * pscale, so that e/16 of it, rounded half up,
-    # is (e * d + half) // unit.
-    unit = 32 * pscale
-    half = unit // 2
-    deviations = [
-        [2 * (pscale * f - weights[j] * s) for f, s in zip(column, expected)]
-        for j, column in zip(kept, columns)
-    ]
-    best, best_bound = None, None
-    for e in _ALPHA_SIXTEENTHS:
-        rows = [[(e * d + half) // unit for d in row] for row in deviations]
-        rows[-1] = [p - s for p, s in zip(rows[-1], map(sum, zip(*rows)))]
-        bound = 0
-        for first, column, prices in zip(firsts, columns, rows):
-            values = list(map(max, map(add, first, prices), column))
-            for i in outside:
-                values[i] = column[i]
-            values.sort(reverse=True)
-            bound += sum(values[:k])
-        if best_bound is not None and bound > best_bound:
-            break
-        if best_bound is None or bound < best_bound:
-            best, best_bound = rows, bound
-    return best
+        The subtree holds each F+{pool[q]}+G with G made of pool assets after
+        pool[q], at most k-|F|-1 of them.  net is the sum of net over
+        F+{pool[q]}, and held the table of the assets outside the pool and
+        the pool assets before pool[q] not in F.  Each scenario sells, from
+        the assets outside F+{pool[q]}, all but its hold lowest values, where
+        a pool asset after pool[q] counts its either value and any other
+        asset f_ij; lowest splits those between held and free[q].  The
+        result is, like every objective the search compares, times scale *
+        pscale; it equals the objective of F+{pool[q]} when no pool asset
+        follows pool[q].
+        """
+        return self.tail[q] + net - self.lowest(held, self.free[q])
 
 
 def solve_exact(
@@ -275,7 +268,9 @@ def solve_exact(
     pool = sorted(set(range(n)) - prunable(instance))
     if extras is not None:
         extras["pruned_assets"] = n - len(pool)
-    tables = SearchTables(view, k, pool, tune_multipliers(view, k, pool))
+    if not (k and pool):  # the empty first stage is the only candidate
+        return complete_first_stage(instance, ())
+    tables = SearchTables(view, k, pool)
     orders, ranked = tables.orders, tables.ranked
     values, positions, net = tables.values, tables.positions, tables.net
     insert = tables.insert
@@ -360,11 +355,10 @@ def solve_exact(
             path.pop()
             chosen[t] = 0
 
-    if k and size:
-        visit(
-            0, 0, best_total, [k - 1] * len(orders), [row[k - 1] for row in ranked],
-            0, tables.held, 0,
-        )
+    visit(
+        0, 0, best_total, [k - 1] * len(orders), [row[k - 1] for row in ranked],
+        0, tables.held, 0,
+    )
     # visit's closure refers to visit; emptying that cell lets reference
     # counting free the search state here instead of a later cycle collection.
     del visit

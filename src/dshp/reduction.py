@@ -202,6 +202,11 @@ def build_reduction(graph: Graph, params: ReductionParams | None = None) -> Inst
     for check in checks:
         if not check.ok:
             raise ReductionError(check.error or check.detail)
+    return _encode(graph, params)
+
+
+def _encode(graph: Graph, params: ReductionParams) -> Instance:
+    """build_reduction's instance, for a graph and params whose premises hold."""
     n = graph.n
     near, far = 1 - params.discount, 1 + params.premium
     adj = adjacency(graph)
@@ -298,7 +303,7 @@ def check_reduction(
     """
     checks, params = reduction_premises(graph, instance)
     if all(check.ok for check in checks):
-        same = replace(build_reduction(graph, params), label=instance.label) == instance
+        same = replace(_encode(graph, params), label=instance.label) == instance
         failures = check_solution(instance, solution)
         checks += [
             Check("instance_matches_reduction", same, "ok" if same else

@@ -1,6 +1,8 @@
 """Exact solver: correctness anchors, pruning, bounds, determinism."""
 
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -23,7 +25,7 @@ from dshp import (
     solve_exact,
 )
 from dshp.cli import gen_random_instance
-from dshp.exact import SearchTables, tune_multipliers
+from dshp.exact import SearchTables
 
 from conftest import (
     brute_force_second_stage,
@@ -291,7 +293,8 @@ def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
         units = view.scale * view.pscale
         kept = sum(1 for w in view.weights if w)
         for pool in (list(range(n)), pruned_pool(inst)):
-            tuned = tune_multipliers(view, inst.k, pool)
+            tables = SearchTables(view, inst.k, pool)
+            tuned = tables.multipliers
             assert len(tuned) == kept and all(len(row) == n for row in tuned)
             assert all(sum(column) == 0 for column in zip(*tuned)), (inst, pool, tuned)
             objective = {
@@ -303,7 +306,7 @@ def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
             for multipliers in (
                 [[0] * n] * kept, random_multipliers(draws, view, 3 * units), tuned
             ):
-                tables = SearchTables(view, inst.k, pool, multipliers)
+                tables.price(multipliers)
                 for first, q, bound in incremental_bounds(tables, inst.k):
                     child = (*first, pool[q])
                     subtree = [s for s in objective if s[: len(child)] == child]
@@ -337,12 +340,13 @@ def test_incremental_bound_equals_the_definition_at_every_node(instance, pruned,
     view, k = instance.scaled, instance.k
     pool = pruned_pool(instance) if pruned else list(range(instance.n))
     kept = sum(1 for w in view.weights if w)
+    tables = SearchTables(view, k, pool)
     multipliers = {
         "zero": lambda: [[0] * instance.n] * kept,
         "random": lambda: random_multipliers(draws, view, 3 * view.scale * view.pscale),
-        "tuned": lambda: tune_multipliers(view, k, pool),
+        "tuned": lambda: tables.multipliers,
     }[kind]()
-    tables = SearchTables(view, k, pool, multipliers)
+    tables.price(multipliers)
     for first, q, bound in incremental_bounds(tables, k):
         assert bound == subtree_bound(view, k, pool, multipliers, first, q), (first, q)
 
@@ -371,8 +375,8 @@ def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch)
         solve_exact(inst)
         search = list(taken)
         view, k, pool = inst.scaled, inst.k, pruned_pool(inst)
-        multipliers = tune_multipliers(view, k, pool)
-        tables = SearchTables(view, k, pool, multipliers)
+        tables = SearchTables(view, k, pool)
+        multipliers = tables.multipliers
         nodes = {
             (q, sum(tables.net[i] for i in (*first, pool[q])),
              subtree_bound(view, k, pool, multipliers, first, q))
@@ -381,6 +385,98 @@ def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch)
         assert set(search) <= nodes, inst
         checked += len(search)
     assert checked > 100
+
+
+# The alpha SearchTables scans for its multipliers, in sixteenths, in order.
+ALPHA_SIXTEENTHS = (0, 8, 12, 13, 14, 15, 16)
+
+
+def alpha_multipliers(view, e):
+    """alpha = e/16 times each kept scenario's deviation from the expected
+    value, w_j (pscale f_ij - sum_j' w_j' f_ij') / pscale, rounded half up;
+    the last kept row also takes each column's remainder, so it sums to 0."""
+    pscale, weights = view.pscale, view.weights
+    expected = [sum(map(operator.mul, weights, row)) for row in zip(*view.columns)]
+    rows = [
+        [math.floor(Fraction(e * w * (pscale * f - s), 16 * pscale) + HALF)
+         for f, s in zip(column, expected)]
+        for w, column in zip(weights, view.columns)
+        if w
+    ]
+    rows[-1] = [-sum(column[:-1]) for column in zip(*rows)]
+    return rows
+
+
+def root_bound(view, k, pool, multipliers):
+    """The bound with nothing forced, by sorting: each kept scenario j, of
+    weight w, sells its top k values, a pool asset worth max(w c_i +
+    lambda_ij, w f_ij) and any other asset w f_ij."""
+    kept = [j for j, w in enumerate(view.weights) if w]
+    total = 0
+    for j, prices in zip(kept, multipliers):
+        w = view.weights[j]
+        worth = sorted(
+            (max(w * view.c[i] + prices[i], w * f) if i in pool else w * f
+             for i, f in enumerate(view.columns[j])),
+            reverse=True,
+        )
+        total += sum(worth[:k])
+    return total
+
+
+def assert_tuned_as_the_scan(view, k, pool):
+    """SearchTables prices every alpha's multipliers at their sorted root
+    bound, and keeps those of the first lowest bound, the scan stopping at the
+    first rise, with the tables they give."""
+    tables = SearchTables(view, k, pool)
+    chosen, free, tail = tables.multipliers, tables.free, tables.tail
+    candidates = [alpha_multipliers(view, e) for e in ALPHA_SIXTEENTHS]
+    bounds = [root_bound(view, k, set(pool), rows) for rows in candidates]
+    assert [tables.price(rows) for rows in candidates] == bounds
+    kept = 0
+    for a in range(1, len(bounds)):
+        if bounds[a] > bounds[kept]:
+            break
+        if bounds[a] < bounds[kept]:
+            kept = a
+    assert chosen == candidates[kept], (bounds, kept)
+    tables.price(chosen)
+    assert (tables.free, tables.tail) == (free, tail)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(instance=small_instances(), pruned=st.booleans())
+@example(instance=Instance(k=3, **SIGNED), pruned=False)
+@example(
+    instance=Instance(
+        n=4, m=3, k=2, c=(2, 0, -1, 3), p=(0, 1, 0),
+        f=((1, 5, 9), (4, 4, -2), (3, -6, 0), (-1, 2, 7)),
+    ),
+    pruned=True,
+)
+# Root bounds 1364, 1350, 1347, 1349, 1348, 1346, 1347: the scan stops at the
+# rise to 1349 and keeps 12/16, though 15/16 is lower.
+@example(instance=gen_random_instance(6, 4, 5, "3", 650418), pruned=False)
+def test_tables_tune_the_multipliers_as_the_sorted_scan(instance, pruned):
+    """Full and pruned pools, every hold down to 0, signed values and
+    zero-weight scenarios: exact equality of every alpha's root bound."""
+    pool = pruned_pool(instance) if pruned else list(range(instance.n))
+    assert_tuned_as_the_scan(instance.scaled, instance.k, pool)
+
+
+@pytest.mark.parametrize(
+    "shape", [(14, 8, 7), (14, 32, 7), (15, 32, 7), (16, 8, 8), (17, 8, 8),
+              (12, 3), (12, 4), (14, 3), (14, 4)],
+)
+def test_tables_tune_the_multipliers_as_the_sorted_scan_on_the_bench_shapes(shape):
+    # The bench's random (any-valued, k = n/2) and reduction shapes, on the
+    # pool the solver searches.
+    for seed in range(3):
+        if len(shape) == 3:
+            inst = gen_random_instance(*shape, "any", seed)
+        else:
+            inst = build_reduction(gen_regular_graph(*shape, seed))
+        assert_tuned_as_the_scan(inst.scaled, inst.k, pruned_pool(inst))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -409,6 +409,24 @@ def test_check_reduction_matches_the_golden_report(plan):
     assert mds_size == expected["mds_size"]
 
 
+def test_check_reduction_decides_the_premises_once(monkeypatch):
+    # The round trip rebuilds the instance from premises it has already
+    # decided, so each graph test runs once per check.
+    graph = octahedron()
+    instance = build_reduction(graph)
+    solution = solve_exact(instance)
+    calls = {"regular_degree": 0, "is_connected": 0}
+    for name in calls:
+        def counted(graph, test=getattr(reduction, name), name=name):
+            calls[name] += 1
+            return test(graph)
+
+        monkeypatch.setattr(reduction, name, counted)
+    checks, _ = check_reduction(graph, instance, solution)
+    assert all(check["ok"] for check in checks), checks
+    assert calls == {"regular_degree": 1, "is_connected": 1}
+
+
 def test_graph_construction_errors():
     with pytest.raises(GraphError, match="loop"):
         Graph(3, frozenset({(1, 1)}))
