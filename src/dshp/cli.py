@@ -45,7 +45,7 @@ from .reduction import (
     reduction_premises,
     serialize_graph,
 )
-from .two_value import DegenerateValuesError, detect_two_values, solve_two_value
+from .two_value import detect_two_values, solve_two_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -151,12 +151,12 @@ def cmd_solve(args) -> int:
     if args.algo == "exact":
         solution = solve_exact(instance, ExactOptions(max_n=cap), extras)
     elif args.algo == "two-value":
-        try:
-            profile = detect_two_values(instance)
+        profile = detect_two_values(instance)
+        if profile.v_min == profile.v_max:
+            extras["degenerate"] = True
+        else:
             extras["v_min"] = str(profile.v_min)
             extras["v_max"] = str(profile.v_max)
-        except DegenerateValuesError:
-            extras["degenerate"] = True
         # The value scan above is stored on the instance; solving reuses it.
         solution = solve_two_value(instance)
     else:

@@ -57,10 +57,6 @@ class ValueDomainError(DshpError):
     """The instance's set of distinct values does not fit the algorithm."""
 
 
-class DegenerateValuesError(ValueDomainError):
-    """Every value in the instance is identical: all feasible plans tie."""
-
-
 DEFAULT_MAX_N = 24  # the default cap on n of solve_exact and brute_force_mds
 
 

@@ -3,11 +3,13 @@
 Selling every asset whose first-stage value is v_max as early as possible is
 optimal (an exchange argument: swapping such an asset into the first stage
 never loses value), and the leftover budget is spent per scenario on v_max
-entries first.  So solve_two_value only detects the two values and picks
-that first stage; model.complete_first_stage sells the rest along the
-package's one selling order (model.by_value), which groups each column by
-value and sorts only the distinct values, two here, so the work is linear
-in n*m.  A VisitCounter tallies the value entries a solve reads.
+entries first.  A single-valued instance is the case v_min = v_max: every
+asset is worth v_max, so the first k are sold up front.  So solve_two_value
+only detects the values and picks that first stage;
+model.complete_first_stage sells the rest along the package's one selling
+order (model.by_value), which groups each column by value and sorts only the
+distinct values, at most two here, so the work is linear in n*m.  A
+VisitCounter tallies the value entries a solve reads.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (
-    DegenerateValuesError,
-    Instance,
-    Solution,
-    ValueDomainError,
-    complete_first_stage,
-)
+from .model import Instance, Solution, ValueDomainError, complete_first_stage
 
 
 class VisitCounter:
@@ -38,63 +34,52 @@ class VisitCounter:
 
 @dataclass(frozen=True)
 class TwoValueProfile:
-    """The two values of an instance plus the assets worth v_max up front."""
+    """The two values of an instance plus the assets worth v_max up front.
+
+    A single-valued instance has v_min = v_max, and every asset is max-valued.
+    """
 
     v_min: Fraction
     v_max: Fraction
     max_valued: tuple[int, ...]
 
 
-def detect_two_values(
-    instance: Instance, counter: VisitCounter | None = None
-) -> TwoValueProfile:
-    """Classify an instance as two-valued or raise.
+def detect_two_values(instance: Instance) -> TwoValueProfile:
+    """Classify an instance as having at most two values, or raise.
 
     More than two distinct values raises ValueDomainError with a witness
-    triple; a single distinct value raises DegenerateValuesError (all
-    feasible plans then share one objective, which solve_two_value handles).
-    The counter is charged the cells of the instance's value scan, if this
-    call runs it, and the n first-stage values.  Only the values are
-    checked: an Instance is valid by construction.
+    triple.  A single value v gives TwoValueProfile(v, v, every asset).
+    Only the values are checked: an Instance is valid by construction.
     """
-    if counter and "distinct" not in instance.__dict__:
-        counter.add(instance.n * (instance.m + 1))
     distinct = instance.distinct
     if len(distinct) > 2:
         witness = ", ".join(str(v) for v in sorted(distinct[:3]))
         raise ValueDomainError(f"not two-valued: witness values {witness}")
-    if len(distinct) == 1:
-        raise DegenerateValuesError(
-            f"every value equals {distinct[0]}: all budget-k plans are equal-value"
-        )
-    v_min, v_max = sorted(distinct)
+    v_max = max(distinct)
     max_valued = tuple(i for i in range(instance.n) if instance.c[i] == v_max)
-    if counter:
-        counter.add(instance.n)
-    return TwoValueProfile(v_min, v_max, max_valued)
+    return TwoValueProfile(min(distinct), v_max, max_valued)
 
 
 def solve_two_value(
     instance: Instance, counter: VisitCounter | None = None
 ) -> Solution:
-    """Optimal solution of a two-valued instance in O(nm) operations.
+    """Optimal solution of an instance of at most two values in O(nm) operations.
 
     If fewer than k assets are worth v_max up front, all of them are sold at
     the first stage and each scenario sells the most valuable remainder;
     otherwise the k lowest-indexed v_max assets are sold and the second
-    stage is empty.  Single-valued instances get the lexicographic budget-k
-    first-stage plan.  complete_first_stage builds the plan.  The counter
-    is charged detection's reads, the first stage, the order build if this
-    call runs it, and each scenario's sale.
+    stage is empty.  complete_first_stage builds the plan.  The counter is
+    charged the value scan if this call runs it, detection's n reads of c,
+    the first stage, the order build if this call runs it, and each
+    scenario's sale.
     """
-    try:
-        first = detect_two_values(instance, counter).max_valued[: instance.k]
-    except DegenerateValuesError:
-        first = tuple(range(instance.k))
+    scanned = "distinct" in instance.__dict__
     ordered = "scaled" in instance.__dict__ and "order" in instance.scaled.__dict__
+    first = detect_two_values(instance).max_valued[: instance.k]
     solution = complete_first_stage(instance, first)
     if counter:
-        counter.add(len(first))
+        counter.add(0 if scanned else instance.n * (instance.m + 1))
+        counter.add(instance.n + len(first))
         if len(first) < instance.k:
             # Building the selling order reads every cell once (a two-valued
             # column has two value groups, so by_value orders it in O(n)), and

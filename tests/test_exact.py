@@ -16,6 +16,7 @@ from dshp import (
     InstanceError,
     brute_force_mds,
     build_reduction,
+    complete_first_stage,
     default_params,
     dominating_solution_revenue,
     extract_dominating,
@@ -23,6 +24,7 @@ from dshp import (
     is_dominating,
     prunable,
     solve_exact,
+    solve_two_value,
 )
 from dshp.cli import gen_random_instance
 from dshp.exact import SearchTables
@@ -535,3 +537,51 @@ def test_reduction_plan_on_the_bench_shapes(n, d):
         solution = solve_exact(build_reduction(graph, params))
         assert solution.first_stage == first, (graph, solution)
         assert solution.value == dominating_solution_revenue(n, params, size)
+
+
+def mapped(instance, value):
+    """The instance with value() applied to every c_i and f_ij."""
+    return Instance(
+        n=instance.n, m=instance.m, k=instance.k, c=tuple(map(value, instance.c)),
+        p=instance.p, f=tuple(tuple(map(value, row)) for row in instance.f),
+    )
+
+
+ORACLE_FREE_INPUTS = {
+    "any-20x8": lambda: gen_random_instance(20, 8, 10, "any", 1),
+    "any-24x32": lambda: gen_random_instance(24, 32, 12, "any", 1),
+    "three-22x16": lambda: gen_random_instance(22, 16, 15, "3", 1),
+    "two-24x16": lambda: gen_random_instance(24, 16, 12, "2", 1),
+    "reduction-16-3": lambda: build_reduction(gen_regular_graph(16, 3, 1)),
+    "reduction-18-4": lambda: build_reduction(gen_regular_graph(18, 4, 1)),
+    "one-24x16": lambda: Instance(
+        n=24, m=16, k=12, c=(Fraction(7, 5),) * 24, p=(Fraction(1, 16),) * 16,
+        f=((Fraction(7, 5),) * 16,) * 24,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_FREE_INPUTS)
+def test_exact_plan_passes_the_oracle_free_checks(name):
+    # Past brute-force sizes the plan is checked without an oracle.  Adding
+    # delta to every value raises every plan's objective by exactly k*delta
+    # (|F| + |S_j| = k and the p_j sum to 1), and scaling by a > 0 scales it,
+    # so neither may change the plan.  No 1-exchange of the first stage
+    # (F - a, F + b, F - a + b, each completed greedily) may beat it.
+    instance = ORACLE_FREE_INPUTS[name]()
+    solution = solve_exact(instance)
+    plan = (solution.first_stage, solution.second_stage)
+    for a, delta in [(1, Fraction(-7, 3)), (1, Fraction(5)), (Fraction(3, 2), 0)]:
+        moved = solve_exact(mapped(instance, lambda v: a * v + delta))
+        assert (moved.first_stage, moved.second_stage) == plan
+        assert moved.value == a * solution.value + instance.k * delta
+    first = set(solution.first_stage)
+    rest = [b for b in range(instance.n) if b not in first]
+    exchanges = [first - {a} for a in first]
+    if len(first) < instance.k:
+        exchanges += [first | {b} for b in rest]
+    exchanges += [first - {a} | {b} for a in first for b in rest]
+    for exchange in exchanges:
+        assert complete_first_stage(instance, exchange).value <= solution.value, exchange
+    if name.startswith(("two", "one")):
+        assert solve_two_value(instance).value == solution.value

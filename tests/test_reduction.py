@@ -1,5 +1,6 @@
 """Reduction machinery: params window, construction, domination, formulas."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -31,10 +32,13 @@ from dshp import (
     parse_solution,
     regular_degree,
     serialize_graph,
+    serialize_instance,
+    serialize_solution,
     solve_exact,
     window_bounds,
 )
 from dshp import exact, reduction
+from dshp.cli import main
 from dshp.reduction import adjacency, check_reduction, reduction_premises
 
 from conftest import complete_graph, cycle_graph, octahedron
@@ -425,6 +429,44 @@ def test_check_reduction_decides_the_premises_once(monkeypatch):
     checks, _ = check_reduction(graph, instance, solution)
     assert all(check["ok"] for check in checks), checks
     assert calls == {"regular_degree": 1, "is_connected": 1}
+
+
+def test_check_reduction_reports_an_instance_that_differs_from_the_construction(
+    tmp_path, capsys
+):
+    # Swap a near and a far cell of row 0: the values are still {1-B, 1, 1+S},
+    # so every premise holds, but the instance is not the graph's reduction.
+    graph = octahedron()
+    built = build_reduction(graph)
+    row = list(built.f[0])
+    near = row[1]
+    assert row[3] != near
+    row[1], row[3] = row[3], near
+    instance = dataclasses.replace(built, f=(tuple(row),) + built.f[1:])
+    assert instance.distinct == built.distinct and instance != built
+    solution = solve_exact(instance)
+    checks, mds_size = check_reduction(graph, instance, solution)
+    # the premises, then the instance and plan checks; no search runs
+    assert [check["name"] for check in checks] == [
+        "graph_regular", "graph_connected", "ratio_window",
+        "instance_matches_reduction", "solution_valid",
+    ]
+    assert all(check["ok"] for check in checks[:3])
+    assert checks[3:] == [
+        {"name": "instance_matches_reduction", "ok": False,
+         "detail": "instance differs from the construction"},
+        {"name": "solution_valid", "ok": True, "detail": "ok"},
+    ]
+    assert mds_size is None
+    files = {"graph": serialize_graph(graph), "instance": serialize_instance(instance),
+             "solution": serialize_solution(solution)}
+    argv = ["check", "reduction"]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        argv += [f"--{name}", str(tmp_path / name)]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == checks
 
 
 def test_graph_construction_errors():

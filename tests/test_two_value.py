@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import dshp.model
 from dshp import (
-    DegenerateValuesError,
     Instance,
+    TwoValueProfile,
     ValueDomainError,
     VisitCounter,
     build_reduction,
@@ -44,9 +44,9 @@ def test_detect_rejects_reduction_instances():
 
 
 def test_detect_degenerate_single_value():
+    # one value is the case v_min = v_max: every asset is worth v_max up front
     inst = Instance(n=2, m=1, k=1, c=(3, 3), p=(1,), f=((3,), (3,)))
-    with pytest.raises(DegenerateValuesError):
-        detect_two_values(inst)
+    assert detect_two_values(inst) == TwoValueProfile(Fraction(3), Fraction(3), (0, 1))
 
 
 def test_solve_spec_example():
@@ -76,6 +76,25 @@ def test_degenerate_returns_lexicographic_plan():
     assert sol.first_stage == (0, 1)
     assert sol.second_stage == ((), ())
     assert sol.value == 2 * v
+
+
+@pytest.mark.parametrize(
+    "value, k, p",
+    [
+        (Fraction(5, 2), 0, (Fraction(1, 2), Fraction(1, 2))),
+        (Fraction(5, 2), 5, (Fraction(1, 3), Fraction(2, 3))),
+        (Fraction(-7, 3), 2, (Fraction(1, 4), Fraction(3, 4))),
+        (Fraction(4), 3, (Fraction(0), Fraction(1))),
+    ],
+    ids=["k=0", "k=n", "negative", "zero-probability"],
+)
+def test_single_valued_matches_exact(value, k, p):
+    inst = Instance(n=5, m=2, k=k, c=(value,) * 5, p=p, f=((value, value),) * 5)
+    assert detect_two_values(inst) == TwoValueProfile(value, value, tuple(range(5)))
+    sol = solve_two_value(inst)
+    assert sol.first_stage == tuple(range(k))
+    assert sol.second_stage == ((), ())
+    assert sol.value == solve_exact(inst).value == k * value
 
 
 def test_matches_exact_on_random_instances():
@@ -131,11 +150,11 @@ def test_visit_count_of_a_fresh_solve_matches_the_plan():
         branches.add(len(sol.first_stage) < inst.k)
         assert counter.visits == expected
     assert branches == {False, True}
-    # single-valued: detection stops after the scan, and the plan is the first k assets
+    # single-valued: the same reads, and the first stage is the first k assets
     inst = Instance(n=4, m=2, k=3, c=(1,) * 4, p=(Fraction(1, 2),) * 2, f=((1, 1),) * 4)
     counter = VisitCounter()
-    solve_two_value(inst, counter)
-    assert counter.visits == 4 * 3 + 3
+    assert solve_two_value(inst, counter).first_stage == (0, 1, 2)
+    assert counter.visits == 4 * (2 + 1) + 4 + 3
 
 
 def test_visit_count_scales_linearly_in_m():
