@@ -157,8 +157,7 @@ def cmd_solve(args) -> int:
         else:
             extras["v_min"] = str(profile.v_min)
             extras["v_max"] = str(profile.v_max)
-        # The value scan above is stored on the instance; solving reuses it.
-        solution = solve_two_value(instance)
+        solution = solve_two_value(instance, profile=profile)
     else:
         profile = detect_three_values(instance)
         solution = solve_approx(instance, profile)

@@ -19,37 +19,41 @@ times scale * pscale, is an integer.
   so the larger of the two values.  Where the asset there leaves, the
   position steps back to the previous asset not in F.  A set costs O(m),
   not a walk of every order.
-- Lagrangian cut.  SearchTables.bound bounds every set in the subtree of
-  F+{t} (F+{t} plus pool assets after t) by giving each scenario j, of
-  weight w_j = pscale * p_j, its own copy of the first stage, priced with
-  integer multipliers lambda_ij that sum to 0 over the scenarios for every
-  asset (dual decomposition: Caroe and Schultz 1999, after Geoffrion
-  1974).  Each scenario sells, from the assets outside F+{t}, all but the
-  r = n-k lowest, a pool asset after t counting its either value
-  max(w_j c_i + lambda_ij, w_j f_ij) and any other asset w_j f_ij; F+{t}
-  adds pscale * c_i per asset.  A plan in the subtree sells one first
-  stage in every scenario, so its multipliers cancel and its objective is
-  a sum of one choice per scenario, each at most that scenario's best: any
-  zero-sum lambda gives a sound bound, exact when no pool asset follows t,
-  and lambda changes how much is cut, never the result.  lambda = 0 is the
-  perfect-information ("wait-and-see") bound.  SearchTables picks lambda
-  once, at the root: alpha times each scenario's deviation from the
-  expected second-stage value, alpha from a short scan that keeps the
-  lowest root bound (the bound with nothing forced), priced through the
-  tables the search bounds with.  A subtree whose bound is below the best
-  objective found is skipped, and so is one whose bound equals it when no
-  set inside is smaller than the best found: those sets come later in the
-  order and lose the tie.
+- Lagrangian cut.  SearchTables.bound(q, ...) bounds every set F+G, G
+  made of pool assets from pool[q] on, by giving each scenario j, of weight
+  w_j = pscale * p_j, its own copy of the first stage, priced with integer
+  multipliers lambda_ij that sum to 0 over the scenarios for every asset
+  (dual decomposition: Caroe and Schultz 1999, after Geoffrion 1974).  Each
+  scenario sells, from the assets outside F, all but the r = n-k lowest, a
+  pool asset from pool[q] on counting its either value max(w_j c_i +
+  lambda_ij, w_j f_ij) and any other asset w_j f_ij; F adds pscale * c_i
+  per asset.  A plan F+G sells one first stage in every scenario, so its
+  multipliers cancel and its objective is a sum of one choice per scenario,
+  each at most that scenario's best: any zero-sum lambda gives a sound
+  bound, exact when q is past the pool, and lambda changes how much is cut,
+  never the result.  lambda = 0 is the perfect-information ("wait-and-see")
+  bound.  SearchTables picks lambda once, at the root: alpha times each
+  scenario's deviation from the expected second-stage value, alpha from a
+  short scan that keeps the lowest root bound (F empty, q = 0), priced
+  through the tables the search bounds with.  The search bounds two things
+  before a child F+{t}, t = pool[q]: past the first child, the run of it
+  and its later siblings, every F+G with G from pool[q] on (F forced, from
+  q), and then the subtree of F+{t} (F+{t} forced, from q+1).  A run or
+  subtree whose bound is below the best objective found is skipped, a run
+  ending the loop, and so is one whose bound equals it when no set inside
+  is smaller than the best found: those sets come later in the order and
+  lose the tie.
 - Incremental bound.  A scenario's r lowest take s from the held assets
-  (outside the pool, or in it before t and not in F) and r-s from the free
-  ones (the pool after t, at either value), so their sum is the least of
-  H_s + S_(r-s) over s, where H_s and S_s sum the s lowest of each group.
-  The free sums depend on t alone and are built once per solve.  The held
-  sums grow by one asset per sibling step, and a child starts from its
-  parent's at its own t; adding a value v sets H_s to min(H_s, H_(s-1) + v),
-  one pass over the scenarios per s, and is done only when a bound is
-  taken.  So a bound costs O(rm), one pass at r = 1 as on every reduction
-  instance, and a set O(m): subtrees of more than r sets are bounded.
+  (outside the pool, or in it before pool[q] and not in F) and r-s from the
+  free ones (pool[q:], at either value), so their sum is the least of H_s +
+  S_(r-s) over s, where H_s and S_s sum the s lowest of each group.  The
+  free sums depend on q alone and are built once per lambda.  The held sums
+  grow by one asset per sibling step, and a child starts from its parent's
+  at its own q; adding a value v sets H_s to min(H_s, H_(s-1) + v), one
+  pass over the scenarios per s, and is done only when a bound is taken.
+  The run and the subtree at one q read the same held sums.  So a bound
+  costs O(rm), one pass at r = 1 as on every reduction instance, and a set
+  O(m): subtrees of more than r sets are bounded, each after its run.
 
 The pool always excludes the prunable assets, those whose first-stage
 value is strictly below their expected second-stage value.  No optimal plan
@@ -130,11 +134,11 @@ class SearchTables:
 
     The bound reads lowest-value tables: the table of a set of assets lists,
     for s = 1..min(hold, its size), the per-scenario sums of the s lowest
-    values in the set (insert adds one asset).  free[q] is the table of the
-    either values of the pool assets after pool[q], and held that of the
-    values of the assets outside the pool.  tail[q] is the sum of values over
-    all assets plus, over the kept scenarios and the pool assets after
-    pool[q], either value minus value.
+    values in the set (insert adds one asset).  free[q], for q = 0..len(pool),
+    is the table of the either values of the pool assets from pool[q] on, and
+    held that of the values of the assets outside the pool.  tail[q] is the
+    sum of values over all assets plus, over the kept scenarios and the pool
+    assets from pool[q] on, either value minus value.
     """
 
     def __init__(self, view: ScaledView, k: int, pool: Sequence[int]):
@@ -168,8 +172,11 @@ class SearchTables:
         ]
         best = None
         for e in _ALPHA_SIXTEENTHS:
-            rows = [[(e * d + half) // unit for d in row] for row in deviations]
-            rows[-1] = [p - s for p, s in zip(rows[-1], map(sum, zip(*rows)))]
+            if e:
+                rows = [[(e * d + half) // unit for d in row] for row in deviations]
+                rows[-1] = [p - s for p, s in zip(rows[-1], map(sum, zip(*rows)))]
+            else:
+                rows = [[0] * n for _ in kept]
             bound = self.price(rows)
             if best is not None and bound > best[0]:
                 break
@@ -180,9 +187,9 @@ class SearchTables:
     def price(self, multipliers: Sequence[Sequence[int]]) -> int:
         """Set multipliers, fill free and tail for them, and return the root bound.
 
-        The root bound is the bound with nothing forced: every value, a pool
-        asset counting its either value, less each scenario's hold lowest.
-        It is times scale * pscale, like every objective the search compares.
+        The root bound, bound(0, 0, held), is the bound with nothing forced:
+        every value, a pool asset counting its either value, less each
+        scenario's hold lowest.
         """
         self.multipliers = multipliers
         values, firsts, expected = self.values, self.firsts, self.expected
@@ -193,11 +200,10 @@ class SearchTables:
             either = [x if x > v else v for x, v in zip(map(add, firsts[i], prices[i]), values[i])]
             free.append(self.insert(free[-1], either))
             tail.append(tail[-1] + sum(either) - expected[i])
-        # Built from the back: free[-1] covers the whole pool, and the search's
-        # free[q] covers the pool after pool[q].
-        self.free = free[-2::-1]
-        self.tail = tail[-2::-1]
-        return tail[-1] - self.lowest(self.held, free[-1])
+        # Built from the back; reversed, free[q] covers the pool from pool[q] on.
+        self.free = free[::-1]
+        self.tail = tail[::-1]
+        return self.bound(0, 0, self.held)
 
     def insert(self, table: list[list[int]], row: Sequence[int]) -> list[list[int]]:
         """table with one more asset, of per-scenario values row: the s
@@ -230,18 +236,19 @@ class SearchTables:
         return sum(lowest)
 
     def bound(self, q: int, net: int, held: list[list[int]]) -> int:
-        """Upper bound on every first stage in the search subtree of F+{pool[q]}.
+        """Upper bound on every first stage F+G, G made of pool assets from
+        pool[q] on, with |F+G| <= k.
 
-        The subtree holds each F+{pool[q]}+G with G made of pool assets after
-        pool[q], at most k-|F|-1 of them.  net is the sum of net over
-        F+{pool[q]}, and held the table of the assets outside the pool and
-        the pool assets before pool[q] not in F.  Each scenario sells, from
-        the assets outside F+{pool[q]}, all but its hold lowest values, where
-        a pool asset after pool[q] counts its either value and any other
-        asset f_ij; lowest splits those between held and free[q].  The
-        result is, like every objective the search compares, times scale *
-        pscale; it equals the objective of F+{pool[q]} when no pool asset
-        follows pool[q].
+        F is forced: net is the sum of net over F, and held the table of the
+        assets outside the pool and the pool assets before pool[q] not in F.
+        Each scenario sells, from the assets outside F, all but its hold
+        lowest values, where a pool asset from pool[q] on counts its either
+        value and any other asset f_ij; lowest splits those between held and
+        free[q].  The result is, like every objective the search compares,
+        times scale * pscale; it equals the objective of F when q is
+        len(pool).  The root bound is bound(0, 0, self.held); the search
+        bounds the run of F's children from F+{pool[q]} on with bound(q,
+        ...) and the subtree of F+{pool[q]} with bound(q + 1, ...).
         """
         return self.tail[q] + net - self.lowest(held, self.free[q])
 
@@ -279,7 +286,8 @@ def solve_exact(
     # bounded[a][r]: a subtree with a pool assets after t and r picks left
     # holds sum_{s <= r} C(a, s) sets.  A bound costs about hold passes over
     # the kept scenarios and a set about one, so only subtrees of more than
-    # hold sets are bounded.
+    # hold sets are bounded, and past a parent's first child each only after
+    # the run of it and its later siblings.
     bounded = []
     for a in range(size):
         sets = 0
@@ -321,7 +329,13 @@ def solve_exact(
                     if not chosen[i]:
                         held = insert(held, values[i])
                 folded = q
-                bound = tables.bound(q, child_net, held)
+                # Every set of the run F+G, G from pool[q:], and of the subtree
+                # of F+{t} has at least depth assets and comes later in the order.
+                if q > start:
+                    bound = tables.bound(q, net_sum, held)
+                    if bound < best_total or (bound == best_total and depth >= len(best_first)):
+                        return
+                bound = tables.bound(q + 1, child_net, held)
                 if bound < best_total or (bound == best_total and depth >= len(best_first)):
                     continue
             # Orders are by value, so t leaves the sale if it sells at or

@@ -61,25 +61,31 @@ def detect_two_values(instance: Instance) -> TwoValueProfile:
 
 
 def solve_two_value(
-    instance: Instance, counter: VisitCounter | None = None
+    instance: Instance,
+    counter: VisitCounter | None = None,
+    profile: TwoValueProfile | None = None,
 ) -> Solution:
     """Optimal solution of an instance of at most two values in O(nm) operations.
 
     If fewer than k assets are worth v_max up front, all of them are sold at
     the first stage and each scenario sells the most valuable remainder;
     otherwise the k lowest-indexed v_max assets are sold and the second
-    stage is empty.  complete_first_stage builds the plan.  The counter is
-    charged the value scan if this call runs it, detection's n reads of c,
-    the first stage, the order build if this call runs it, and each
-    scenario's sale.
+    stage is empty.  complete_first_stage builds the plan.  profile is
+    detect_two_values(instance); a caller that has it already passes it, so
+    that the instance is classified once.  The counter is charged the value
+    scan and detection's n reads of c if this call runs them, the first
+    stage, the order build if this call runs it, and each scenario's sale.
     """
-    scanned = "distinct" in instance.__dict__
     ordered = "scaled" in instance.__dict__ and "order" in instance.scaled.__dict__
-    first = detect_two_values(instance).max_valued[: instance.k]
+    if profile is None:
+        if counter:
+            scanned = "distinct" in instance.__dict__
+            counter.add((0 if scanned else instance.n * (instance.m + 1)) + instance.n)
+        profile = detect_two_values(instance)
+    first = profile.max_valued[: instance.k]
     solution = complete_first_stage(instance, first)
     if counter:
-        counter.add(0 if scanned else instance.n * (instance.m + 1))
-        counter.add(instance.n + len(first))
+        counter.add(len(first))
         if len(first) < instance.k:
             # Building the selling order reads every cell once (a two-valued
             # column has two value groups, so by_value orders it in O(n)), and

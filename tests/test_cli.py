@@ -78,6 +78,24 @@ def test_approx_requests_classify_the_instance_once(argv, tmp_path, capsys, monk
     assert len(calls) == 1
 
 
+def test_two_value_requests_classify_the_instance_once(tmp_path, capsys, monkeypatch):
+    import dshp.two_value
+
+    calls = []
+
+    def counted(instance):
+        calls.append(instance)
+        return detect_two_values(instance)
+
+    monkeypatch.setattr(cli, "detect_two_values", counted)
+    monkeypatch.setattr(dshp.two_value, "detect_two_values", counted)
+    path = tmp_path / "two.json"
+    path.write_text(serialize_instance(cli.gen_random_instance(6, 3, 4, "2", 5)))
+    code, _ = run(capsys, "solve", "--algo", "two-value", "--instance", str(path))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_solve_two_value_domain_mismatch(tmp_path, capsys):
     path = write_tightness(tmp_path, capsys)
     code, _ = run(capsys, "solve", "--algo", "two-value", "--instance", str(path))

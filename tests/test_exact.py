@@ -261,11 +261,34 @@ def subtree_bound(view, k, pool, multipliers, first, q):
     return total
 
 
+def run_bound(view, k, pool, multipliers, first, q):
+    """The search's bound on the run F+G, G made of pool[q:], from its definition.
+
+    first is F, pool assets before pool[q].  Each kept scenario j, of weight
+    w, sells from the assets outside F all but its n - k lowest, where a pool
+    asset from pool[q] on is worth max(w c_i + lambda_ij, w f_ij) and any
+    other asset w f_ij; F adds pscale * c_i per asset.
+    """
+    sold, later = set(first), set(pool[q:])
+    kept = [j for j, w in enumerate(view.weights) if w]
+    total = view.pscale * sum(view.c[i] for i in sold)
+    for j, prices in zip(kept, multipliers):
+        w = view.weights[j]
+        worth = sorted(
+            max(w * view.c[i] + prices[i], w * f) if i in later else w * f
+            for i, f in enumerate(view.columns[j])
+            if i not in sold
+        )
+        total += sum(worth[len(view.c) - k :])
+    return total
+
+
 def incremental_bounds(tables, k):
-    """(F, q, tables.bound) at every node F+{pool[q]} of the search tree, the
-    held table carried down the tree as the search carries it: a child starts
-    from its parent's table at its own q, and each sibling step inserts one
-    asset."""
+    """(F, q, run, child) at every node F+{pool[q]} of the search tree: run is
+    tables.bound(q, ...) on the run F+G, G from pool[q:], and child is
+    tables.bound(q + 1, ...) on the subtree of F+{pool[q]}.  The held table is
+    carried down the tree as the search carries it: a child starts from its
+    parent's table at its own q, and each sibling step inserts one asset."""
     pool, net, values = tables.pool, tables.net, tables.values
 
     def walk(first, start, net_sum, held):
@@ -273,11 +296,24 @@ def incremental_bounds(tables, k):
             return
         for q in range(start, len(pool)):
             t = pool[q]
-            yield first, q, tables.bound(q, net_sum + net[t], held)
+            run = tables.bound(q, net_sum, held)
+            yield first, q, run, tables.bound(q + 1, net_sum + net[t], held)
             yield from walk((*first, t), q + 1, net_sum + net[t], held)
             held = tables.insert(held, values[t])
 
     return walk((), 0, 0, tables.held)
+
+
+def objectives(instance, pool):
+    """The objective, times scale * pscale, of every first stage of at most k
+    pool assets, keyed by its ascending tuple, by brute force."""
+    units = instance.scaled.scale * instance.scaled.pscale
+    return {
+        first: units * (sum((instance.c[i] for i in first), Fraction(0))
+                        + brute_force_second_stage(instance, first))
+        for size in range(min(instance.k, len(pool)) + 1)
+        for first in itertools.combinations(pool, size)
+    }
 
 
 def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
@@ -299,17 +335,12 @@ def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
             tuned = tables.multipliers
             assert len(tuned) == kept and all(len(row) == n for row in tuned)
             assert all(sum(column) == 0 for column in zip(*tuned)), (inst, pool, tuned)
-            objective = {
-                first: units * (sum((inst.c[i] for i in first), Fraction(0))
-                                + brute_force_second_stage(inst, first))
-                for size in range(min(inst.k, len(pool)) + 1)
-                for first in itertools.combinations(pool, size)
-            }
+            objective = objectives(inst, pool)
             for multipliers in (
                 [[0] * n] * kept, random_multipliers(draws, view, 3 * units), tuned
             ):
                 tables.price(multipliers)
-                for first, q, bound in incremental_bounds(tables, inst.k):
+                for first, q, _, bound in incremental_bounds(tables, inst.k):
                     child = (*first, pool[q])
                     subtree = [s for s in objective if s[: len(child)] == child]
                     where = (inst, pool, multipliers, child)
@@ -319,6 +350,53 @@ def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
                         exact_at_last += 1
                     checked += 1
     assert checked > 3000 and exact_at_last > 300
+
+
+RUN_INPUTS = {
+    "any-5x2": lambda: gen_random_instance(5, 2, 2, "any", 0),
+    "two-6x3": lambda: gen_random_instance(6, 3, 3, "2", 1),
+    "three-6x1": lambda: gen_random_instance(6, 1, 4, "3", 2),
+    "any-7x3": lambda: gen_random_instance(7, 3, 5, "any", 3),
+    "any-7x4-k1": lambda: gen_random_instance(7, 4, 1, "any", 4),
+    "reduction-6-3": lambda: build_reduction(gen_regular_graph(6, 3, 0)),
+    "reduction-6-4": lambda: build_reduction(gen_regular_graph(6, 4, 1)),
+    "reduction-8-3": lambda: build_reduction(gen_regular_graph(8, 3, 0)),
+    "reduction-8-3-b": lambda: build_reduction(gen_regular_graph(8, 3, 2)),
+    "reduction-8-4": lambda: build_reduction(gen_regular_graph(8, 4, 1)),
+    "reduction-9-4": lambda: build_reduction(gen_regular_graph(9, 4, 0)),
+}
+
+
+@pytest.mark.parametrize("name", RUN_INPUTS)
+def test_run_bound_is_at_least_every_set_of_its_run(name):
+    # The bound the search takes before a child F+{pool[q]} with q past its
+    # first: every F+G, G made of pool[q:] and |F+G| <= k, earns at most it,
+    # and it is the definition's bound, under zero, random and tuned
+    # multipliers on the full and the pruned pool.
+    inst = RUN_INPUTS[name]()
+    view, k = inst.scaled, inst.k
+    kept = sum(1 for w in view.weights if w)
+    draws = random.Random(59)
+    checked = 0
+    for pool in (list(range(inst.n)), pruned_pool(inst)):
+        tables = SearchTables(view, k, pool)
+        objective = objectives(inst, pool)
+        for multipliers in (
+            [[0] * inst.n] * kept,
+            random_multipliers(draws, view, 3 * view.scale * view.pscale),
+            tables.multipliers,
+        ):
+            tables.price(multipliers)
+            for first, q, run, _ in incremental_bounds(tables, k):
+                members = [
+                    s for s in objective
+                    if s[: len(first)] == first and set(s[len(first):]) <= set(pool[q:])
+                ]
+                where = (pool, multipliers, first, q)
+                assert run >= max(objective[s] for s in members), where
+                assert run == run_bound(view, k, pool, multipliers, first, q), where
+                checked += 1
+    assert checked > 20
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -349,13 +427,15 @@ def test_incremental_bound_equals_the_definition_at_every_node(instance, pruned,
         "tuned": lambda: tables.multipliers,
     }[kind]()
     tables.price(multipliers)
-    for first, q, bound in incremental_bounds(tables, k):
-        assert bound == subtree_bound(view, k, pool, multipliers, first, q), (first, q)
+    for first, q, run, child in incremental_bounds(tables, k):
+        assert child == subtree_bound(view, k, pool, multipliers, first, q), (first, q)
+        assert run == run_bound(view, k, pool, multipliers, first, q), (first, q)
 
 
 def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch):
-    # The search folds its held table lazily.  Each bound it takes must be
-    # the definition's bound at a node of the same q and sum of net: a fold
+    # The search folds its held table lazily.  Each bound it takes, on the run
+    # of a child and its later siblings or on the child's subtree, must be the
+    # definition's bound at a node of the same index and sum of net: a fold
     # that skipped, repeated or wrongly took an asset would loosen it.
     taken = []
     original = SearchTables.bound
@@ -371,7 +451,7 @@ def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch)
         gen_random_instance(8, rng.randint(1, 4), rng.randint(4, 7), "any", rng.randrange(10**6))
         for _ in range(6)
     ]
-    checked = 0
+    checked = runs = 0
     for inst in instances:
         taken.clear()
         solve_exact(inst)
@@ -379,14 +459,21 @@ def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch)
         view, k, pool = inst.scaled, inst.k, pruned_pool(inst)
         tables = SearchTables(view, k, pool)
         multipliers = tables.multipliers
-        nodes = {
-            (q, sum(tables.net[i] for i in (*first, pool[q])),
-             subtree_bound(view, k, pool, multipliers, first, q))
-            for first, q, _ in incremental_bounds(tables, k)
+        net = tables.net
+        children, nodes = set(), set()
+        for first, q, _, _ in incremental_bounds(tables, k):
+            child_net = sum(net[i] for i in (*first, pool[q]))
+            children.add((q + 1, child_net, subtree_bound(view, k, pool, multipliers, first, q)))
+            nodes.add((q, child_net - net[pool[q]], run_bound(view, k, pool, multipliers, first, q)))
+        # The root bound of each alpha the constructor prices, by sorting.
+        nodes |= {
+            (0, 0, root_bound(view, k, set(pool), alpha_multipliers(view, e)))
+            for e in ALPHA_SIXTEENTHS
         }
-        assert set(search) <= nodes, inst
+        assert set(search) <= children | nodes, inst
         checked += len(search)
-    assert checked > 100
+        runs += sum(1 for entry in search if entry[0] and entry not in children)
+    assert checked > 100 and runs > 10
 
 
 # The alpha SearchTables scans for its multipliers, in sixteenths, in order.
@@ -554,6 +641,7 @@ ORACLE_FREE_INPUTS = {
     "two-24x16": lambda: gen_random_instance(24, 16, 12, "2", 1),
     "reduction-16-3": lambda: build_reduction(gen_regular_graph(16, 3, 1)),
     "reduction-18-4": lambda: build_reduction(gen_regular_graph(18, 4, 1)),
+    "reduction-20-4": lambda: build_reduction(gen_regular_graph(20, 4, 1)),
     "one-24x16": lambda: Instance(
         n=24, m=16, k=12, c=(Fraction(7, 5),) * 24, p=(Fraction(1, 16),) * 16,
         f=((Fraction(7, 5),) * 16,) * 24,
@@ -566,8 +654,10 @@ def test_exact_plan_passes_the_oracle_free_checks(name):
     # Past brute-force sizes the plan is checked without an oracle.  Adding
     # delta to every value raises every plan's objective by exactly k*delta
     # (|F| + |S_j| = k and the p_j sum to 1), and scaling by a > 0 scales it,
-    # so neither may change the plan.  No 1-exchange of the first stage
-    # (F - a, F + b, F - a + b, each completed greedily) may beat it.
+    # so neither may change the plan.  Splitting scenario 0 into two copies
+    # of half its weight changes no plan's objective, so it may change
+    # neither the first stage nor the value.  No 1-exchange of the first
+    # stage (F - a, F + b, F - a + b, each completed greedily) may beat it.
     instance = ORACLE_FREE_INPUTS[name]()
     solution = solve_exact(instance)
     plan = (solution.first_stage, solution.second_stage)
@@ -575,6 +665,12 @@ def test_exact_plan_passes_the_oracle_free_checks(name):
         moved = solve_exact(mapped(instance, lambda v: a * v + delta))
         assert (moved.first_stage, moved.second_stage) == plan
         assert moved.value == a * solution.value + instance.k * delta
+    half = instance.p[0] / 2
+    split = solve_exact(Instance(
+        n=instance.n, m=instance.m + 1, k=instance.k, c=instance.c,
+        p=(half, half, *instance.p[1:]), f=tuple((row[0], *row) for row in instance.f),
+    ))
+    assert (split.first_stage, split.value) == (solution.first_stage, solution.value)
     first = set(solution.first_stage)
     rest = [b for b in range(instance.n) if b not in first]
     exchanges = [first - {a} for a in first]

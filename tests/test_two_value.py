@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dshp.model
+import dshp.two_value
 from dshp import (
     Instance,
     TwoValueProfile,
@@ -127,6 +128,18 @@ def test_visit_count_charges_only_the_scan_that_runs():
     solve_two_value(inst, first)
     solve_two_value(inst, second)
     assert first.visits - second.visits == inst.n * (inst.m + 1) + inst.n * inst.m
+
+
+def test_a_given_profile_is_not_detected_again(monkeypatch):
+    # the plan is the same, and the counter is not charged the value scan
+    # or detection's n reads of c, which the caller ran
+    inst = gen_random_instance(8, 4, 6, "2", 7)
+    profile = detect_two_values(inst)
+    fresh, given = VisitCounter(), VisitCounter()
+    expected = solve_two_value(gen_random_instance(8, 4, 6, "2", 7), fresh)
+    monkeypatch.setattr(dshp.two_value, "detect_two_values", None)
+    assert solve_two_value(inst, given, profile=profile) == expected
+    assert fresh.visits - given.visits == inst.n * (inst.m + 1) + inst.n
 
 
 def test_visit_count_of_a_fresh_solve_matches_the_plan():
