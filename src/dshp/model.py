@@ -10,9 +10,10 @@ InstanceError.
 
 Cells of equal value mostly share one Fraction object: every cell spelling
 one numeral does.  So Instance coerces a row of strings in one C-level pass,
-and builds its distinct values and its integer view (Instance.scaled) from a
-table of its value objects keyed by id: the per-cell passes run in C (map,
-zip), and the value work runs once per object.
+and records the value objects of c and f as it makes them.  Its distinct
+values read that record and no cell; its integer view (Instance.scaled)
+scales each recorded object once and reads the cells once, in C (map, zip),
+to look each integer up by id.
 
 Every solver picks a first-stage set F and returns complete_first_stage(F):
 with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
@@ -25,10 +26,11 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, filterfalse, islice
+from itertools import filterfalse, islice
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -168,7 +170,9 @@ class _Numerals(dict):
         return value
 
 
-def _rationals(values: Iterable, where: str, numerals: _Numerals) -> tuple[Fraction, ...]:
+def _rationals(
+    values: Iterable, where: str, numerals: _Numerals, seen: dict | None = None
+) -> tuple[Fraction, ...]:
     """Each value as a Fraction: a str through numerals, anything else through as_rational.
 
     A row whose first cell is a str is tried as strings only, in one C-level
@@ -178,16 +182,27 @@ def _rationals(values: Iterable, where: str, numerals: _Numerals) -> tuple[Fract
     once more, cell by cell, so that the error names the first bad cell as
     where[index].  A row that is not a list or tuple is made a tuple first,
     so that a one-shot iterator can be read again.
+
+    seen, when given, records id -> object of every value object of the row,
+    in order of first appearance.  After the string pass that is only the
+    numerals this row added to the table, which keeps lookup order, so no
+    cell is read again; after the general read, every cell in one C-level pass.
     """
     if not isinstance(values, (list, tuple)):
         values = tuple(values)
     if values and type(values[0]) is str:
+        known = len(numerals)
         try:
-            return tuple(map(numerals.__getitem__, values))
+            row = tuple(map(numerals.__getitem__, values))
         except (TypeError, ParseError):
             pass
+        else:
+            if seen is not None and len(numerals) > known:
+                added = [*islice(reversed(numerals.values()), len(numerals) - known)]
+                seen.update({id(v): v for v in reversed(added)})
+            return row
     try:
-        return tuple([numerals[v] if type(v) is str else as_rational(v) for v in values])
+        row = tuple([numerals[v] if type(v) is str else as_rational(v) for v in values])
     except (TypeError, ParseError):
         for index, value in enumerate(values):
             try:
@@ -195,6 +210,9 @@ def _rationals(values: Iterable, where: str, numerals: _Numerals) -> tuple[Fract
             except (TypeError, ParseError) as exc:
                 raise type(exc)(f"{where}[{index}]: {exc}") from None
         raise
+    if seen is not None:
+        seen.update(zip(map(id, row), row))
+    return row
 
 
 @dataclass(frozen=True)
@@ -210,6 +228,11 @@ class Instance:
     string is parsed once per instance, and every cell spelling it shares
     that Fraction; any other cell goes through as_rational.  A cell refused
     raises TypeError or ParseError naming the cell, e.g. "f[1][0]: ...".
+    c and f share one numeral table and one record of their value objects,
+    which distinct and scaled read; p has a table of its own, so a value
+    spelled only in p is not one of the distinct values.  The record holds
+    the objects, not their ids, so copy.deepcopy and pickle keep it right;
+    whichever of the two views is built second drops it.
     Then the invariant is checked: n, m >= 1, 0 <= k <= n, len(c) = len(f)
     = n, len(p) = len(f[i]) = m, p >= 0 and sum(p) = 1.  Breaking it, by
     dataclasses.replace too, raises InstanceError listing every violation,
@@ -225,56 +248,50 @@ class Instance:
     label: str = ""
 
     def __post_init__(self):
-        numerals = _Numerals()
-        object.__setattr__(self, "c", _rationals(self.c, "c", numerals))
-        object.__setattr__(self, "p", _rationals(self.p, "p", numerals))
+        numerals, seen = _Numerals(), {}
+        object.__setattr__(self, "c", _rationals(self.c, "c", numerals, seen))
+        object.__setattr__(self, "p", _rationals(self.p, "p", _Numerals()))
         object.__setattr__(
             self,
             "f",
-            tuple([_rationals(row, f"f[{i}]", numerals) for i, row in enumerate(self.f)]),
+            tuple([_rationals(row, f"f[{i}]", numerals, seen) for i, row in enumerate(self.f)]),
         )
         violations = _violations(self)
         if violations:
             raise InstanceError(violations)
+        object.__setattr__(self, "_objects", tuple(seen.values()))
 
-    def _value_table(self) -> tuple[list[int], dict[int, Fraction]]:
-        """The id of every cell of c, then f row by row, and id -> object of each value object.
-
-        Two C-level passes over the cells; the objects come in order of first
-        appearance.  Equal cells mostly share one object (every cell spelling
-        one numeral does), so the table is about as small as the set of
-        distinct values.  The instance holds every object, so no id is
-        reused while the table lives; only the caller keeps it.
-        """
-        ids = list(map(id, chain(self.c, *self.f)))
-        return ids, dict(zip(ids, chain(self.c, *self.f)))
+    def _recorded(self, other: str) -> tuple[Fraction, ...]:
+        """The value objects of c and f; the view built second, after other, drops them."""
+        if other in self.__dict__:
+            return self.__dict__.pop("_objects")
+        return self._objects
 
     @cached_property
     def distinct(self) -> tuple[Fraction, ...]:
         """Every distinct value in c or f, in order of first appearance.
 
-        The one value scan, run on first use: each value object, not each
-        cell, is keyed by its (numerator, denominator), since hashing a
-        Fraction is slow.
+        Built on first use from the value objects recorded while coercing,
+        not from the cells: each object is keyed by its (numerator,
+        denominator), since hashing a Fraction is slow.
         """
-        objects = self._value_table()[1].values()
+        objects = self._recorded("scaled")
         return tuple(dict(zip(map(Fraction.as_integer_ratio, objects), objects)).values())
 
     @cached_property
     def scaled(self) -> ScaledView:
         """The integer view of this instance, built on first use.
 
-        Each value object is scaled once; each cell then looks its integer
-        up by id.  The cells run c, then f row by row, so column j is every
-        m-th cell from f[0][j].
+        Each recorded value object is scaled once; each cell then looks its
+        integer up by id, row by row, and one zip transposes the rows of f
+        into the columns.
         """
-        ids, objects = self._value_table()
-        scale = lcm(*{v.denominator for v in objects.values()})
-        ratios = map(Fraction.as_integer_ratio, objects.values())
-        ints = dict(zip(objects, [n * (scale // d) for n, d in ratios]))
-        cells = list(map(ints.__getitem__, ids))
-        c = tuple(cells[: self.n])
-        columns = tuple([tuple(cells[self.n + j :: self.m]) for j in range(self.m)])
+        objects = self._recorded("distinct")
+        scale = lcm(*{v.denominator for v in objects})
+        ratios = map(Fraction.as_integer_ratio, objects)
+        ints = dict(zip(map(id, objects), [n * (scale // d) for n, d in ratios])).__getitem__
+        c = tuple(map(ints, map(id, self.c)))
+        columns = tuple(zip(*[map(ints, map(id, row)) for row in self.f]))
         pscale = lcm(*(v.denominator for v in self.p))
         weights = tuple(v.numerator * (pscale // v.denominator) for v in self.p)
         return ScaledView(c, columns, weights, scale, pscale)
@@ -309,9 +326,9 @@ def by_value(values, items) -> list:
     only the distinct values are sorted, so with d distinct values the cost
     is O(len(items) + d log d): linear on a two-valued column.
     """
-    groups: dict = {}
+    groups = defaultdict(list)
     for i in items:
-        groups.setdefault(values[i], []).append(i)
+        groups[values[i]].append(i)
     return [i for v in sorted(groups, reverse=True) for i in groups[v]]
 
 
@@ -364,13 +381,16 @@ def _violations(instance: Instance) -> list[str]:
     for i, row in enumerate(instance.f):
         if len(row) != instance.m:
             violations.append(f"f[{i}] has {len(row)} entries, expected m={instance.m}")
-    for j, pj in enumerate(instance.p):
-        if pj < 0:
-            violations.append(f"p[{j}] = {pj} is negative")
-    if instance.p and all(pj >= 0 for pj in instance.p):
-        total = sum(instance.p, Fraction(0))
-        if total != 1:
-            violations.append(f"probabilities sum to {total}, not 1")
+    ratios = list(map(Fraction.as_integer_ratio, instance.p))
+    negative = [j for j, (numerator, _) in enumerate(ratios) if numerator < 0]
+    for j in negative:
+        violations.append(f"p[{j}] = {instance.p[j]} is negative")
+    if ratios and not negative:
+        # the sum over the common denominator: one Fraction, for the message only
+        scale = lcm(*(d for _, d in ratios))
+        total = sum(numerator * (scale // d) for numerator, d in ratios)
+        if total != scale:
+            violations.append(f"probabilities sum to {Fraction(total, scale)}, not 1")
     return violations
 
 

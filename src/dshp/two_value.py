@@ -75,6 +75,10 @@ def solve_two_value(
     that the instance is classified once.  The counter is charged the value
     scan and detection's n reads of c if this call runs them, the first
     stage, the order build if this call runs it, and each scenario's sale.
+    The value scan is charged n(m+1), one read per cell of c and f, though
+    Instance.distinct reads the objects recorded while the cells were
+    coerced, not the cells: the charge counts each cell's value read once,
+    wherever that read happens.
     """
     ordered = "scaled" in instance.__dict__ and "order" in instance.scaled.__dict__
     if profile is None:

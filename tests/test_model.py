@@ -1,9 +1,12 @@
 """Instance/solution model: validation, greedy completion, evaluation, formats."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import random
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -470,3 +473,137 @@ def test_value_table_matches_the_per_cell_scan(n, m, mode, data):
     # neither build keeps its value table on the instance
     fields = {field.name for field in dataclasses.fields(inst)}
     assert set(vars(inst)) == fields | {"distinct", "scaled"}
+
+
+def drawn_instance(n, m, mode, data):
+    """An instance of SPELLED values, each cell drawn as test_value_table_matches_the_per_cell_scan draws it."""
+    pool = WHOLE if mode == "int" else list(SPELLED)
+    value = st.sampled_from(pool)
+    c = data.draw(st.lists(value, min_size=n, max_size=n))
+    f = data.draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n))
+    p = [Fraction(1, m)] * m
+
+    def cell(v):
+        kind = mode if mode != "mixed" else data.draw(
+            st.sampled_from(["file", "shared", "fresh"] + ["int"] * (v in WHOLE))
+        )
+        if kind == "file":
+            return data.draw(st.sampled_from(SPELLED[v]))
+        if kind == "shared":
+            return v
+        if kind == "fresh":
+            return Fraction(v.numerator, v.denominator)
+        return int(v)
+
+    c = [cell(v) for v in c]
+    f = [[cell(v) for v in row] for row in f]
+    if mode != "file":
+        return Instance(n=n, m=m, k=0, c=c, p=p, f=f)
+
+    def literal(numeral):
+        bare = is_bare_number(numeral) and data.draw(st.booleans())
+        return numeral if bare else json.dumps(numeral)
+
+    return parse_instance(
+        '{"n": %d, "m": %d, "k": 0, "c": [%s], "p": %s, "f": [%s]}' % (
+            n,
+            m,
+            ", ".join(map(literal, c)),
+            json.dumps([str(v) for v in p]),
+            ", ".join("[" + ", ".join(map(literal, row)) + "]" for row in f),
+        )
+    )
+
+
+def recorded_ids(inst):
+    """The ids of the value objects the instance recorded while coercing its cells."""
+    return list(map(id, vars(inst)["_objects"]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.sampled_from(["file", "shared", "fresh", "int", "mixed"]),
+    st.sampled_from(["distinct", "scaled"]),
+    st.data(),
+)
+def test_the_value_record_serves_either_view_first(n, m, mode, first, data):
+    inst = drawn_instance(n, m, mode, data)
+    # the record is every value object of c and f once, in order of first appearance
+    assert recorded_ids(inst) == list(dict.fromkeys(map(id, chain(inst.c, *inst.f))))
+    getattr(inst, first)
+    assert "_objects" in vars(inst)  # kept for the other view
+    assert inst.distinct == reference_distinct(inst)
+    view = inst.scaled
+    assert (view.c, view.columns, view.weights, view.scale, view.pscale) == reference_scaled(inst)
+    fields = {field.name for field in dataclasses.fields(inst)}
+    assert set(vars(inst)) == fields | {"distinct", "scaled"}
+
+
+def test_the_value_record_follows_the_cells_of_c_and_f_only():
+    # c: a string row whose one-pass read fails at the Fraction, so "1/2" enters
+    # the numeral table before the general read records the row; f[0]: a string
+    # row adding only "5"; f[1]: a Fraction row; f[2]: bare numbers; "1/3" and
+    # "2/3" are spelled only in p, which has its own numeral table
+    half = Fraction(1, 2)
+    inst = Instance(
+        n=3,
+        m=2,
+        k=1,
+        c=("1/2", half, "3/4"),
+        p=("1/3", "2/3"),
+        f=(("3/4", "5"), (half, Fraction(3, 4)), (1, Fraction(5))),
+    )
+    cells = list(chain(inst.c, *inst.f))
+    assert recorded_ids(inst) == list(dict.fromkeys(map(id, cells)))
+    assert set(vars(inst)["_objects"]) == {half, Fraction(3, 4), Fraction(5), Fraction(1)}
+    assert inst.distinct == (half, Fraction(3, 4), Fraction(5), Fraction(1))
+    parsed = parse_instance(
+        '{"n": 2, "m": 2, "k": 1, "c": ["0.5", 0.5], "p": ["1/3", "2/3"],'
+        ' "f": [["1/2", "0.5"], [2, "0.5"]]}'
+    )
+    cells = list(chain(parsed.c, *parsed.f))
+    assert recorded_ids(parsed) == list(dict.fromkeys(map(id, cells)))
+    assert parsed.distinct == (half, Fraction(2))
+    assert Fraction(1, 3) not in vars(parsed)["_objects"]
+
+
+@pytest.mark.parametrize("copier", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+@pytest.mark.parametrize("built", ["distinct", "scaled"])
+def test_an_instance_with_one_view_copies_with_its_record(built, copier):
+    text = (
+        '{"n": 3, "m": 2, "k": 1, "c": ["1/2", 0.5, "7/3"], "p": ["1/4", "3/4"],'
+        ' "f": [["0.5", "2"], [2, "14/6"], ["-3/4", 0.5]]}'
+    )
+    inst = parse_instance(text)
+    getattr(inst, built)
+    again = copier(inst)
+    fresh = parse_instance(text)
+    assert again == fresh
+    assert again.distinct == fresh.distinct
+    assert again.scaled == fresh.scaled
+    assert "_objects" not in vars(again)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(st.fractions(-2, 2, max_denominator=6), min_size=1, max_size=6),
+    st.booleans(),
+    st.booleans(),
+)
+def test_probability_violations_match_the_fraction_sum(p, complete, spelled):
+    # zeros and negatives included; complete makes the last p_j close the sum to 1
+    if complete:
+        p[-1] = 1 - sum(p[:-1], Fraction(0))
+    expected = [f"p[{j}] = {pj} is negative" for j, pj in enumerate(p) if pj < 0]
+    if not expected and sum(p, Fraction(0)) != 1:
+        expected.append(f"probabilities sum to {sum(p, Fraction(0))}, not 1")
+    m = len(p)
+    cells = [str(pj) for pj in p] if spelled else p
+    try:
+        Instance(n=1, m=m, k=0, c=[0], p=cells, f=[[0] * m])
+    except InstanceError as exc:
+        assert exc.violations == expected
+    else:
+        assert expected == []
