@@ -8,12 +8,13 @@ this package ever rounds.  An Instance is valid by construction: building
 one whose shapes, budget or probabilities break the invariant raises
 InstanceError.
 
-Cells of equal value mostly share one Fraction object: every cell spelling
-one numeral does.  So Instance coerces a row of strings in one C-level pass,
-and records the value objects of c and f as it makes them.  Its distinct
-values read that record and no cell; its integer view (Instance.scaled)
-scales each recorded object once and reads the cells once, in C (map, zip),
-to look each integer up by id.
+Instance is the one place a number becomes a Fraction, and cells of equal
+value mostly share one: every cell spelling one numeral does, quoted or bare
+in a file.  So Instance coerces a row of strings in one C-level pass, and
+records the value objects of c and f as it makes them.  Its distinct values
+read that record and no cell; its integer view (Instance.scaled) scales each
+recorded object once and reads the cells once, in C (map, zip), to look each
+integer up by id.
 
 Every solver picks a first-stage set F and returns complete_first_stage(F):
 with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
@@ -161,19 +162,20 @@ class _Numerals(dict):
 
     One per Instance, never shared: parse_rational reads the digit limit when it
     runs, and the Fractions live only as long as the instance holding them.
+    Keys are str only (an int cell's key is str(int)), so True and 1.0 match none.
     """
 
     def __missing__(self, text: str) -> Fraction:
-        if type(text) is not str:
+        if not isinstance(text, str):
             raise TypeError("not a numeral string")
         value = self[text] = parse_rational(text)
         return value
 
 
 def _rationals(
-    values: Iterable, where: str, numerals: _Numerals, seen: dict | None = None
+    values: Iterable, where: str, numerals: _Numerals, seen: dict
 ) -> tuple[Fraction, ...]:
-    """Each value as a Fraction: a str through numerals, anything else through as_rational.
+    """Each value as a Fraction: a str or int (as str) through numerals, else through as_rational.
 
     A row whose first cell is a str is tried as strings only, in one C-level
     pass.  Any other row, or one where that pass meets another cell
@@ -183,35 +185,36 @@ def _rationals(
     where[index].  A row that is not a list or tuple is made a tuple first,
     so that a one-shot iterator can be read again.
 
-    seen, when given, records id -> object of every value object of the row,
-    in order of first appearance.  After the string pass that is only the
-    numerals this row added to the table, which keeps lookup order, so no
-    cell is read again; after the general read, every cell in one C-level pass.
+    seen records id -> object of every value object of the row, in order of
+    first appearance.  After the string pass that is only the numerals this
+    row added to the table, which keeps lookup order, so no cell is read
+    again; after the general read, every cell in one C-level pass.
     """
     if not isinstance(values, (list, tuple)):
         values = tuple(values)
-    if values and type(values[0]) is str:
+    if values and isinstance(values[0], str):
         known = len(numerals)
         try:
             row = tuple(map(numerals.__getitem__, values))
         except (TypeError, ParseError):
             pass
         else:
-            if seen is not None and len(numerals) > known:
+            if len(numerals) > known:
                 added = [*islice(reversed(numerals.values()), len(numerals) - known)]
                 seen.update({id(v): v for v in reversed(added)})
             return row
     try:
-        row = tuple([numerals[v] if type(v) is str else as_rational(v) for v in values])
-    except (TypeError, ParseError):
-        for index, value in enumerate(values):
+        row = tuple([numerals[v] if isinstance(v, str) else numerals[str(v)] if type(v) is int
+                     else as_rational(v) for v in values])
+    except (TypeError, ValueError, ParseError):
+        for index, v in enumerate(values):
             try:
-                numerals[value] if type(value) is str else as_rational(value)
-            except (TypeError, ParseError) as exc:
+                (numerals[v] if isinstance(v, str) else numerals[str(v)] if type(v) is int
+                 else as_rational(v))
+            except (TypeError, ValueError, ParseError) as exc:
                 raise type(exc)(f"{where}[{index}]: {exc}") from None
         raise
-    if seen is not None:
-        seen.update(zip(map(id, row), row))
+    seen.update(zip(map(id, row), row))
     return row
 
 
@@ -226,8 +229,9 @@ class Instance:
     Assets and scenarios are 0-indexed everywhere, including file formats.
     Every cell of c, p and f is coerced once, here: each distinct numeral
     string is parsed once per instance, and every cell spelling it shares
-    that Fraction; any other cell goes through as_rational.  A cell refused
-    raises TypeError or ParseError naming the cell, e.g. "f[1][0]: ...".
+    that Fraction, as does an int cell spelling it; any other cell goes
+    through as_rational.  A cell refused raises TypeError, ParseError or
+    (an int past the digit limit) ValueError naming it, e.g. "f[1][0]: ...".
     c and f share one numeral table and one record of their value objects,
     which distinct and scaled read; p has a table of its own, so a value
     spelled only in p is not one of the distinct values.  The record holds
@@ -250,7 +254,7 @@ class Instance:
     def __post_init__(self):
         numerals, seen = _Numerals(), {}
         object.__setattr__(self, "c", _rationals(self.c, "c", numerals, seen))
-        object.__setattr__(self, "p", _rationals(self.p, "p", _Numerals()))
+        object.__setattr__(self, "p", _rationals(self.p, "p", _Numerals(), {}))
         object.__setattr__(
             self,
             "f",
@@ -504,12 +508,8 @@ def check_solution(instance: Instance, solution: Solution) -> list[str]:
 # --- instance / solution file formats (JSON, exact numeric strings) ---
 
 
-def _bare_numeral(literal: str):
-    """parse_float hook: the literal exactly; a refused one stays text for Instance to name."""
-    try:
-        return parse_rational(literal)
-    except ParseError:
-        return literal
+class _Literal(str):
+    """A bare JSON number's literal text, never a float, told apart from a JSON string."""
 
 
 def _bare_integer(literal: str):
@@ -517,21 +517,22 @@ def _bare_integer(literal: str):
     try:
         return int(literal)
     except ValueError:
-        return literal
+        return _Literal(literal)
 
 
 def _loads(text: str, what: str) -> dict:
+    """The JSON object of text, a bare number other than an int kept as its literal text.
+
+    Ints stay ints: a hook call per integer nearly doubles parse_solution's time.
+    """
     try:
-        # parse_float receives the raw literal text, so "0.1" becomes exactly
-        # 1/10 and never touches binary floating point.
         try:
-            obj = json.loads(text, parse_float=_bare_numeral)
+            obj = json.loads(text, parse_float=_Literal)
         except json.JSONDecodeError:
             raise
         except ValueError:
-            # An integer literal past the digit limit.  The hook is kept off
-            # the first read: a call per integer nearly doubles parse_solution's time.
-            obj = json.loads(text, parse_float=_bare_numeral, parse_int=_bare_integer)
+            # An integer literal past the digit limit; only then is the int hook on.
+            obj = json.loads(text, parse_float=_Literal, parse_int=_bare_integer)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed {what}: {exc}") from None
     if not isinstance(obj, dict):
@@ -561,7 +562,7 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"{key}: expected an array")
     c, p, f = obj["c"], obj["p"], obj["f"]
     label = obj.get("label", "")
-    if not isinstance(label, str):
+    if type(label) is not str:
         raise ParseError(f"label: expected a string, got {label!r}")
     for i, row in enumerate(f):
         if not isinstance(row, list):
@@ -590,12 +591,10 @@ def serialize_instance(instance: Instance) -> str:
 def _parse_index_array(raw, where: str) -> tuple[int, ...]:
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected an array")
-    out = []
     for v in raw:
-        if isinstance(v, bool) or not isinstance(v, int):
+        if type(v) is not int:
             raise ParseError(f"{where}: expected integer asset indices, got {v!r}")
-        out.append(v)
-    return tuple(out)
+    return tuple(raw)
 
 
 def parse_solution(text: str) -> Solution:

@@ -2,10 +2,16 @@
 is named by its position.  Property tests are seeded (derandomized) and keep
 instances small."""
 
+import contextlib
+import io
 import json
+import re
 import sys
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +246,24 @@ def test_exponent_is_judged_before_a_power_of_ten_is_built(digit_limit, monkeypa
     assert built == [0]  # the zero, from the int 0: no power of ten, no text
 
 
+@pytest.mark.parametrize(
+    "c, where", [((10**5000,), "c[0]"), (("1", 10**5000), "c[1]")], ids=["first", "after-a-str"]
+)
+def test_an_int_cell_over_the_digit_limit_is_named(c, where, digit_limit):
+    # only a library caller can pass one: a bare JSON integer this long stays text
+    with pytest.raises(ValueError) as info:
+        Instance(n=len(c), m=1, k=0, c=c, p=["1"], f=[["1"]] * len(c))
+    assert str(info.value).startswith(f"{where}: ")
+
+
+def test_a_bare_integer_over_the_digit_limit_is_no_label(digit_limit):
+    literal = "1" + "0" * 5000
+    text = f'{{"n": 1, "m": 1, "k": 0, "c": ["1"], "p": ["1"], "f": [["1"]], "label": {literal}}}'
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert str(info.value) == f"label: expected a string, got '{literal}'"
+
+
 def test_no_digit_limit_no_check(digit_limit):
     sys.set_int_max_str_digits(0)
     assert parse_instance(one_cell('"1e5000"')).c == (10**5000,)
@@ -322,3 +346,65 @@ def test_a_row_the_all_strings_lookup_refuses_names_its_bad_cell():
     )
     with pytest.raises(ParseError, match=r"^f\[1\]\[1\]: not a rational: True$"):
         parse_instance(text)
+
+
+# Spellings of each value that JSON also reads as a bare number; a bare int
+# is spelled as str() writes it, so bare 2 and "2" are one spelling.
+BARE_SPELLED = {
+    Fraction(1, 2): ("0.5", "5e-1", "0.50"),
+    Fraction(5, 4): ("1.25", "125e-2"),
+    Fraction(2): ("2", "2.0", "2E0"),
+    Fraction(0): ("0", "0.0"),
+    Fraction(3): ("3",),
+}
+UNIFORM = {1: "1", 2: "0.5", 4: "0.25", 5: "0.2"}  # 1/m as a bare decimal
+WALL_TIME = re.compile(r'"wall_time_ms":\d+,')
+
+
+def solve_report(text: str, algo: str) -> tuple[int, str]:
+    """The exit code and report of solve --algo algo on the instance text, wall_time_ms dropped."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "instance.json"
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["solve", "--algo", algo, "--instance", str(path)])
+    return code, WALL_TIME.sub("", out.getvalue())
+
+
+@SEEDED
+@given(st.data())
+def test_bare_and_quoted_numbers_share_the_numeral_table(data):
+    values = data.draw(st.lists(st.sampled_from(list(BARE_SPELLED)), min_size=1, max_size=3,
+                                unique=True))
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.sampled_from(list(UNIFORM)))
+    k = data.draw(st.integers(0, n))
+    spelling = st.sampled_from(values).flatmap(lambda v: st.sampled_from(BARE_SPELLED[v]))
+    c = data.draw(st.lists(spelling, min_size=n, max_size=n))
+    f = [data.draw(st.lists(spelling, min_size=m, max_size=m)) for _ in range(n)]
+
+    def text(write) -> str:
+        def array(row) -> str:
+            return "[" + ", ".join(map(write, row)) + "]"
+
+        return (
+            f'{{"n": {n}, "m": {m}, "k": {k}, "c": {array(c)}, "p": {array([UNIFORM[m]] * m)}, '
+            f'"f": [{", ".join(map(array, f))}], "label": "spelled"}}'
+        )
+
+    mixed = text(lambda s: s if data.draw(st.booleans()) else json.dumps(s))
+    texts = [text(json.dumps), text(str), mixed]
+    quoted, bare, either = map(parse_instance, texts)
+    assert quoted == bare == either
+    spellings = list(chain(c, *f))
+    for inst in (quoted, bare, either):
+        # one object per spelling, and the value record holds each once
+        objects = {}
+        for spelled, value in zip(spellings, chain(inst.c, *inst.f)):
+            assert objects.setdefault(spelled, value) is value
+        assert len(vars(inst)["_objects"]) == len(objects)
+    assert quoted.distinct == bare.distinct == either.distinct
+    algo = "two-value" if len(quoted.distinct) <= 2 else "approx"
+    reports = [solve_report(t, algo) for t in texts]
+    assert reports[0][0] == 0
+    assert reports[0] == reports[1] == reports[2]

@@ -649,16 +649,17 @@ ORACLE_FREE_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", ORACLE_FREE_INPUTS)
-def test_exact_plan_passes_the_oracle_free_checks(name):
-    # Past brute-force sizes the plan is checked without an oracle.  Adding
-    # delta to every value raises every plan's objective by exactly k*delta
-    # (|F| + |S_j| = k and the p_j sum to 1), and scaling by a > 0 scales it,
-    # so neither may change the plan.  Splitting scenario 0 into two copies
-    # of half its weight changes no plan's objective, so it may change
-    # neither the first stage nor the value.  No 1-exchange of the first
-    # stage (F - a, F + b, F - a + b, each completed greedily) may beat it.
-    instance = ORACLE_FREE_INPUTS[name]()
+def assert_passes_the_oracle_free_checks(instance):
+    """Check solve_exact's plan on instance without an oracle.
+
+    Adding delta to every value raises every plan's objective by exactly
+    k*delta (|F| + |S_j| = k and the p_j sum to 1), and scaling by a > 0
+    scales it, so neither may change the plan.  Splitting scenario 0 into
+    two copies of half its weight changes no plan's objective, so it may
+    change neither the first stage nor the value.  No 1-exchange of the
+    first stage (F - a, F + b, F - a + b, each completed greedily) may beat
+    it.  On at most two distinct values solve_two_value's value must agree.
+    """
     solution = solve_exact(instance)
     plan = (solution.first_stage, solution.second_stage)
     for a, delta in [(1, Fraction(-7, 3)), (1, Fraction(5)), (Fraction(3, 2), 0)]:
@@ -679,5 +680,35 @@ def test_exact_plan_passes_the_oracle_free_checks(name):
     exchanges += [first - {a} | {b} for a in first for b in rest]
     for exchange in exchanges:
         assert complete_first_stage(instance, exchange).value <= solution.value, exchange
-    if name.startswith(("two", "one")):
+    if len(instance.distinct) <= 2:
         assert solve_two_value(instance).value == solution.value
+
+
+@pytest.mark.parametrize("name", ORACLE_FREE_INPUTS)
+def test_exact_plan_passes_the_oracle_free_checks(name):
+    # Past brute-force sizes the plan is checked without an oracle.
+    assert_passes_the_oracle_free_checks(ORACLE_FREE_INPUTS[name]())
+
+
+# (n, d) of the regular graphs up to n = 10 whose reduction has a ratio window
+REDUCTION_SHAPES = [
+    (n, d) for n in range(3, 11) for d in (2, 3, 4) if n * d % 2 == 0 and d < n - 1
+]
+
+
+@st.composite
+def generated_instances(draw, kind):
+    """A random instance of kind any, 2 or 3 values (n <= 12, m <= 6), or a reduction (n <= 10)."""
+    seed = draw(st.integers(0, 10**6))
+    if kind == "reduction":
+        return build_reduction(gen_regular_graph(*draw(st.sampled_from(REDUCTION_SHAPES)), seed))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1 if n > 1 else 2, 6))  # room for three values
+    return gen_random_instance(n, m, draw(st.integers(0, n)), kind, seed)
+
+
+@pytest.mark.parametrize("kind", ["any", "2", "3", "reduction"])
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_exact_plan_passes_the_oracle_free_checks_on_drawn_instances(kind, data):
+    assert_passes_the_oracle_free_checks(data.draw(generated_instances(kind)))

@@ -311,9 +311,13 @@ def test_parse_errors_carry_positions():
         ('{"n": 1, "m": 1, "k": 0, "c": ["1"], "p": ["1"], "f": ["1"]}',
          "f[0]: expected an array (row of asset 0)"),
         ("[]", "malformed instance: expected a JSON object"),
+        ('{"n": 5.0, "m": 1, "k": 0, "c": ["1"], "p": ["1"], "f": [["1"]]}',
+         "n: expected an integer, got '5.0'"),
+        ('{"n": 1, "m": 1, "k": 0, "c": ["1"], "p": ["1"], "f": [["1"]], "label": 0.5}',
+         "label: expected a string, got '0.5'"),
     ],
     ids=["missing-field", "n-not-integer", "c-not-array", "label-not-string", "f-row-not-array",
-         "not-an-object"],
+         "not-an-object", "n-bare-decimal", "label-bare-decimal"],
 )
 def test_parse_instance_refuses_a_malformed_structure(text, message):
     with pytest.raises(ParseError) as info:
@@ -330,9 +334,13 @@ def test_parse_instance_refuses_a_malformed_structure(text, message):
         ('{"first_stage": [], "second_stage": [["0"]], "value": "0"}',
          "second_stage[0]: expected integer asset indices, got '0'"),
         ('{"first_stage": 5, "second_stage": [], "value": "0"}', "first_stage: expected an array"),
+        ('{"first_stage": [1.0], "second_stage": [], "value": "0"}',
+         "first_stage: expected integer asset indices, got '1.0'"),
+        ('{"first_stage": [], "second_stage": [[0, 1.0]], "value": "0"}',
+         "second_stage[0]: expected integer asset indices, got '1.0'"),
     ],
     ids=["missing-field", "second-stage-not-array", "index-not-integer",
-         "first-stage-not-array"],
+         "first-stage-not-array", "first-stage-bare-decimal", "second-stage-bare-decimal"],
 )
 def test_parse_solution_refuses_a_malformed_structure(text, message):
     with pytest.raises(ParseError) as info:
@@ -559,12 +567,18 @@ def test_the_value_record_follows_the_cells_of_c_and_f_only():
     assert recorded_ids(inst) == list(dict.fromkeys(map(id, cells)))
     assert set(vars(inst)["_objects"]) == {half, Fraction(3, 4), Fraction(5), Fraction(1)}
     assert inst.distinct == (half, Fraction(3, 4), Fraction(5), Fraction(1))
+    # bare rows: f[2] all bare, f[3] opening with a bare int; a bare number
+    # shares the object of its quoted spelling, so the record holds one object
+    # each for "0.5", "1/2" and "2"
     parsed = parse_instance(
-        '{"n": 2, "m": 2, "k": 1, "c": ["0.5", 0.5], "p": ["1/3", "2/3"],'
-        ' "f": [["1/2", "0.5"], [2, "0.5"]]}'
+        '{"n": 4, "m": 2, "k": 1, "c": ["0.5", 0.5, 2, "2"], "p": ["1/3", "2/3"],'
+        ' "f": [["1/2", "0.5"], [2, "0.5"], [0.5, 2], [2, "1/2"]]}'
     )
     cells = list(chain(parsed.c, *parsed.f))
     assert recorded_ids(parsed) == list(dict.fromkeys(map(id, cells)))
+    assert len(vars(parsed)["_objects"]) == 3
+    assert parsed.c[1] is parsed.c[0] is parsed.f[2][0]
+    assert parsed.c[3] is parsed.c[2] is parsed.f[2][1] is parsed.f[3][0]
     assert parsed.distinct == (half, Fraction(2))
     assert Fraction(1, 3) not in vars(parsed)["_objects"]
 
