@@ -21,6 +21,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import repeat
 
 from .approx import detect_three_values, gen_tightness, solve_approx
 from .exact import ExactOptions, solve_exact
@@ -87,6 +88,16 @@ def gen_random_instance(n: int, m: int, k: int, values: str, seed: int) -> Insta
     distinct nonnegative rationals; "any": unrestricted per-entry draws.
     For "2"/"3" the instance is regenerated until every set member actually
     appears, so the value-count detectors accept the output.
+
+    The draw stream is fixed, so serialize_instance writes the output of a
+    (shape, values, seed) byte for byte alike on every run.
+    random.Random(seed) draws, for "2"/"3", the value set, then per attempt
+    the n cells of c and the n * m cells of f, row by row, each one
+    rng.choice of the sorted set's numerals (one _randbelow(len(set)), as
+    seq[randrange(len(seq))] draws); for "any", each cell of c, then of f,
+    as a denominator and a numerator; last, the m integer weights of p.  A
+    "2"/"3" cell is its numeral string, which Instance parses once per
+    distinct numeral.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
@@ -98,41 +109,31 @@ def gen_random_instance(n: int, m: int, k: int, values: str, seed: int) -> Insta
         den = rng.randint(1, 4)
         return Fraction(rng.randint(lo * den, hi * den), den)
 
-    if values == "2":
+    if values == "any":
+        c = tuple(rand_rational(-6, 9) for _ in range(n))
+        f = tuple(tuple(rand_rational(-6, 9) for _ in range(m)) for _ in range(n))
+    elif values in ("2", "3"):
+        size, lo = (2, -3) if values == "2" else (3, 0)
+        if size > n * (m + 1):
+            raise ValueError(
+                f"an instance with n={n}, m={m} has only {n * (m + 1)} value slots, "
+                f"too few for {size} distinct values"
+            )
         while True:
-            pool = sorted({rand_rational(-3, 6) for _ in range(2)})
-            if len(pool) == 2:
+            pool = {rand_rational(lo, 6) for _ in range(size)}
+            if len(pool) == size:
                 break
-    elif values == "3":
-        while True:
-            pool = sorted({rand_rational(0, 6) for _ in range(3)})
-            if len(pool) == 3:
+        numerals = [str(v) for v in sorted(pool)]
+        for _ in range(10000):
+            cells = tuple(map(rng.choice, repeat(numerals, n * (m + 1))))
+            if len(set(cells)) == size:
                 break
-    elif values == "any":
-        pool = None
+        else:
+            raise GenerationError(f"could not realize all {size} values (seed {seed})")
+        c = cells[:n]
+        f = tuple(cells[start:start + m] for start in range(n, len(cells), m))
     else:
         raise ValueError(f"values must be one of 2, 3, any; got {values!r}")
-    if pool is not None and len(pool) > n * (m + 1):
-        raise ValueError(
-            f"an instance with n={n}, m={m} has only {n * (m + 1)} value slots, "
-            f"too few for {len(pool)} distinct values"
-        )
-
-    def draw() -> Fraction:
-        if pool is None:
-            return rand_rational(-6, 9)
-        return pool[rng.randrange(len(pool))]
-
-    for _ in range(10000):
-        c = tuple(draw() for _ in range(n))
-        f = tuple(tuple(draw() for _ in range(m)) for _ in range(n))
-        if pool is None:
-            break
-        present = set(c).union(*f)
-        if present == set(pool):
-            break
-    else:
-        raise GenerationError(f"could not realize all {len(pool)} values (seed {seed})")
     while True:
         weights = [rng.randint(0, 8) for _ in range(m)]
         if any(weights):

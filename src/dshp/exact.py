@@ -81,7 +81,11 @@ from .model import (
 
 @dataclass(frozen=True)
 class ExactOptions:
-    """solve_exact's options; prune is unread, accepted for the bench until ROADMAP item 3."""
+    """solve_exact's options; prune is unread, accepted for the bench.
+
+    The bench refresh (ROADMAP item 1) frees it; ROADMAP item 7 then deletes
+    this class.
+    """
 
     prune: bool = False
     max_n: int = DEFAULT_MAX_N

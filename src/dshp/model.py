@@ -10,11 +10,12 @@ InstanceError.
 
 Instance is the one place a number becomes a Fraction, and cells of equal
 value mostly share one: every cell spelling one numeral does, quoted or bare
-in a file.  So Instance coerces a row of strings in one C-level pass, and
-records the value objects of c and f as it makes them.  Its distinct values
-read that record and no cell; its integer view (Instance.scaled) scales each
-recorded object once and reads the cells once, in C (map, zip), to look each
-integer up by id.
+in a file.  So Instance coerces a row of strings and ints in one C-level
+pass, and records the value objects of c and f as it makes them.  Its
+distinct values read that record and no cell; its integer view
+(Instance.scaled) scales each recorded object once and reads the cells once,
+in C (map, zip), to look each integer up by id.  serialize_instance writes
+each value object once and looks each cell's text up by id the same way.
 
 Every solver picks a first-stage set F and returns complete_first_stage(F):
 with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
@@ -31,7 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import filterfalse, islice
+from itertools import chain, filterfalse, islice
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -162,10 +163,14 @@ class _Numerals(dict):
 
     One per Instance, never shared: parse_rational reads the digit limit when it
     runs, and the Fractions live only as long as the instance holding them.
-    Keys are str only (an int cell's key is str(int)), so True and 1.0 match none.
+    Keys are str only: an int (never a bool) resolves through its decimal
+    text, str(int), which may raise ValueError past the digit limit, and is
+    not stored, so True and 1.0 match no key and are refused with TypeError.
     """
 
     def __missing__(self, text: str) -> Fraction:
+        if type(text) is int:
+            return self[str(text)]
         if not isinstance(text, str):
             raise TypeError("not a numeral string")
         value = self[text] = parse_rational(text)
@@ -177,26 +182,26 @@ def _rationals(
 ) -> tuple[Fraction, ...]:
     """Each value as a Fraction: a str or int (as str) through numerals, else through as_rational.
 
-    A row whose first cell is a str is tried as strings only, in one C-level
-    pass.  Any other row, or one where that pass meets another cell
-    (numerals refuses it with TypeError), is read by a comprehension that
-    sends each cell its own way.  Only when that raises is the row read
-    once more, cell by cell, so that the error names the first bad cell as
-    where[index].  A row that is not a list or tuple is made a tuple first,
-    so that a one-shot iterator can be read again.
+    A row whose first cell is a str or an int is tried through numerals
+    alone, in one C-level pass.  Any other row, or one where that pass meets
+    another cell (numerals refuses it with TypeError), is read by a
+    comprehension that sends each cell its own way.  Only when that raises
+    is the row read once more, cell by cell, so that the error names the
+    first bad cell as where[index].  A row that is not a list or tuple is
+    made a tuple first, so that a one-shot iterator can be read again.
 
     seen records id -> object of every value object of the row, in order of
-    first appearance.  After the string pass that is only the numerals this
-    row added to the table, which keeps lookup order, so no cell is read
-    again; after the general read, every cell in one C-level pass.
+    first appearance.  After the one-pass read that is only the numerals
+    this row added to the table, which keeps lookup order, so no cell is
+    read again; after the general read, every cell in one C-level pass.
     """
     if not isinstance(values, (list, tuple)):
         values = tuple(values)
-    if values and isinstance(values[0], str):
+    if values and (isinstance(values[0], str) or type(values[0]) is int):
         known = len(numerals)
         try:
             row = tuple(map(numerals.__getitem__, values))
-        except (TypeError, ParseError):
+        except (TypeError, ValueError, ParseError):
             pass
         else:
             if len(numerals) > known:
@@ -204,13 +209,12 @@ def _rationals(
                 seen.update({id(v): v for v in reversed(added)})
             return row
     try:
-        row = tuple([numerals[v] if isinstance(v, str) else numerals[str(v)] if type(v) is int
-                     else as_rational(v) for v in values])
+        row = tuple([numerals[v] if isinstance(v, str) or type(v) is int else as_rational(v)
+                     for v in values])
     except (TypeError, ValueError, ParseError):
         for index, v in enumerate(values):
             try:
-                (numerals[v] if isinstance(v, str) else numerals[str(v)] if type(v) is int
-                 else as_rational(v))
+                numerals[v] if isinstance(v, str) or type(v) is int else as_rational(v)
             except (TypeError, ValueError, ParseError) as exc:
                 raise type(exc)(f"{where}[{index}]: {exc}") from None
         raise
@@ -574,14 +578,21 @@ def parse_instance(text: str) -> Instance:
 
 
 def serialize_instance(instance: Instance) -> str:
-    """Inverse of parse_instance: parse(serialize(I)) == I field for field."""
+    """Inverse of parse_instance: parse(serialize(I)) == I field for field.
+
+    Each distinct value object of c and f is written with str() once, keyed
+    by id as in Instance.scaled; the cells then look their text up in C.
+    """
+    cells = [*instance.c, *chain.from_iterable(instance.f)]
+    objects = dict(zip(map(id, cells), cells))
+    texts = {key: str(v) for key, v in objects.items()}.__getitem__
     obj = {
         "n": instance.n,
         "m": instance.m,
         "k": instance.k,
-        "c": [str(v) for v in instance.c],
+        "c": list(map(texts, map(id, instance.c))),
         "p": [str(v) for v in instance.p],
-        "f": [[str(v) for v in row] for row in instance.f],
+        "f": [list(map(texts, map(id, row))) for row in instance.f],
     }
     if instance.label:
         obj["label"] = instance.label

@@ -247,7 +247,9 @@ def test_exponent_is_judged_before_a_power_of_ten_is_built(digit_limit, monkeypa
 
 
 @pytest.mark.parametrize(
-    "c, where", [((10**5000,), "c[0]"), (("1", 10**5000), "c[1]")], ids=["first", "after-a-str"]
+    "c, where",
+    [((10**5000,), "c[0]"), (("1", 10**5000), "c[1]"), ((1, 10**5000), "c[1]")],
+    ids=["first", "after-a-str", "after-an-int"],
 )
 def test_an_int_cell_over_the_digit_limit_is_named(c, where, digit_limit):
     # only a library caller can pass one: a bare JSON integer this long stays text
@@ -346,6 +348,26 @@ def test_a_row_the_all_strings_lookup_refuses_names_its_bad_cell():
     )
     with pytest.raises(ParseError, match=r"^f\[1\]\[1\]: not a rational: True$"):
         parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ([1, True], TypeError, "c[1]: not a rational: True"),
+        ([True, 1], TypeError, "c[0]: not a rational: True"),
+        ([1, 1.0], TypeError, "c[1]: refusing float 1.0: pass a string or Fraction"),
+        ([1, "1", 0.5], TypeError, "c[2]: refusing float 0.5: pass a string or Fraction"),
+        ([1, None], TypeError, "c[1]: not a rational: None"),
+        ([1, "x"], ParseError, "c[1]: not a rational numeral: 'x' ("),
+    ],
+)
+def test_a_row_opening_with_an_int_names_its_bad_cell(row, error, message):
+    # the int 1 is looked up first, so a table that kept int keys would take
+    # True and 1.0 for it
+    with pytest.raises(error) as info:
+        Instance(n=len(row), m=1, k=0, c=row, p=["1"], f=[["1"]] * len(row))
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
 
 
 # Spellings of each value that JSON also reads as a bare number; a bare int

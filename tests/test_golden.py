@@ -8,14 +8,19 @@ and says so.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import random
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import dshp.cli
 from dshp.cli import gen_random_instance, main
 from dshp.model import serialize_instance
 
@@ -95,6 +100,45 @@ def test_random_inputs_regenerate_byte_for_byte(name):
     n, m, k, values, seed = RANDOM_LABEL.fullmatch(json.loads(text)["label"]).groups()
     instance = gen_random_instance(int(n), int(m), int(k), values, int(seed))
     assert serialize_instance(instance) + "\n" == text
+
+
+# sha256 of serialize_instance(gen_random_instance(150, 100, 135, values, seed)),
+# the bench's bulk shape: a change to the generator's draw stream, or to how
+# an instance is written, changes them.
+STREAM = {
+    ("2", 1): "9dc0916fcea4456213b725e6cead2361cb6725a1af03caeea761336a3c76871d",
+    ("2", 2): "66ce5a75284802ffde5446373283c24c4e00def208004ea132a096d14a765e0a",
+    ("3", 1): "bdb552b92fdf3163574432a7a9f3f1ca9434adbbbff444759c53554bb94cd994",
+    ("3", 2): "492fe77a971d12382ee3f8417d0e03e041568a5ad287255dfde2f5e19293796d",
+    ("any", 1): "7ce74ff73921c20e91eb2b261e0a46d56cfcdc5de1dd1af76122093072e9844e",
+}
+
+
+def digest(instance) -> str:
+    return hashlib.sha256(serialize_instance(instance).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("values, seed", sorted(STREAM))
+def test_the_generator_draw_stream_is_pinned(values, seed):
+    assert digest(gen_random_instance(150, 100, 135, values, seed)) == STREAM[values, seed]
+
+
+def test_the_generator_draw_stream_holds_through_retries(monkeypatch):
+    # n=1, m=2 with three values has 3 cells per attempt; seed 0 takes 7
+    # attempts before every value appears
+    draws = []
+
+    class Counting(random.Random):
+        def choice(self, seq):
+            draws.append(len(seq))
+            return super().choice(seq)
+
+    monkeypatch.setattr(dshp.cli, "random", SimpleNamespace(Random=Counting))
+    instance = gen_random_instance(1, 2, 1, "3", 0)
+    assert draws == [3] * 21
+    assert digest(instance) == "f3f8ba8998ac6598b480ed6f624685b20746ec343ce758643152c2f6a43c81b6"
+    assert instance.c == (Fraction(16, 3),)
+    assert instance.f == ((Fraction(1, 4), Fraction(6)),)
 
 
 def regenerate() -> None:

@@ -600,6 +600,59 @@ def test_an_instance_with_one_view_copies_with_its_record(built, copier):
     assert "_objects" not in vars(again)
 
 
+def per_cell_serialization(inst) -> str:
+    """serialize_instance written cell by cell: one str() per cell."""
+    obj = {
+        "n": inst.n,
+        "m": inst.m,
+        "k": inst.k,
+        "c": [str(v) for v in inst.c],
+        "p": [str(v) for v in inst.p],
+        "f": [[str(v) for v in row] for row in inst.f],
+    }
+    if inst.label:
+        obj["label"] = inst.label
+    return json.dumps(obj)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.sampled_from(["file", "shared", "fresh", "int", "mixed"]),
+    st.sampled_from(["", "drawn"]),
+    st.sampled_from([None, "distinct", "scaled", "both"]),
+    st.data(),
+)
+def test_serialization_per_value_object_equals_the_per_cell_form(n, m, mode, label, built, data):
+    # str, int and Fraction cells; equal values spelled apart, or fresh
+    # Fractions, are distinct objects of one text; either view, or both (which
+    # drops the value record), may be built before writing
+    inst = dataclasses.replace(drawn_instance(n, m, mode, data), label=label)
+    for view in {"both": ["distinct", "scaled"], None: []}.get(built, [built]):
+        getattr(inst, view)
+    text = serialize_instance(inst)
+    assert text == per_cell_serialization(inst)
+    assert parse_instance(text) == inst
+
+
+def test_serialization_writes_each_value_object_once():
+    written = []
+
+    class Counted(Fraction):
+        def __str__(self):
+            written.append(id(self))
+            return super().__str__()
+
+    half, also_half, two = Counted(1, 2), Counted(1, 2), Counted(2)
+    inst = Instance(n=2, m=2, k=1, c=[half, two], p=["1/3", "2/3"],
+                    f=[[two, also_half], [half, two]])
+    expected = per_cell_serialization(inst)
+    written.clear()
+    assert serialize_instance(inst) == expected
+    assert sorted(written) == sorted(map(id, [half, two, also_half]))
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(
     st.lists(st.fractions(-2, 2, max_denominator=6), min_size=1, max_size=6),
