@@ -26,6 +26,7 @@ from itertools import repeat
 from .approx import detect_three_values, gen_tightness, solve_approx
 from .exact import ExactOptions, solve_exact
 from .model import (
+    DEFAULT_MAX_N,
     DshpError,
     EnumerationCapError,
     Instance,
@@ -61,7 +62,7 @@ def _enumeration_cap(max_n_arg) -> int:
     if cap is None:
         env = os.environ.get("DSHP_MAX_N")
         try:
-            cap = int(env) if env else ExactOptions.max_n
+            cap = int(env) if env else DEFAULT_MAX_N
         except ValueError:
             raise ValueError(f"DSHP_MAX_N must be an integer, got {env!r}") from None
     if cap < 1:
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     pretty.add_argument("--pretty", action="store_true", help="indent JSON output")
     max_n = argparse.ArgumentParser(add_help=False)
     max_n.add_argument(
-        "--max-n", type=int, help=f"search cap (default: DSHP_MAX_N, else {ExactOptions.max_n})"
+        "--max-n", type=int, help=f"search cap (default: DSHP_MAX_N, else {DEFAULT_MAX_N})"
     )
 
     parser = argparse.ArgumentParser(

@@ -13,12 +13,12 @@ times scale * pscale, is an integer.
 - Incremental second stage.  Each scenario of nonzero weight sells the
   first k-|F| assets of its selling order (view.order, built by
   model.by_value) not in F.  The search keeps, per scenario, the position
-  in that order of the last asset sold and its value, and the weighted
-  second-stage total.  From F to F+{t}, one asset leaves each scenario's
-  sale: t if it sells at or before that position, else the asset there,
-  so the larger of the two values.  Where the asset there leaves, the
-  position steps back to the previous asset not in F.  A set costs O(m),
-  not a walk of every order.
+  in that order of the last asset sold and its value, and the objective
+  of F.  From F to F+{t}, one asset leaves each scenario's sale: t if it
+  sells at or before that position, else the asset there, so the larger
+  of the two values.  Where the asset there leaves, the position steps
+  back to the previous asset not in F.  A set costs O(m), not a walk of
+  every order.
 - Lagrangian cut.  SearchTables.bound(q, ...) bounds every set F+G, G
   made of pool assets from pool[q] on, by giving each scenario j, of weight
   w_j = pscale * p_j, its own copy of the first stage, priced with integer
@@ -47,13 +47,15 @@ times scale * pscale, is an integer.
   (outside the pool, or in it before pool[q] and not in F) and r-s from the
   free ones (pool[q:], at either value), so their sum is the least of H_s +
   S_(r-s) over s, where H_s and S_s sum the s lowest of each group.  The
-  free sums depend on q alone and are built once per lambda.  The held sums
-  grow by one asset per sibling step, and a child starts from its parent's
-  at its own q; adding a value v sets H_s to min(H_s, H_(s-1) + v), one
-  pass over the scenarios per s, and is done only when a bound is taken.
+  free sums depend on q alone and are built once per lambda.  Only
+  subtrees of more than r sets are bounded, each after its run, so a node's
+  bounded children come first and nothing under an unbounded child is
+  bounded.  The held sums take the sibling just passed at each bounded
+  child, and a child starts from its parent's at its own q; adding a value
+  v sets H_s to min(H_s, H_(s-1) + v), one pass over the scenarios per s.
   The run and the subtree at one q read the same held sums.  So a bound
   costs O(rm), one pass at r = 1 as on every reduction instance, and a set
-  O(m): subtrees of more than r sets are bounded, each after its run.
+  O(m).
 
 The pool always excludes the prunable assets, those whose first-stage
 value is strictly below their expected second-stage value.  No optimal plan
@@ -304,38 +306,36 @@ def solve_exact(
 
     def visit(
         start: int,
-        base: int,
-        second: int,
+        value: int,
         lasts: list[int],
         at_last: list[int],
         net_sum: int,
         held: list[list[int]],
-        folded: int,
     ) -> None:
         """Search the children F+{pool[q]}, q >= start, of F = path.
 
-        second is F's weighted second-stage total; per kept scenario, lasts
-        holds the position of the last asset F's completion sells and
-        at_last that asset's value.  net_sum sums net over F.  held is the
-        lowest-value table of the assets outside the pool and of the pool
-        assets before pool[folded] not in F; the others before a child
-        join it only when that child is bounded.
+        value is F's objective; per kept scenario, lasts holds the position
+        of the last asset F's completion sells and at_last that asset's
+        value.  net_sum sums net over F.  held is the lowest-value table of
+        the assets outside the pool and of the pool assets before
+        pool[start] not in F; it is read only if some child is bounded.
         """
         nonlocal best_total, best_first
         depth = len(path) + 1
         need = k - depth
+        # At the last level F's one sale per scenario leaves (t sells no earlier).
+        leaf = 0 if need else sum(at_last)
         for q in range(start, size):
             t = pool[q]
-            child_base = base + first_value[t]
             child_net = net_sum + net[t]
+            # bounded[a][r] grows with a and with r, so the bounded children
+            # come first in this loop and a child's own children are bounded
+            # only if it is: held is current at each bounded child.
             if bounded[size - q - 1][need]:
-                for i in pool[folded:q]:
-                    if not chosen[i]:
-                        held = insert(held, values[i])
-                folded = q
                 # Every set of the run F+G, G from pool[q:], and of the subtree
                 # of F+{t} has at least depth assets and comes later in the order.
                 if q > start:
+                    held = insert(held, values[pool[q - 1]])
                     bound = tables.bound(q, net_sum, held)
                     if bound < best_total or (bound == best_total and depth >= len(best_first)):
                         return
@@ -345,10 +345,8 @@ def solve_exact(
             # Orders are by value, so t leaves the sale if it sells at or
             # before the last position (value >= the value there) and the
             # asset at that position leaves otherwise: the larger one leaves.
-            child_second = (
-                second - sum([x if x > y else y for x, y in zip(values[t], at_last)]) if need else 0
-            )
-            total = child_base + child_second
+            leaving = sum([x if x > y else y for x, y in zip(values[t], at_last)]) if need else leaf
+            total = value + first_value[t] - leaving
             if total > best_total or (total == best_total and depth < len(best_first)):
                 best_total = total
                 best_first = (*path, t)
@@ -366,17 +364,11 @@ def solve_exact(
                     child_at_last[j] = ranked[j][last]
             chosen[t] = 1
             path.append(t)
-            visit(
-                q + 1, child_base, child_second, child_lasts, child_at_last,
-                child_net, held, folded,
-            )
+            visit(q + 1, total, child_lasts, child_at_last, child_net, held)
             path.pop()
             chosen[t] = 0
 
-    visit(
-        0, 0, best_total, [k - 1] * len(orders), [row[k - 1] for row in ranked],
-        0, tables.held, 0,
-    )
+    visit(0, best_total, [k - 1] * len(orders), [row[k - 1] for row in ranked], 0, tables.held)
     # visit's closure refers to visit; emptying that cell lets reference
     # counting free the search state here instead of a later cycle collection.
     del visit

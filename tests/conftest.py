@@ -4,8 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from dshp import Graph, complete_first_stage, second_stage_greedy
+from dshp import Graph, Instance, complete_first_stage, second_stage_greedy
 
 
 def octahedron() -> Graph:
@@ -39,6 +40,47 @@ def brute_force_second_stage(instance, first_stage):
         )
         revenue += instance.p[j] * best
     return revenue
+
+
+def two_valued_first_stage(instance):
+    """Independent oracle for solve_exact's first stage on exactly two values a < b.
+
+    Let A = {i: c_i = b}, L_j = {i in A: f_ij = a} and T_j = #{i: f_ij = b}.
+    A first stage F within A lets scenario j sell min(k, T_j + |F & L_j|)
+    entries worth b, and no plan sells more, so F is optimal iff |F & L_j|
+    >= min(|L_j|, max(k - T_j, 0)) in every scenario of nonzero weight.  The
+    result is the first such F by size and then lexicographically (selling
+    an asset with c_i = a first gains nothing, so the first optimum lies in A).
+    """
+    a, b = sorted({*instance.c, *(v for row in instance.f for v in row)})
+    high = [i for i, ci in enumerate(instance.c) if ci == b]
+    demands = []
+    for j, pj in enumerate(instance.p):
+        if pj:
+            low = {i for i in high if instance.f[i][j] == a}
+            worth_b = sum(1 for row in instance.f if row[j] == b)
+            demands.append((low, min(len(low), max(instance.k - worth_b, 0))))
+    for size in range(min(instance.k, len(high)) + 1):
+        for first in itertools.combinations(high, size):
+            if all(len(low.intersection(first)) >= need for low, need in demands):
+                return first
+    raise AssertionError("no first stage meets every scenario's demand")
+
+
+@st.composite
+def two_valued_instances(draw, max_n=9, max_m=4):
+    """n <= max_n, m <= max_m, any k; every c_i and f_ij one of two signed
+    values a <= b (a == b, or one of them unused, gives a single-valued
+    instance); probabilities from weights that may be zero."""
+    a = draw(st.builds(Fraction, st.integers(-6, 9), st.sampled_from([1, 2, 3])))
+    b = a + draw(st.builds(Fraction, st.integers(0, 5), st.sampled_from([1, 2])))
+    n, m = draw(st.integers(1, max_n)), draw(st.integers(1, max_m))
+    value = st.sampled_from([a, b])
+    c = draw(st.lists(value, min_size=n, max_size=n))
+    f = [draw(st.lists(value, min_size=m, max_size=m)) for _ in range(n)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    p = [Fraction(w, sum(weights)) for w in weights]
+    return Instance(n=n, m=m, k=draw(st.integers(0, n)), c=c, p=p, f=f)
 
 
 def greedy_second_stage(instance, first_stage):

@@ -33,6 +33,8 @@ from conftest import (
     brute_force_second_stage,
     first_optimum_by_enumeration,
     greedy_second_stage,
+    two_valued_first_stage,
+    two_valued_instances,
 )
 
 
@@ -433,10 +435,11 @@ def test_incremental_bound_equals_the_definition_at_every_node(instance, pruned,
 
 
 def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch):
-    # The search folds its held table lazily.  Each bound it takes, on the run
-    # of a child and its later siblings or on the child's subtree, must be the
-    # definition's bound at a node of the same index and sum of net: a fold
-    # that skipped, repeated or wrongly took an asset would loosen it.
+    # The search adds each held-back sibling to its held table as it passes
+    # it.  Each bound it takes, on the run of a child and its later siblings
+    # or on the child's subtree, must be the definition's bound at a node of
+    # the same index and sum of net: a fold that skipped, repeated or wrongly
+    # took an asset would loosen it.
     taken = []
     original = SearchTables.bound
 
@@ -576,6 +579,21 @@ def test_search_at_scale_matches_enumeration(seed):
     inst = gen_random_instance(22, 8, 11, "any", seed)
     expected = first_optimum_by_enumeration(inst, pruned_pool(inst), greedy_second_stage)
     assert solve_exact(inst) == expected
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(instance=two_valued_instances().filter(lambda inst: len(inst.distinct) == 2))
+def test_two_valued_oracle_is_the_first_optimum_by_enumeration(instance):
+    # Every first-stage set of every size, completed greedily (criterion 7
+    # checks the greedy against brute force).
+    expected = first_optimum_by_enumeration(instance, range(instance.n), greedy_second_stage)
+    assert two_valued_first_stage(instance) == expected.first_stage
+
+
+@pytest.mark.parametrize("n, seed", [(30, 1), (30, 2), (30, 3), (32, 1), (36, 1)])
+def test_search_past_enumeration_returns_the_two_valued_oracle_plan(n, seed):
+    inst = gen_random_instance(n, 32, n // 2, "2", seed)
+    assert solve_exact(inst, ExactOptions(max_n=n)).first_stage == two_valued_first_stage(inst)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

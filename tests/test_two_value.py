@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dshp.model
 import dshp.two_value
@@ -21,7 +21,7 @@ from dshp import (
 )
 from dshp.cli import gen_random_instance
 
-from conftest import cycle_graph
+from conftest import cycle_graph, two_valued_instances
 
 
 def test_detect_basic_profile():
@@ -106,6 +106,40 @@ def test_matches_exact_on_random_instances():
             n, rng.randint(1, 5), rng.randint(0, n), "2", rng.randrange(10**6)
         )
         assert solve_two_value(inst).value == solve_exact(inst).value
+
+
+def wait_and_see(instance):
+    """sum_j p_j times the sum of the k largest max(c_i, f_ij): the value
+    of a plan that knew the scenario before its first stage."""
+    return sum(
+        (
+            pj * sum(sorted(map(max, instance.c, column), reverse=True)[: instance.k])
+            for pj, column in zip(instance.p, zip(*instance.f))
+        ),
+        Fraction(0),
+    )
+
+
+NEGATIVE = dict(
+    n=3, m=3, c=(-2, 1, -2), p=(0, Fraction(1, 3), Fraction(2, 3)),
+    f=((1, -2, 1), (-2, -2, 1), (1, 1, -2)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(instance=two_valued_instances(max_n=12, max_m=6))
+@example(instance=Instance(k=0, **NEGATIVE))
+@example(instance=Instance(k=3, **NEGATIVE))
+@example(instance=Instance(n=2, m=2, k=2, c=(-1, -1), p=(1, 0), f=((-1, -1), (-1, -1))))
+def test_value_is_the_wait_and_see_bound(instance):
+    # On at most two values no plan sells more entries worth v_max in any
+    # scenario than the two-value plan, so knowing the scenario gains nothing.
+    assert solve_two_value(instance).value == wait_and_see(instance)
+
+
+def test_value_is_the_wait_and_see_bound_at_bulk_size():
+    inst = gen_random_instance(150, 100, 135, "2", 1)
+    assert solve_two_value(inst).value == wait_and_see(inst)
 
 
 def test_first_stage_only_max_valued_assets():
