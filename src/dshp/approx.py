@@ -53,10 +53,7 @@ def detect_three_values(instance: Instance) -> ThreeValueProfile:
         witness = ", ".join(str(x) for x in sorted(distinct[:4]))
         raise ValueDomainError(f"more than three distinct values: witness {witness}")
     if len(distinct) < 3:
-        raise ValueDomainError(
-            f"only {len(distinct)} distinct value(s); use the two-value solver "
-            f"or the degenerate handling there"
-        )
+        raise ValueDomainError(f"only {len(distinct)} distinct value(s); use the two-value solver")
     low, mid, high = sorted(distinct)
     high_count = sum(1 for v in instance.c if v == high)
     mid_count = sum(1 for v in instance.c if v == mid)

@@ -36,6 +36,7 @@ from .model import (
     parse_rational,
     parse_solution,
     serialize_instance,
+    serialize_solution,
 )
 from .reduction import (
     GenerationError,
@@ -173,7 +174,7 @@ def cmd_solve(args) -> int:
     plan = solution.as_dict()
     if args.solution_out:
         with open(args.solution_out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(plan) + "\n")
+            handle.write(serialize_solution(solution) + "\n")
     _emit(
         {
             "algorithm": args.algo,

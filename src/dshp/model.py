@@ -11,11 +11,11 @@ InstanceError.
 Instance is the one place a number becomes a Fraction, and cells of equal
 value mostly share one: every cell spelling one numeral does, quoted or bare
 in a file.  So Instance coerces a row of strings and ints in one C-level
-pass, and records the value objects of c and f as it makes them.  Its
-distinct values read that record and no cell; its integer view
+pass, and keeps a record of the value objects of c and f as it makes them.
+Its distinct values read that record and no cell; its integer view
 (Instance.scaled) scales each recorded object once and reads the cells once,
 in C (map, zip), to look each integer up by id.  serialize_instance writes
-each value object once and looks each cell's text up by id the same way.
+each recorded object once and looks each cell's text up by id the same way.
 
 Every solver picks a first-stage set F and returns complete_first_stage(F):
 with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
@@ -32,7 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, filterfalse, islice
+from itertools import filterfalse, islice
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -237,10 +237,12 @@ class Instance:
     through as_rational.  A cell refused raises TypeError, ParseError or
     (an int past the digit limit) ValueError naming it, e.g. "f[1][0]: ...".
     c and f share one numeral table and one record of their value objects,
-    which distinct and scaled read; p has a table of its own, so a value
-    spelled only in p is not one of the distinct values.  The record holds
-    the objects, not their ids, so copy.deepcopy and pickle keep it right;
-    whichever of the two views is built second drops it.
+    kept for the instance's lifetime, which distinct, scaled and
+    serialize_instance read; p has a table of its own, so a value spelled
+    only in p is not one of the distinct values.  The record holds the
+    objects, not their ids, so copy.deepcopy and pickle keep it right.  It
+    holds one reference per recorded object: one per distinct numeral of a
+    parsed file, one per cell of an instance built from fresh Fractions.
     Then the invariant is checked: n, m >= 1, 0 <= k <= n, len(c) = len(f)
     = n, len(p) = len(f[i]) = m, p >= 0 and sum(p) = 1.  Breaking it, by
     dataclasses.replace too, raises InstanceError listing every violation,
@@ -269,12 +271,6 @@ class Instance:
             raise InstanceError(violations)
         object.__setattr__(self, "_objects", tuple(seen.values()))
 
-    def _recorded(self, other: str) -> tuple[Fraction, ...]:
-        """The value objects of c and f; the view built second, after other, drops them."""
-        if other in self.__dict__:
-            return self.__dict__.pop("_objects")
-        return self._objects
-
     @cached_property
     def distinct(self) -> tuple[Fraction, ...]:
         """Every distinct value in c or f, in order of first appearance.
@@ -283,7 +279,7 @@ class Instance:
         not from the cells: each object is keyed by its (numerator,
         denominator), since hashing a Fraction is slow.
         """
-        objects = self._recorded("scaled")
+        objects = self._objects
         return tuple(dict(zip(map(Fraction.as_integer_ratio, objects), objects)).values())
 
     @cached_property
@@ -294,7 +290,7 @@ class Instance:
         integer up by id, row by row, and one zip transposes the rows of f
         into the columns.
         """
-        objects = self._recorded("distinct")
+        objects = self._objects
         scale = lcm(*{v.denominator for v in objects})
         ratios = map(Fraction.as_integer_ratio, objects)
         ints = dict(zip(map(id, objects), [n * (scale // d) for n, d in ratios])).__getitem__
@@ -580,12 +576,10 @@ def parse_instance(text: str) -> Instance:
 def serialize_instance(instance: Instance) -> str:
     """Inverse of parse_instance: parse(serialize(I)) == I field for field.
 
-    Each distinct value object of c and f is written with str() once, keyed
-    by id as in Instance.scaled; the cells then look their text up in C.
+    Each value object in the instance's record is written with str() once,
+    keyed by id as in Instance.scaled; the cells then look their text up in C.
     """
-    cells = [*instance.c, *chain.from_iterable(instance.f)]
-    objects = dict(zip(map(id, cells), cells))
-    texts = {key: str(v) for key, v in objects.items()}.__getitem__
+    texts = {id(v): str(v) for v in instance._objects}.__getitem__
     obj = {
         "n": instance.n,
         "m": instance.m,

@@ -30,7 +30,6 @@ from .model import (
     Solution,
     as_rational,
     check_solution,
-    complete_first_stage,
 )
 
 PAIRING_ATTEMPTS = 5000
@@ -277,19 +276,6 @@ def dominating_solution_revenue(n: int, params: ReductionParams, dsize: int) -> 
     B, S = params.discount, params.premium
     row_sum = n - d * B + (n - d - 1) * S - B
     return (n - dsize) + Fraction(1, n) * (dsize * row_sum - n * (1 - B))
-
-
-def dominating_plan(instance: Instance, dominating) -> Solution:
-    """The canonical plan for a vertex set D on a built instance.
-
-    Sells the complement of D at stage 1 and completes greedily, which per
-    scenario sells all of D except one lowest-valued member.  Its value
-    equals dominating_solution_revenue(n, params, |D|) exactly when D
-    dominates the source graph.
-    """
-    chosen = set(dominating)
-    first = [i for i in range(instance.n) if i not in chosen]
-    return complete_first_stage(instance, first)
 
 
 def check_reduction(

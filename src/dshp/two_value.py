@@ -9,7 +9,8 @@ only detects the values and picks that first stage;
 model.complete_first_stage sells the rest along the package's one selling
 order (model.by_value), which groups each column by value and sorts only the
 distinct values, at most two here, so the work is linear in n*m.  A
-VisitCounter tallies the value entries a solve reads.
+VisitCounter tallies the value entries a solve reads, by one fixed rule that
+no earlier call on the instance changes.
 """
 
 from __future__ import annotations
@@ -72,19 +73,18 @@ def solve_two_value(
     otherwise the k lowest-indexed v_max assets are sold and the second
     stage is empty.  complete_first_stage builds the plan.  profile is
     detect_two_values(instance); a caller that has it already passes it, so
-    that the instance is classified once.  The counter is charged the value
-    scan and detection's n reads of c if this call runs them, the first
-    stage, the order build if this call runs it, and each scenario's sale.
-    The value scan is charged n(m+1), one read per cell of c and f, though
-    Instance.distinct reads the objects recorded while the cells were
-    coerced, not the cells: the charge counts each cell's value read once,
-    wherever that read happens.
+    that the instance is classified once.  The counter is charged what a
+    solve of a fresh instance reads: n(m+1) for the value scan plus n for
+    detection's reads of c when this call detects (profile is None), |F| for
+    the first stage, and, when |F| < k, n*m for the order build plus each
+    scenario's walk to its last sale.  The charge counts each value read
+    once, wherever it happens: Instance.distinct reads the objects recorded
+    while the cells were coerced, and a view built by an earlier call is
+    charged again, so the same instance always gets the same count.
     """
-    ordered = "scaled" in instance.__dict__ and "order" in instance.scaled.__dict__
     if profile is None:
         if counter:
-            scanned = "distinct" in instance.__dict__
-            counter.add((0 if scanned else instance.n * (instance.m + 1)) + instance.n)
+            counter.add(instance.n * (instance.m + 1) + instance.n)
         profile = detect_two_values(instance)
     first = profile.max_valued[: instance.k]
     solution = complete_first_stage(instance, first)
@@ -94,7 +94,7 @@ def solve_two_value(
             # Building the selling order reads every cell once (a two-valued
             # column has two value groups, so by_value orders it in O(n)), and
             # each scenario's sale walked its order up to the last asset it sold.
-            counter.add(0 if ordered else instance.n * instance.m)
+            counter.add(instance.n * instance.m)
             for order, sold in zip(instance.scaled.order, map(set, solution.second_stage)):
                 counter.add(max(q for q, i in enumerate(order, 1) if i in sold))
     return solution

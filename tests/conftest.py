@@ -26,6 +26,18 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
+def dominating_plan(instance, dominating):
+    """The canonical plan for a vertex set D on a built reduction instance.
+
+    Sells the complement of D at stage 1 and completes greedily, which per
+    scenario sells all of D except one lowest-valued member.  Its value
+    equals dominating_solution_revenue(n, params, |D|) exactly when D
+    dominates the source graph.
+    """
+    chosen = set(dominating)
+    return complete_first_stage(instance, [i for i in range(instance.n) if i not in chosen])
+
+
 def brute_force_second_stage(instance, first_stage):
     """Independent oracle for the greedy completion: per scenario, maximize
     over every (k - |F|)-subset of the unsold assets by full enumeration."""

@@ -14,7 +14,6 @@ from dshp import (
     build_reduction,
     default_params,
     detect_three_values,
-    dominating_plan,
     dominating_solution_revenue,
     extract_dominating,
     gen_regular_graph,
@@ -35,6 +34,7 @@ from dshp.exact import ExactOptions
 from conftest import (
     brute_force_second_stage,
     cycle_graph,
+    dominating_plan,
     first_optimum_by_enumeration,
     greedy_second_stage,
     octahedron,

@@ -41,9 +41,14 @@ def test_detect_reduction_instance():
 
 
 def test_detect_rejects_wrong_cardinality():
+    one = Instance(n=2, m=1, k=1, c=(1, 1), p=(1,), f=((1,), (1,)))
+    with pytest.raises(ValueDomainError) as raised:
+        detect_three_values(one)
+    assert str(raised.value) == "only 1 distinct value(s); use the two-value solver"
     two = Instance(n=2, m=1, k=1, c=(1, 2), p=(1,), f=((1,), (2,)))
-    with pytest.raises(ValueDomainError):
+    with pytest.raises(ValueDomainError) as raised:
         detect_three_values(two)
+    assert str(raised.value) == "only 2 distinct value(s); use the two-value solver"
     four = Instance(n=2, m=1, k=1, c=(1, 2), p=(1,), f=((3,), (4,)))
     with pytest.raises(ValueDomainError, match="witness"):
         detect_three_values(four)

@@ -22,7 +22,7 @@ from dshp import (
 from dshp import cli
 from dshp.cli import main
 
-from conftest import octahedron
+from conftest import dominating_plan, octahedron
 
 
 def run(capsys, *argv):
@@ -316,7 +316,7 @@ def test_check_reduction_round_trip(tmp_path, capsys):
 def test_check_reduction_skips_brute_force_above_cap(tmp_path, capsys):
     # n=26 is above the cap, so both the exact optimum and the brute-force
     # minimum dominating set are skipped instead of failing the command
-    from dshp import dominating_plan, serialize_solution
+    from dshp import serialize_solution
 
     gpath, ipath, spath = (tmp_path / name for name in ("g.txt", "inst.json", "sol.json"))
     code, out = run(capsys, "gen", "graph", "--n", "26", "--d", "3", "--seed", "1")
@@ -344,7 +344,7 @@ def test_check_reduction_cap_boundary(cap, tmp_path, capsys):
     # every vertex back is a valid plan but not an optimal one: at a cap of n
     # solution_optimal and mds_size_matches are checked and fail, at n-1 both
     # are skipped.
-    from dshp import dominating_plan, serialize_graph, serialize_solution
+    from dshp import serialize_graph, serialize_solution
 
     gpath, ipath, spath = (tmp_path / name for name in ("g.txt", "inst.json", "sol.json"))
     gpath.write_text(serialize_graph(octahedron()))

@@ -22,7 +22,6 @@ from dshp import (
     check_solution,
     complete_first_stage,
     default_params,
-    dominating_plan,
     build_reduction,
     evaluate,
     gen_tightness,
@@ -37,7 +36,7 @@ from dshp import (
 from dshp.cli import gen_random_instance
 from dshp.model import by_value
 
-from conftest import brute_force_second_stage, octahedron
+from conftest import brute_force_second_stage, dominating_plan, octahedron
 
 
 def test_validate_budget_exceeds_assets():
@@ -478,9 +477,10 @@ def test_value_table_matches_the_per_cell_scan(n, m, mode, data):
     assert (view.c, view.columns, view.weights, view.scale, view.pscale) == reference_scaled(inst)
     # equal values spelled apart share one integer
     assert len({*view.c, *(x for column in view.columns for x in column)}) == len(inst.distinct)
-    # neither build keeps its value table on the instance
+    # neither build keeps a value table of its own; the instance keeps its record
     fields = {field.name for field in dataclasses.fields(inst)}
-    assert set(vars(inst)) == fields | {"distinct", "scaled"}
+    assert set(vars(inst)) == fields | {"_objects", "distinct", "scaled"}
+    assert recorded_ids(inst) == first_appearance_ids(inst)
 
 
 def drawn_instance(n, m, mode, data):
@@ -528,6 +528,11 @@ def recorded_ids(inst):
     return list(map(id, vars(inst)["_objects"]))
 
 
+def first_appearance_ids(inst):
+    """The ids of the cells of c and f, each once, in order of first appearance."""
+    return list(dict.fromkeys(map(id, chain(inst.c, *inst.f))))
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(
     st.integers(1, 5),
@@ -539,14 +544,16 @@ def recorded_ids(inst):
 def test_the_value_record_serves_either_view_first(n, m, mode, first, data):
     inst = drawn_instance(n, m, mode, data)
     # the record is every value object of c and f once, in order of first appearance
-    assert recorded_ids(inst) == list(dict.fromkeys(map(id, chain(inst.c, *inst.f))))
+    assert recorded_ids(inst) == first_appearance_ids(inst)
     getattr(inst, first)
-    assert "_objects" in vars(inst)  # kept for the other view
+    assert recorded_ids(inst) == first_appearance_ids(inst)  # kept for the other view
     assert inst.distinct == reference_distinct(inst)
     view = inst.scaled
     assert (view.c, view.columns, view.weights, view.scale, view.pscale) == reference_scaled(inst)
+    # and kept after both, for the instance's lifetime
     fields = {field.name for field in dataclasses.fields(inst)}
-    assert set(vars(inst)) == fields | {"distinct", "scaled"}
+    assert set(vars(inst)) == fields | {"_objects", "distinct", "scaled"}
+    assert recorded_ids(inst) == first_appearance_ids(inst)
 
 
 def test_the_value_record_follows_the_cells_of_c_and_f_only():
@@ -563,8 +570,7 @@ def test_the_value_record_follows_the_cells_of_c_and_f_only():
         p=("1/3", "2/3"),
         f=(("3/4", "5"), (half, Fraction(3, 4)), (1, Fraction(5))),
     )
-    cells = list(chain(inst.c, *inst.f))
-    assert recorded_ids(inst) == list(dict.fromkeys(map(id, cells)))
+    assert recorded_ids(inst) == first_appearance_ids(inst)
     assert set(vars(inst)["_objects"]) == {half, Fraction(3, 4), Fraction(5), Fraction(1)}
     assert inst.distinct == (half, Fraction(3, 4), Fraction(5), Fraction(1))
     # bare rows: f[2] all bare, f[3] opening with a bare int; a bare number
@@ -574,8 +580,7 @@ def test_the_value_record_follows_the_cells_of_c_and_f_only():
         '{"n": 4, "m": 2, "k": 1, "c": ["0.5", 0.5, 2, "2"], "p": ["1/3", "2/3"],'
         ' "f": [["1/2", "0.5"], [2, "0.5"], [0.5, 2], [2, "1/2"]]}'
     )
-    cells = list(chain(parsed.c, *parsed.f))
-    assert recorded_ids(parsed) == list(dict.fromkeys(map(id, cells)))
+    assert recorded_ids(parsed) == first_appearance_ids(parsed)
     assert len(vars(parsed)["_objects"]) == 3
     assert parsed.c[1] is parsed.c[0] is parsed.f[2][0]
     assert parsed.c[3] is parsed.c[2] is parsed.f[2][1] is parsed.f[3][0]
@@ -595,9 +600,11 @@ def test_an_instance_with_one_view_copies_with_its_record(built, copier):
     again = copier(inst)
     fresh = parse_instance(text)
     assert again == fresh
+    # the copy's record is its own cells' objects, kept through both views
+    assert recorded_ids(again) == first_appearance_ids(again)
     assert again.distinct == fresh.distinct
     assert again.scaled == fresh.scaled
-    assert "_objects" not in vars(again)
+    assert recorded_ids(again) == first_appearance_ids(again)
 
 
 def per_cell_serialization(inst) -> str:
@@ -626,8 +633,8 @@ def per_cell_serialization(inst) -> str:
 )
 def test_serialization_per_value_object_equals_the_per_cell_form(n, m, mode, label, built, data):
     # str, int and Fraction cells; equal values spelled apart, or fresh
-    # Fractions, are distinct objects of one text; either view, or both (which
-    # drops the value record), may be built before writing
+    # Fractions, are distinct objects of one text; either view, or both, may
+    # be built before writing
     inst = dataclasses.replace(drawn_instance(n, m, mode, data), label=label)
     for view in {"both": ["distinct", "scaled"], None: []}.get(built, [built]):
         getattr(inst, view)
@@ -636,7 +643,8 @@ def test_serialization_per_value_object_equals_the_per_cell_form(n, m, mode, lab
     assert parse_instance(text) == inst
 
 
-def test_serialization_writes_each_value_object_once():
+@pytest.mark.parametrize("views", [(), ("distinct", "scaled")], ids=["no-view", "both-views"])
+def test_serialization_writes_each_value_object_once(views):
     written = []
 
     class Counted(Fraction):
@@ -647,6 +655,8 @@ def test_serialization_writes_each_value_object_once():
     half, also_half, two = Counted(1, 2), Counted(1, 2), Counted(2)
     inst = Instance(n=2, m=2, k=1, c=[half, two], p=["1/3", "2/3"],
                     f=[[two, also_half], [half, two]])
+    for view in views:
+        getattr(inst, view)
     expected = per_cell_serialization(inst)
     written.clear()
     assert serialize_instance(inst) == expected

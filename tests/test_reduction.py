@@ -20,7 +20,6 @@ from dshp import (
     brute_force_mds,
     build_reduction,
     default_params,
-    dominating_plan,
     dominating_solution_revenue,
     evaluate,
     extract_dominating,
@@ -41,7 +40,7 @@ from dshp import exact, reduction
 from dshp.cli import main
 from dshp.reduction import adjacency, check_reduction, reduction_premises
 
-from conftest import complete_graph, cycle_graph, octahedron
+from conftest import complete_graph, cycle_graph, dominating_plan, octahedron
 
 GOLDEN = Path(__file__).parent / "golden"
 

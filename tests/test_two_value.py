@@ -154,14 +154,25 @@ def test_first_stage_only_max_valued_assets():
         assert all(inst.c[i] == profile.v_max for i in sol.first_stage)
 
 
-def test_visit_count_charges_only_the_scan_that_runs():
-    # the value scan and the selling order are stored on the instance, so a
-    # second solve reads n(m+1) + nm fewer cells and its counter must show that
-    inst = gen_random_instance(8, 4, 3, "2", 7)
-    first, second = VisitCounter(), VisitCounter()
-    solve_two_value(inst, first)
-    solve_two_value(inst, second)
-    assert first.visits - second.visits == inst.n * (inst.m + 1) + inst.n * inst.m
+@pytest.mark.parametrize("k", [2, 3], ids=["all-up-front", "budget-left"])
+def test_visit_count_does_not_depend_on_call_history(k):
+    # the counter charges one fixed rule, not whichever views an earlier call
+    # left on the instance: a second solve, and a solve after the value scan
+    # and the selling order were built by hand, count what a fresh one does
+    def visits(instance):
+        counter = VisitCounter()
+        solve_two_value(instance, counter)
+        return counter.visits
+
+    fresh = visits(gen_random_instance(8, 4, k, "2", 7))
+    inst = gen_random_instance(8, 4, k, "2", 7)
+    assert [visits(inst), visits(inst)] == [fresh, fresh]
+    built = gen_random_instance(8, 4, k, "2", 7)
+    built.distinct
+    built.scaled.order
+    assert visits(built) == fresh
+    # the plan takes the branch its id names
+    assert (len(solve_two_value(inst).first_stage) < k) == (k == 3)
 
 
 def test_a_given_profile_is_not_detected_again(monkeypatch):
