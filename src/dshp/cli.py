@@ -21,7 +21,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import repeat
 
 from .approx import detect_three_values, gen_tightness, solve_approx
 from .exact import ExactOptions, solve_exact
@@ -83,6 +82,35 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+# Words per getrandbits call in _draw_indices, which bounds its transient
+# memory at a few times 4 bytes per word whatever the instance's size.
+_BLOCK_WORDS = 4096
+# bytes.translate arguments taking a word's top byte to its top two bits,
+# deleting those >= size: for sizes 2 and 3, size.bit_length() is 2.
+_TOP_TWO_BITS = bytes(byte >> 6 for byte in range(256))
+_AT_LEAST = {size: bytes(range(size << 6, 256)) for size in (2, 3)}
+
+
+def _draw_indices(rng: random.Random, size: int, count: int) -> bytearray:
+    """count indices below size (2 or 3), the same ones, leaving rng in the
+    same state, as count calls of rng.choice on a sequence of that size.
+
+    CPython's choice reads one 32-bit word per try and keeps its top two
+    bits unless they are >= size.  getrandbits(32 * w) returns w words, the
+    first in the lowest bits, so byte 3 of each little-endian 4-byte group
+    is a word's top byte, in draw order.  A block asks for no more words
+    than indices still missing, so it never reads a word that the choice
+    calls would not, and the loop ends with rng exactly where they leave it.
+    """
+    delete = _AT_LEAST[size]
+    drawn = bytearray()
+    while len(drawn) < count:
+        words = min(count - len(drawn), _BLOCK_WORDS)
+        block = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        drawn += block.translate(_TOP_TWO_BITS, delete)
+    return drawn
+
+
 def gen_random_instance(n: int, m: int, k: int, values: str, seed: int) -> Instance:
     """Seeded random instance whose values come from a random admissible set.
 
@@ -94,12 +122,13 @@ def gen_random_instance(n: int, m: int, k: int, values: str, seed: int) -> Insta
     The draw stream is fixed, so serialize_instance writes the output of a
     (shape, values, seed) byte for byte alike on every run.
     random.Random(seed) draws, for "2"/"3", the value set, then per attempt
-    the n cells of c and the n * m cells of f, row by row, each one
-    rng.choice of the sorted set's numerals (one _randbelow(len(set)), as
-    seq[randrange(len(seq))] draws); for "any", each cell of c, then of f,
-    as a denominator and a numerator; last, the m integer weights of p.  A
-    "2"/"3" cell is its numeral string, which Instance parses once per
-    distinct numeral.
+    the n cells of c and the n * m cells of f, row by row, each the index
+    into the sorted set's numerals read from one 32-bit Mersenne Twister
+    word's top size.bit_length() bits, the word redrawn while they are >=
+    size, exactly as rng.choice(numerals) draws (see _draw_indices); for
+    "any", each cell of c, then of f, as a denominator and a numerator;
+    last, the m integer weights of p.  A "2"/"3" cell is its numeral
+    string, which Instance parses once per distinct numeral.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
@@ -127,11 +156,12 @@ def gen_random_instance(n: int, m: int, k: int, values: str, seed: int) -> Insta
                 break
         numerals = [str(v) for v in sorted(pool)]
         for _ in range(10000):
-            cells = tuple(map(rng.choice, repeat(numerals, n * (m + 1))))
-            if len(set(cells)) == size:
+            drawn = _draw_indices(rng, size, n * (m + 1))
+            if all(index in drawn for index in range(size)):
                 break
         else:
             raise GenerationError(f"could not realize all {size} values (seed {seed})")
+        cells = tuple(map(numerals.__getitem__, drawn))
         c = cells[:n]
         f = tuple(cells[start:start + m] for start in range(n, len(cells), m))
     else:

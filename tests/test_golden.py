@@ -19,6 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import dshp.cli
 from dshp.cli import gen_random_instance, main
@@ -126,19 +127,51 @@ def test_the_generator_draw_stream_is_pinned(values, seed):
 def test_the_generator_draw_stream_holds_through_retries(monkeypatch):
     # n=1, m=2 with three values has 3 cells per attempt; seed 0 takes 7
     # attempts before every value appears
-    draws = []
+    made = []
 
-    class Counting(random.Random):
-        def choice(self, seq):
-            draws.append(len(seq))
-            return super().choice(seq)
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
 
-    monkeypatch.setattr(dshp.cli, "random", SimpleNamespace(Random=Counting))
+    monkeypatch.setattr(dshp.cli, "random", SimpleNamespace(Random=Recording))
     instance = gen_random_instance(1, 2, 1, "3", 0)
-    assert draws == [3] * 21
+    # a reference generator replays the stream with one rng.choice per cell:
+    # the value set, 7 attempts of 3 cells, then the weights
+    reference = random.Random(0)
+
+    def rand_rational(lo, hi):
+        den = reference.randint(1, 4)
+        return Fraction(reference.randint(lo * den, hi * den), den)
+
+    while len(pool := {rand_rational(0, 6) for _ in range(3)}) < 3:
+        pass
+    numerals = [str(v) for v in sorted(pool)]
+    attempts = [[reference.choice(numerals) for _ in range(3)] for _ in range(7)]
+    while not any([reference.randint(0, 8) for _ in range(2)]):
+        pass
+    assert [len(set(cells)) == 3 for cells in attempts] == [False] * 6 + [True]
+    assert [rng.getstate() for rng in made] == [reference.getstate()]
+    assert attempts[-1] == [str(instance.c[0])] + [str(v) for v in instance.f[0]]
     assert digest(instance) == "f3f8ba8998ac6598b480ed6f624685b20746ec343ce758643152c2f6a43c81b6"
     assert instance.c == (Fraction(16, 3),)
     assert instance.f == ((Fraction(1, 4), Fraction(6)),)
+
+
+@example(size=2, seed=0, count=dshp.cli._BLOCK_WORDS + 1)
+@example(size=3, seed=0, count=0)
+@given(
+    size=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**64),
+    count=st.integers(0, dshp.cli._BLOCK_WORDS + 64),
+)
+def test_block_draws_equal_one_choice_per_cell(size, seed, count):
+    # counts past _BLOCK_WORDS read the stream in more than one capped block
+    reference = random.Random(seed)
+    expected = bytes(reference.choice(range(size)) for _ in range(count))
+    rng = random.Random(seed)
+    assert dshp.cli._draw_indices(rng, size, count) == expected
+    assert rng.getstate() == reference.getstate()
 
 
 def regenerate() -> None:
