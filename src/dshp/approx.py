@@ -5,22 +5,19 @@ early as the budget allows achieves at least mid/high of the optimum
 (ThreeValueProfile.guarantee), and the ratio is attained exactly on a
 4-asset, 3-scenario family (gen_tightness), so the bound cannot be
 improved.  solve_approx picks that first stage and returns
-model.complete_first_stage of it, like every solver.
+model.complete_first_stage of it, like every solver: each scenario then
+sells the best of the held assets, those not sold first.  First-stage values
+are matched against mid and high on (numerator, denominator) pairs, since
+comparing Fractions is slow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
-from .model import (
-    Instance,
-    Solution,
-    ValueDomainError,
-    as_rational,
-    by_value,
-    complete_first_stage,
-)
+from .model import Instance, Solution, ValueDomainError, as_rational, complete_first_stage
 
 
 @dataclass(frozen=True)
@@ -55,8 +52,9 @@ def detect_three_values(instance: Instance) -> ThreeValueProfile:
     if len(distinct) < 3:
         raise ValueDomainError(f"only {len(distinct)} distinct value(s); use the two-value solver")
     low, mid, high = sorted(distinct)
-    high_count = sum(1 for v in instance.c if v == high)
-    mid_count = sum(1 for v in instance.c if v == mid)
+    ratios = list(map(Fraction.as_integer_ratio, instance.c))
+    high_count = ratios.count(high.as_integer_ratio())
+    mid_count = ratios.count(mid.as_integer_ratio())
     return ThreeValueProfile(low, mid, high, high_count, mid_count)
 
 
@@ -77,9 +75,11 @@ def solve_approx(instance: Instance, profile: ThreeValueProfile | None = None) -
         raise ValueDomainError(
             f"negative value {profile.low} present: the ratio guarantee needs nonnegative values"
         )
-    ranked = by_value(instance.c, range(instance.n))
-    stage1 = [i for i in ranked if instance.c[i] >= profile.mid][: instance.k]
-    return complete_first_stage(instance, stage1)
+    ratios = list(map(Fraction.as_integer_ratio, instance.c))
+    assets = range(instance.n)
+    high = compress(assets, map(profile.high.as_integer_ratio().__eq__, ratios))
+    mid = compress(assets, map(profile.mid.as_integer_ratio().__eq__, ratios))
+    return complete_first_stage(instance, [*high, *mid][: instance.k])
 
 
 def gen_tightness(low, mid, high) -> Instance:

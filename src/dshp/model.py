@@ -19,8 +19,9 @@ each recorded object once and looks each cell's text up by id the same way.
 
 Every solver picks a first-stage set F and returns complete_first_stage(F):
 with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
-optimal.  It walks each scenario's selling order (ScaledView.order), built
-once per instance by by_value: highest value first, ties to the lowest index.
+optimal.  It groups each scenario's held assets, those not in F, with
+by_value: highest value first, ties to the lowest index.  The full selling
+order of every asset (ScaledView.order) is the exact search's own cache.
 """
 
 from __future__ import annotations
@@ -317,7 +318,11 @@ class ScaledView:
 
     @cached_property
     def order(self) -> tuple[list[int], ...]:
-        """The selling order: per scenario, every asset by_value, built on first use."""
+        """The selling order: per scenario, every asset by_value, built on first use.
+
+        The exact search's cache; second_stage_greedy groups only the held
+        assets and never builds it.
+        """
         assets = range(len(self.c))
         return tuple(by_value(column, assets) for column in self.columns)
 
@@ -450,9 +455,12 @@ def second_stage_greedy(
     With the first stage fixed, each scenario independently sells the
     k - |F| most valuable remaining assets (ties to the lowest index);
     the continuous relaxation of that per-scenario subproblem has an
-    integral optimum, so this greedy is exact.  Each scenario sells the
-    first k - |F| assets of its selling order (instance.scaled.order) not in
-    F; with |F| = k nothing is left to sell, and instance.scaled is not built.
+    integral optimum, so this greedy is exact.  Each scenario groups the
+    held assets, those not in F in ascending order, by_value and sells the
+    first k - |F| of them.  by_value keeps item order within a value, so that
+    is the scenario's selling order (ScaledView.order) with F left out, and
+    the order is never built here.  With |F| = k nothing is left to sell,
+    and instance.scaled is not built.
 
     Returns the per-scenario sold lists (index-sorted) and the expected
     second-stage revenue sum_j p_j * (sum of selected f_ij).  Raises
@@ -464,20 +472,30 @@ def second_stage_greedy(
     if not need:
         return ((),) * instance.m, Fraction(0)
     view, first = instance.scaled, set(chosen)
+    held = list(filterfalse(first.__contains__, range(instance.n)))
     total = 0  # sum_j weights[j] * (sum of sold values): the revenue times scale * pscale
     selections = []
-    for weight, order, column in zip(view.weights, view.order, view.columns):
-        sold = list(islice(filterfalse(first.__contains__, order), need))
+    for weight, column in zip(view.weights, view.columns):
+        sold = by_value(column, held)[:need]
         total += weight * sum(map(column.__getitem__, sold))
         selections.append(tuple(sorted(sold)))
     return tuple(selections), Fraction(total, view.scale * view.pscale)
 
 
 def complete_first_stage(instance: Instance, first_stage: Iterable[int]) -> Solution:
-    """The full Solution for a first-stage set under greedy completion: every solver's plan."""
+    """The full Solution for a first-stage set under greedy completion: every solver's plan.
+
+    When a second stage runs, F's value is summed in the integer view that
+    stage built, one Fraction for the whole set; with |F| = k, in Fractions,
+    so that instance.scaled is still not built.
+    """
     chosen = sorted(first_stage)
     selections, revenue = second_stage_greedy(instance, chosen)
-    value = sum((instance.c[i] for i in chosen), Fraction(0)) + revenue
+    if len(chosen) < instance.k:
+        view = instance.scaled
+        value = Fraction(sum(map(view.c.__getitem__, chosen)), view.scale) + revenue
+    else:
+        value = sum((instance.c[i] for i in chosen), Fraction(0))
     return Solution(chosen, selections, value)
 
 

@@ -6,17 +6,18 @@ never loses value), and the leftover budget is spent per scenario on v_max
 entries first.  A single-valued instance is the case v_min = v_max: every
 asset is worth v_max, so the first k are sold up front.  So solve_two_value
 only detects the values and picks that first stage;
-model.complete_first_stage sells the rest along the package's one selling
-order (model.by_value), which groups each column by value and sorts only the
-distinct values, at most two here, so the work is linear in n*m.  A
-VisitCounter tallies the value entries a solve reads, by one fixed rule that
-no earlier call on the instance changes.
+model.complete_first_stage sells the rest: each scenario groups the held
+assets, those not sold first, by the package's one selling rule
+(model.by_value), which sorts only the distinct values, at most two here, so
+the work is linear in n*m.  A VisitCounter tallies the value entries a solve
+reads, by one fixed rule that no earlier call on the instance changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .model import Instance, Solution, ValueDomainError, complete_first_stage
 
@@ -51,13 +52,17 @@ def detect_two_values(instance: Instance) -> TwoValueProfile:
     More than two distinct values raises ValueDomainError with a witness
     triple.  A single value v gives TwoValueProfile(v, v, every asset).
     Only the values are checked: an Instance is valid by construction.
+    c is matched against v_max on (numerator, denominator) pairs, since
+    comparing Fractions is slow.
     """
     distinct = instance.distinct
     if len(distinct) > 2:
         witness = ", ".join(str(v) for v in sorted(distinct[:3]))
         raise ValueDomainError(f"not two-valued: witness values {witness}")
     v_max = max(distinct)
-    max_valued = tuple(i for i in range(instance.n) if instance.c[i] == v_max)
+    top = v_max.as_integer_ratio()
+    ratios = map(Fraction.as_integer_ratio, instance.c)
+    max_valued = tuple(compress(range(instance.n), map(top.__eq__, ratios)))
     return TwoValueProfile(min(distinct), v_max, max_valued)
 
 
@@ -76,11 +81,12 @@ def solve_two_value(
     that the instance is classified once.  The counter is charged what a
     solve of a fresh instance reads: n(m+1) for the value scan plus n for
     detection's reads of c when this call detects (profile is None), |F| for
-    the first stage, and, when |F| < k, n*m for the order build plus each
-    scenario's walk to its last sale.  The charge counts each value read
-    once, wherever it happens: Instance.distinct reads the objects recorded
-    while the cells were coerced, and a view built by an earlier call is
-    charged again, so the same instance always gets the same count.
+    the first stage, and, when |F| < k, (n - |F|)*m for grouping each
+    scenario's held assets plus (k - |F|)*m for the values each scenario's
+    sale sums.  The charge counts each value read once, wherever it happens:
+    Instance.distinct reads the objects recorded while the cells were
+    coerced, and a view built by an earlier call is charged again, so the
+    same instance always gets the same count.
     """
     if profile is None:
         if counter:
@@ -91,10 +97,9 @@ def solve_two_value(
     if counter:
         counter.add(len(first))
         if len(first) < instance.k:
-            # Building the selling order reads every cell once (a two-valued
-            # column has two value groups, so by_value orders it in O(n)), and
-            # each scenario's sale walked its order up to the last asset it sold.
-            counter.add(instance.n * instance.m)
-            for order, sold in zip(instance.scaled.order, map(set, solution.second_stage)):
-                counter.add(max(q for q, i in enumerate(order, 1) if i in sold))
+            # Grouping reads each held asset's value once per scenario (a
+            # two-valued column has two value groups, so by_value is O(n)),
+            # and each sale reads the values of the k - |F| assets it sold.
+            held, need = instance.n - len(first), instance.k - len(first)
+            counter.add((held + need) * instance.m)
     return solution

@@ -80,6 +80,28 @@ def two_valued_first_stage(instance):
 
 
 @st.composite
+def small_instances(draw, max_n=7, palette_sizes=(1, 2, 12)):
+    """n <= max_n, m <= 4, any k; values from a small signed set (its size
+    drawn up to one of palette_sizes: one, two or many distinct values);
+    probabilities from weights that may be zero."""
+    n, m = draw(st.integers(1, max_n)), draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    palette = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-6, 9), st.sampled_from([1, 2, 3])),
+            min_size=1,
+            max_size=draw(st.sampled_from(palette_sizes)),
+        )
+    )
+    value = st.sampled_from(palette)
+    c = draw(st.lists(value, min_size=n, max_size=n))
+    f = [draw(st.lists(value, min_size=m, max_size=m)) for _ in range(n)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    p = [Fraction(w, sum(weights)) for w in weights]
+    return Instance(n=n, m=m, k=k, c=c, p=p, f=f)
+
+
+@st.composite
 def two_valued_instances(draw, max_n=9, max_m=4):
     """n <= max_n, m <= max_m, any k; every c_i and f_ij one of two signed
     values a <= b (a == b, or one of them unused, gives a single-valued

@@ -1,5 +1,6 @@
 """Three-value heuristic: detection, guarantee, tightness family."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from dshp import (
     detect_three_values,
     evaluate,
     gen_tightness,
+    parse_instance,
     solve_approx,
     solve_exact,
 )
@@ -107,6 +109,34 @@ def test_stage_one_choices_high_before_mid():
     sol = solve_approx(inst)
     assert sol.first_stage == (1, 3)
     assert sol.value == 4
+
+
+# c spells one half as "1/2", "0.5" and bare 0.5, and two as "2", "2.0",
+# bare 2 and "4/2"; the file's cells of one numeral share one Fraction, and
+# other spellings of the value are other objects
+SPELLED = (
+    '{"n": 10, "m": 2, "k": %d, "c": ["2", "1/2", "0", "0.5", 0.5, "2.0", 2, "4/2", "1/2", "0"],'
+    ' "p": ["1/2", "1/2"], "f": [["0", "2"], ["1/2", "0"], ["0", "0"], ["2", "0.5"], ["0", "0"],'
+    ' ["0", "0"], ["0", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]}'
+)
+
+
+@pytest.mark.parametrize("k", [2, 4, 7, 9])
+def test_classification_matches_fraction_comparison_across_spellings(k):
+    parsed = parse_instance(SPELLED % k)
+    # two more objects: a fresh Fraction(1, 2) and a fresh Fraction(2)
+    inst = dataclasses.replace(parsed, c=parsed.c[:8] + (Fraction(1, 2), Fraction(2)))
+    half = [v for v in inst.c if v == Fraction(1, 2)]
+    assert len({id(v) for v in half}) == 3
+    profile = detect_three_values(inst)
+    assert (profile.low, profile.mid, profile.high) == (0, Fraction(1, 2), 2)
+    assert profile.high_count == sum(1 for v in inst.c if v == profile.high) == 5
+    assert profile.mid_count == sum(1 for v in inst.c if v == profile.mid) == 4
+    ranked = sorted(range(inst.n), key=lambda i: (-inst.c[i], i))
+    expected = [i for i in ranked if inst.c[i] >= profile.mid][:k]
+    sol = solve_approx(inst)
+    assert sol.first_stage == tuple(sorted(expected))
+    assert sol.value == evaluate(inst, sol)
 
 
 def test_gen_tightness_family():

@@ -33,6 +33,7 @@ from conftest import (
     brute_force_second_stage,
     first_optimum_by_enumeration,
     greedy_second_stage,
+    small_instances,
     two_valued_first_stage,
     two_valued_instances,
 )
@@ -174,27 +175,6 @@ def test_deterministic_tie_break_prefers_smaller_first_stage():
 
 def pruned_pool(instance):
     return sorted(set(range(instance.n)) - prunable(instance))
-
-
-@st.composite
-def small_instances(draw):
-    """n <= 7, m <= 4, any k; values from a small signed set (one, two or
-    many distinct values); probabilities from weights that may be zero."""
-    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 4))
-    k = draw(st.integers(0, n))
-    palette = draw(
-        st.lists(
-            st.builds(Fraction, st.integers(-6, 9), st.sampled_from([1, 2, 3])),
-            min_size=1,
-            max_size=draw(st.sampled_from([1, 2, 12])),
-        )
-    )
-    value = st.sampled_from(palette)
-    c = draw(st.lists(value, min_size=n, max_size=n))
-    f = [draw(st.lists(value, min_size=m, max_size=m)) for _ in range(n)]
-    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
-    p = [Fraction(w, sum(weights)) for w in weights]
-    return Instance(n=n, m=m, k=k, c=c, p=p, f=f)
 
 
 HALF = Fraction(1, 2)

@@ -6,11 +6,11 @@ import json
 import pickle
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, filterfalse, islice
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dshp import (
     Instance,
@@ -32,11 +32,12 @@ from dshp import (
     serialize_instance,
     serialize_solution,
     solve_approx,
+    solve_two_value,
 )
 from dshp.cli import gen_random_instance
 from dshp.model import by_value
 
-from conftest import brute_force_second_stage, dominating_plan, octahedron
+from conftest import brute_force_second_stage, dominating_plan, octahedron, small_instances
 
 
 def test_validate_budget_exceeds_assets():
@@ -158,6 +159,61 @@ def test_greedy_matches_brute_force_on_random_instances():
         first = set(rng.sample(range(inst.n), size))
         _, revenue = second_stage_greedy(inst, first)
         assert revenue == brute_force_second_stage(inst, first)
+
+
+@st.composite
+def completions(draw):
+    """An instance of one, two, three or many values and a first stage of at most k assets."""
+    instance = draw(small_instances(max_n=8, palette_sizes=(1, 2, 3, 12)))
+    size = draw(st.integers(0, instance.k))
+    assets = st.integers(0, instance.n - 1)
+    first = draw(st.lists(assets, min_size=size, max_size=size, unique=True))
+    return instance, first
+
+
+SIGNED = Instance(
+    n=4, m=3, k=2, c=(2, 0, -1, 3), p=(0, Fraction(1, 3), Fraction(2, 3)),
+    f=((1, 5, 9), (4, 4, -2), (3, -6, 0), (-1, 2, 7)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=completions())
+@example(case=(dataclasses.replace(SIGNED, k=0), []))
+@example(case=(dataclasses.replace(SIGNED, k=4), []))
+@example(case=(dataclasses.replace(SIGNED, k=4), [3, 1]))
+@example(case=(SIGNED, [2, 0]))
+@example(case=(SIGNED, [2]))
+def test_completion_sells_the_selling_order_without_the_first_stage(case):
+    # the completion groups only the held assets, yet sells exactly what
+    # walking each scenario's full selling order past F sold, and its value
+    # is the exact objective recomputed in Fractions
+    instance, first = case
+    selections, revenue = second_stage_greedy(instance, first)
+    need, view = instance.k - len(first), instance.scaled
+    expected = tuple(
+        tuple(sorted(islice(filterfalse(set(first).__contains__, order), need)))
+        for order in view.order
+    )
+    assert selections == expected
+    assert revenue == sum(
+        (pj * sum((instance.f[i][j] for i in sold), Fraction(0))
+         for j, (pj, sold) in enumerate(zip(instance.p, expected))),
+        Fraction(0),
+    )
+    solution = complete_first_stage(instance, first)
+    assert solution.second_stage == expected
+    assert solution.value == evaluate(instance, solution)
+
+
+@pytest.mark.parametrize("values, solve", [("2", solve_two_value), ("3", solve_approx)])
+def test_completion_builds_no_selling_order(values, solve):
+    # with budget left, the solvers complete over the held assets only:
+    # ScaledView.order, the exact search's cache, stays unbuilt
+    inst = gen_random_instance(150, 100, 135, values, 1)
+    sol = solve(inst)
+    assert len(sol.first_stage) < inst.k
+    assert "order" not in vars(inst.scaled)
 
 
 def test_evaluate_empty_solution_zero_budget():

@@ -1,5 +1,6 @@
 """Two-value solver: detection, optimality vs enumeration, linear-time evidence."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from dshp import (
     build_reduction,
     default_params,
     detect_two_values,
+    parse_instance,
     solve_exact,
     solve_two_value,
 )
@@ -48,6 +50,21 @@ def test_detect_degenerate_single_value():
     # one value is the case v_min = v_max: every asset is worth v_max up front
     inst = Instance(n=2, m=1, k=1, c=(3, 3), p=(1,), f=((3,), (3,)))
     assert detect_two_values(inst) == TwoValueProfile(Fraction(3), Fraction(3), (0, 1))
+
+
+def test_max_valued_matches_fraction_comparison_across_spellings():
+    # c spells v_max = 1/2 as "1/2", "0.5", bare 0.5 and a fresh Fraction(1, 2):
+    # the file's cells of one numeral share one Fraction, other spellings do not
+    parsed = parse_instance(
+        '{"n": 6, "m": 2, "k": 3, "c": ["1/2", "0.5", 0.5, "0", "1/2", "0"],'
+        ' "p": ["1/2", "1/2"], "f": [["0", "1/2"], ["0", "0.5"], ["1/2", 0.5],'
+        ' ["0", "0"], ["1/2", "0"], ["0", "1/2"]]}'
+    )
+    inst = dataclasses.replace(parsed, c=parsed.c[:5] + (Fraction(1, 2),))
+    assert len({id(v) for v in inst.c if v}) == 3
+    profile = detect_two_values(inst)
+    assert profile.max_valued == tuple(i for i in range(inst.n) if inst.c[i] == profile.v_max)
+    assert profile.max_valued == (0, 1, 2, 4, 5)
 
 
 def test_solve_spec_example():
@@ -189,9 +206,9 @@ def test_a_given_profile_is_not_detected_again(monkeypatch):
 
 def test_visit_count_of_a_fresh_solve_matches_the_plan():
     # a fresh solve reads: the value scan (c and f), c for detection, the
-    # first stage, then, if budget is left, f for the selling order and each
-    # scenario's order (value descending, ties to the lowest index) up to
-    # the last asset its sale sold
+    # first stage, then, if budget is left, in every scenario f of each held
+    # asset (those not sold first) to group them by value, and f of each
+    # asset the scenario's sale sold
     rng = random.Random(61)
     branches = set()
     for _ in range(40):
@@ -201,10 +218,8 @@ def test_visit_count_of_a_fresh_solve_matches_the_plan():
         sol = solve_two_value(inst, counter)
         expected = n * (m + 1) + n + len(sol.first_stage)
         if len(sol.first_stage) < inst.k:
-            expected += n * m
-            for j, sold in enumerate(sol.second_stage):
-                order = sorted(range(n), key=lambda i: (-inst.f[i][j], i))
-                expected += max(map(order.index, sold)) + 1
+            expected += (n - len(sol.first_stage)) * m
+            expected += sum(map(len, sol.second_stage))
         branches.add(len(sol.first_stage) < inst.k)
         assert counter.visits == expected
     assert branches == {False, True}
