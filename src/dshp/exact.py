@@ -1,9 +1,11 @@
-"""Exact DSHP solver: depth-first search over first-stage sets.
+"""Exact DSHP solver: depth-first search over first-stage sets, or over
+held sets when every scenario holds one asset back.
 
 The search covers first-stage sets of every size 0..k, because holding
 everything back for the second stage is often optimal.  It works on the
 instance's integer view (model.Instance.scaled), where every objective,
-times scale * pscale, is an integer.
+times scale * pscale, is an integer.  When r = n - k is 1 the search runs
+over held sets instead (see the last part below); the plan is the same.
 
 - Order and ties.  Sets are visited depth first, the children F+{t} of F
   in increasing t, so sets of one size are met in lexicographic order.
@@ -54,19 +56,46 @@ times scale * pscale, is an integer.
   child, and a child starts from its parent's at its own q; adding a value
   v sets H_s to min(H_s, H_(s-1) + v), one pass over the scenarios per s.
   The run and the subtree at one q read the same held sums.  So a bound
-  costs O(rm), one pass at r = 1 as on every reduction instance, and a set
-  O(m).
+  costs O(rm) and a set O(m).
 
 The pool always excludes the prunable assets, those whose first-stage
 value is strictly below their expected second-stage value.  No optimal plan
 sells one first (an exchange argument: moving it to every scenario's second
 stage gains E f_i - c_i > 0), so searching the full pool would return the
 same plan.  The returned plan is built by model.complete_first_stage.
+
+Held sets at r = 1.  With k = n - 1, as on every dominating-set reduction,
+each scenario sells all of the held set H = V - F but its lowest value, and
+the problem is uncapacitated facility location (Cornuejols, Nemhauser and
+Wolsey 1990).  With v_ij = w_j f_ij and net_i = pscale * c_i - sum_j v_ij,
+F's objective is sum_i pscale * c_i less cost(H) = sum_{i in H} net_i +
+sum_j min_{i in H} v_ij.  The optimal H is small (a minimum dominating set on
+a reduction) where F is large, so _HoldOneSearch enumerates H = prunable + S
+by |S| ascending, one level per size, each level a depth-first search that
+decides the pool assets in ascending order, sold before held.  At a node
+adding t assets of pool[q:] to a held part of cost c and per-scenario least
+values mins, two bounds apply, and the node is cut when either exceeds the
+best cost:
+  (a) c + the t smallest net over pool[q:] + sum_j min(mins_j, the least
+      v_ij over pool[q:]);
+  (b) c + sum_j mins_j + the t smallest net_i - sum_j max(0, mins_j - v_ij)
+      over pool[q:]: a set of assets lowers a scenario's least value by at
+      most the sum of its members' drops.
+Pool nets are >= 0, so the level floor, bound (a) with nothing decided,
+never falls, and the search stops before the first level whose floor
+exceeds the best cost.  Ties map to the first-stage rule: an equal cost
+in a later level replaces the best (a larger H is a smaller F), and within
+a level only a lower cost does, and a node whose bound equals the best cost
+found in its own level is cut too.  Of two held sets of one size, the first
+found sells the first asset where they differ, so its F is the
+lexicographically first.  Neither SearchTables nor the view's selling order
+is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from operator import add, mul
 from typing import Sequence
@@ -85,7 +114,7 @@ from .model import (
 class ExactOptions:
     """solve_exact's options; prune is unread, accepted for the bench.
 
-    The bench refresh (ROADMAP item 1) frees it; ROADMAP item 7 then deletes
+    The bench refresh (ROADMAP item 1) frees it; ROADMAP item 8 then deletes
     this class.
     """
 
@@ -259,6 +288,124 @@ class SearchTables:
         return self.tail[q] + net - self.lowest(held, self.free[q])
 
 
+class _HoldOneSearch:
+    """The search over held sets at hold n - k = 1, for one pool.
+
+    Only scenarios of nonzero weight w are kept, and values[i] holds asset
+    i's value times w in each; net[i] is pscale * c_i less their sum.  A
+    held set H = V - F costs sum_{i in H} net_i plus, per kept scenario, the
+    least value in H, and F's objective is sum_i pscale * c_i less that cost.
+    Every asset outside the pool is held: cost and mins are the net sum and
+    per-scenario least values of those (mins is None when there are none).
+    Per q = 0..len(pool): lows[q] holds each scenario's least value over
+    pool[q:] (None past the pool), and cheapest[q][t] sums the t smallest
+    net over pool[q:], which are all >= 0: a pool asset is not prunable.
+    """
+
+    def __init__(self, view: ScaledView, pool: Sequence[int]):
+        pscale = view.pscale
+        columns = [[w * v for v in column] for w, column in zip(view.weights, view.columns) if w]
+        values = list(zip(*columns))
+        self.pool = list(pool)
+        self.values = values
+        self.net = [pscale * ci - sum(row) for ci, row in zip(view.c, values)]
+        held = sorted(set(range(len(values))) - set(pool))
+        self.cost = sum(self.net[i] for i in held)
+        self.mins = [min(column[i] for i in held) for column in columns] if held else None
+        lows = [None]
+        cheapest = [[0]]
+        for q in reversed(range(len(pool))):
+            row, later = values[pool[q]], lows[-1]
+            lows.append(
+                list(row) if later is None else [x if x < v else v for x, v in zip(later, row)]
+            )
+            nets = sorted(self.net[i] for i in pool[q:])
+            cheapest.append([0, *accumulate(nets)])
+        self.lows = lows[::-1]
+        self.cheapest = cheapest[::-1]
+
+    def spread(self, q: int, t: int, cost: int, mins: list[int] | None) -> int:
+        """Bound (a) on every held set that adds t assets of pool[q:] to a
+        held part of net sum cost and per-scenario least values mins: the t
+        smallest net over pool[q:], and per scenario the least of mins and
+        of every value over pool[q:].  Exact when t = len(pool) - q."""
+        lows = self.lows[q]
+        if mins is not None:
+            lows = [x if x < v else v for x, v in zip(mins, lows)]
+        return cost + self.cheapest[q][t] + sum(lows)
+
+    def drop(self, q: int, t: int, cost: int, mins: list[int]) -> int:
+        """Bound (b) on the same held sets, for a held part that is not empty:
+        mins kept, less each added asset's drop below them.
+
+        Adding a set of assets lowers a scenario's least value by at most the
+        sum of the single assets' drops max(0, mins_j - v_ij), so the bound
+        is the held part's cost plus the t smallest net_i less drop_i over
+        pool[q:].  Exact when t = 1.
+        """
+        values, net = self.values, self.net
+        gains = sorted(
+            net[i] - sum([x - v for x, v in zip(mins, values[i]) if x > v]) for i in self.pool[q:]
+        )
+        return cost + sum(mins) + sum(gains[:t])
+
+    def held(self) -> tuple[int, ...]:
+        """The pool assets of the best held set; the module docstring gives
+        the order, the cuts and the tie rule.
+
+        A level is |S| for held sets prunable + S.  Level 0, the prunable
+        assets alone, is the first best when there are any; with none, its
+        F, the whole pool, would exceed k.
+        """
+        pool, values, net = self.pool, self.values, self.net
+        spread, drop = self.spread, self.drop
+        size = len(pool)
+        if self.mins is None:  # above every held set's cost
+            best = sum(x for x in net if x > 0) + sum(map(max, zip(*values))) + 1
+        else:
+            best = self.cost + sum(self.mins)
+        best_level, best_held = 0, ()
+        path: list[int] = []
+
+        def visit(q: int, t: int, cost: int, mins: list[int] | None) -> None:
+            """Search the held sets that add t assets of pool[q:] to path."""
+            nonlocal best, best_level, best_held
+            bound = spread(q, t, cost, mins)
+            if bound > best or (bound == best and best_level == level):
+                return
+            if q + t == size:  # every asset left is held: the bound is its cost
+                best, best_level, best_held = bound, level, (*path, *pool[q:])
+                return
+            if t == 1:
+                # The last pick, in the search's order: an asset is held only
+                # after every later one has been tried.
+                for i in reversed(pool[q:]):
+                    row = values[i]
+                    least = row if mins is None else [x if x < v else v for x, v in zip(mins, row)]
+                    total = cost + net[i] + sum(least)
+                    if total < best or (total == best and best_level < level):
+                        best, best_level, best_held = total, level, (*path, i)
+                return
+            if mins is not None:
+                bound = drop(q, t, cost, mins)
+                if bound > best or (bound == best and best_level == level):
+                    return
+            visit(q + 1, t, cost, mins)  # pool[q] sold
+            i = pool[q]
+            row = values[i]
+            path.append(i)
+            visit(q + 1, t - 1, cost + net[i],
+                  row if mins is None else [x if x < v else v for x, v in zip(mins, row)])
+            path.pop()
+
+        for level in range(1, size + 1):
+            if spread(0, level, self.cost, self.mins) > best:
+                break
+            visit(0, level, self.cost, self.mins)
+        del visit
+        return best_held
+
+
 def solve_exact(
     instance: Instance, options: ExactOptions | None = None, extras: dict | None = None
 ) -> Solution:
@@ -266,10 +413,16 @@ def solve_exact(
 
     The result is the set exhaustive enumeration by increasing size,
     lexicographically within each size, keeps first among those of maximal
-    objective, so it is deterministic.  The pool leaves out prunable(instance),
-    which no optimal plan sells first; given extras, a dict, the solver sets
-    extras["pruned_assets"] to their number.  An Instance is valid by
-    construction, so only n > options.max_n is refused here.
+    objective, so it is deterministic.  At k = n - 1 (and k >= 1, with a pool
+    to search) the search runs over held sets instead: by size ascending,
+    cut by the module's bounds (a) and (b), a later size winning a tie and,
+    within a size, the first set found.  That is the same plan: the largest
+    optimal held set is the smallest first stage, and the first one found
+    of a size has the lexicographically first complement.  The pool leaves
+    out prunable(instance), which no optimal plan sells first; given extras,
+    a dict, the solver sets extras["pruned_assets"] to their number.  An
+    Instance is valid by construction, so only n > options.max_n is refused
+    here.
     """
     if options is None:
         options = ExactOptions()
@@ -283,6 +436,9 @@ def solve_exact(
         extras["pruned_assets"] = n - len(pool)
     if not (k and pool):  # the empty first stage is the only candidate
         return complete_first_stage(instance, ())
+    if n - k == 1:
+        held = set(_HoldOneSearch(view, pool).held())
+        return complete_first_stage(instance, [i for i in pool if i not in held])
     tables = SearchTables(view, k, pool)
     orders, ranked = tables.orders, tables.ranked
     values, positions, net = tables.values, tables.positions, tables.net

@@ -27,7 +27,7 @@ from dshp import (
     solve_two_value,
 )
 from dshp.cli import gen_random_instance
-from dshp.exact import SearchTables
+from dshp.exact import SearchTables, _HoldOneSearch
 
 from conftest import (
     brute_force_second_stage,
@@ -175,6 +175,11 @@ def test_deterministic_tie_break_prefers_smaller_first_stage():
 
 def pruned_pool(instance):
     return sorted(set(range(instance.n)) - prunable(instance))
+
+
+def with_budget(instance, k):
+    """instance with its sale budget set to k."""
+    return Instance(n=instance.n, m=instance.m, k=k, c=instance.c, p=instance.p, f=instance.f)
 
 
 HALF = Fraction(1, 2)
@@ -429,7 +434,10 @@ def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch)
 
     monkeypatch.setattr(SearchTables, "bound", recording)
     rng = random.Random(53)
-    instances = [build_reduction(gen_regular_graph(8, 3, seed)) for seed in range(3)]
+    # Reductions held back to r = 2: at r = 1 the held-set search runs instead.
+    instances = [
+        with_budget(build_reduction(gen_regular_graph(8, 3, seed)), 6) for seed in range(3)
+    ]
     instances += [
         gen_random_instance(8, rng.randint(1, 4), rng.randint(4, 7), "any", rng.randrange(10**6))
         for _ in range(6)
@@ -587,7 +595,9 @@ def test_reduction_search_returns_the_first_minimum_dominating_plan():
     # On the dominating-set reduction every optimal first stage is the
     # complement of a minimum dominating set, and each such plan earns
     # dominating_solution_revenue; the search keeps the lexicographically
-    # first complement.  The multipliers cut hardest on this shape.
+    # first complement.  k = n - 1, so the held-set search runs: every
+    # minimum dominating set is a held set of the first level to reach the
+    # optimum, and the search keeps the first it meets.
     rng = random.Random(43)
     for _ in range(12):
         n, d = rng.choice([(8, 3), (10, 3), (12, 3), (6, 4), (8, 4), (10, 4), (12, 4)])
@@ -608,8 +618,8 @@ def test_reduction_search_returns_the_first_minimum_dominating_plan():
 @pytest.mark.parametrize("n, d", [(12, 3), (12, 4), (13, 4), (14, 3), (14, 4)])
 def test_reduction_plan_on_the_bench_shapes(n, d):
     # The bench's reduction shapes (no 3-regular graph has 13 vertices), where
-    # the search bounds every node with more than one set below it.  The plan
-    # is the lexicographically first complement of a minimum dominating set.
+    # the held-set search runs.  The plan is the lexicographically first
+    # complement of a minimum dominating set.
     for seed in range(4):
         graph = gen_regular_graph(n, d, seed)
         params = default_params(n, d)
@@ -622,6 +632,126 @@ def test_reduction_plan_on_the_bench_shapes(n, d):
         solution = solve_exact(build_reduction(graph, params))
         assert solution.first_stage == first, (graph, solution)
         assert solution.value == dominating_solution_revenue(n, params, size)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_reduction_search_past_the_cap(d):
+    # n = 28 is past the default cap: the held-set search answers in well
+    # under a second, and brute_force_mds checks the size of its held set.
+    graph = gen_regular_graph(28, d, 1)
+    params = default_params(28, d)
+    solution = solve_exact(build_reduction(graph, params), ExactOptions(max_n=28))
+    held = extract_dominating(graph, solution)
+    size = len(brute_force_mds(graph, max_n=28))
+    assert is_dominating(graph, held)
+    assert len(held) == size
+    assert solution.value == dominating_solution_revenue(28, params, size)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(instance=small_instances(max_n=9).map(lambda inst: with_budget(inst, inst.n - 1)))
+@example(instance=Instance(k=2, **SIGNED))
+@example(  # zero weights; assets 0 and 1 prunable
+    instance=Instance(
+        n=4, m=3, k=3, c=(2, 0, -1, 3), p=(0, 1, 0),
+        f=((1, 5, 9), (4, 4, -2), (3, -6, 0), (-1, 2, 7)),
+    )
+)
+@example(instance=Instance(n=4, m=2, k=3, c=(HALF,) * 4, p=(HALF, HALF), f=((HALF, HALF),) * 4))
+@example(  # every asset prunable
+    instance=Instance(n=3, m=2, k=2, c=(0, -1, 1), p=(HALF, HALF), f=((1, 2), (0, 0), (3, 2)))
+)
+@example(instance=with_budget(gen_random_instance(9, 4, 8, "any", 5), 8))
+def test_hold_one_search_returns_first_optimum_by_enumeration(instance):
+    """k = n - 1: signed values, zero weights, single-valued and
+    all-prunable instances, n from 1 to 9."""
+    assert solve_exact(instance) == first_optimum_by_enumeration(instance, range(instance.n))
+
+
+@pytest.mark.parametrize("values", ["any", "2", "3"])
+def test_hold_one_search_on_generated_inputs(values):
+    rng = random.Random(61)
+    for _ in range(25):
+        n = rng.randint(2, 10)
+        inst = gen_random_instance(n, rng.randint(1, 6), n - 1, values, rng.randrange(10**6))
+        assert solve_exact(inst) == first_optimum_by_enumeration(inst, range(n)), inst
+
+
+def hold_one_costs(instance):
+    """Every held set's cost, by brute force: each first stage F of at most
+    k pool assets, keyed by V - F, costs sum_i pscale * c_i less F's
+    objective (both times scale * pscale)."""
+    view, pool = instance.scaled, pruned_pool(instance)
+    everything = view.pscale * sum(view.c)
+    return {
+        frozenset(range(instance.n)) - set(first): everything - objective
+        for first, objective in objectives(instance, pool).items()
+    }
+
+
+def test_every_bound_the_hold_one_search_takes_is_sound_and_its_definition(monkeypatch):
+    # Each bound (a) or (b) the search takes at a node, given the held part's
+    # net sum and least values, is at most the cost of every held set below
+    # it, and is the definition's bound.  The held part may be any subset of
+    # pool[:q] with that sum and those least values (all of them have the
+    # same sets below), so every one is checked.
+    taken = []
+
+    def recording(kind, method):
+        def record(self, q, t, cost, mins):
+            bound = method(self, q, t, cost, mins)
+            taken.append((kind, q, t, cost, mins and tuple(mins), bound))
+            return bound
+        return record
+
+    monkeypatch.setattr(_HoldOneSearch, "spread", recording("a", _HoldOneSearch.spread))
+    monkeypatch.setattr(_HoldOneSearch, "drop", recording("b", _HoldOneSearch.drop))
+    instances = [build_reduction(gen_regular_graph(n, d, seed))
+                 for n, d in [(8, 3), (9, 4), (10, 3)] for seed in range(2)]
+    rng = random.Random(67)
+    for _ in range(60):
+        n = rng.randint(6, 10)
+        values = rng.choice(["any", "2", "3"])
+        instances.append(
+            gen_random_instance(n, rng.randint(1, 3), n - 1, values, rng.randrange(10**6))
+        )
+    kinds = {"a": 0, "b": 0}
+    for inst in instances:
+        taken.clear()
+        solve_exact(inst)
+        view, pool = inst.scaled, pruned_pool(inst)
+        kept = [j for j, w in enumerate(view.weights) if w]
+        value = [[view.weights[j] * view.columns[j][i] for j in kept] for i in range(inst.n)]
+        net = [view.pscale * ci - sum(row) for ci, row in zip(view.c, value)]
+        outside = [i for i in range(inst.n) if i not in pool]
+        costs = hold_one_costs(inst)
+        # Each held part, the assets outside the pool and some pool assets,
+        # by its net sum and least values, with the pool index past its last.
+        parts = {}
+        for size in range(len(pool) + 1):
+            for chosen in itertools.combinations(range(len(pool)), size):
+                held = (*outside, *(pool[a] for a in chosen))
+                mins = tuple(map(min, zip(*(value[i] for i in held)))) if held else None
+                key = (sum(net[i] for i in held), mins)
+                parts.setdefault(key, []).append((chosen[-1] + 1 if chosen else 0, held))
+        for kind, q, t, cost, mins, bound in set(taken):
+            rest = pool[q:]
+            nodes = [held for end, held in parts.get((cost, mins), ()) if end <= q]
+            assert nodes, (inst, q, t, cost, mins)
+            for held in nodes:
+                below = min(costs[frozenset((*held, *added))]
+                            for added in itertools.combinations(rest, t))
+                assert bound <= below, (inst, kind, held, q, t)
+            if kind == "a":
+                lows = [min(column) for column in zip(*(value[i] for i in rest))]
+                if mins:
+                    lows = map(min, lows, mins)
+                assert bound == cost + sum(sorted(net[i] for i in rest)[:t]) + sum(lows)
+            else:
+                gains = [net[i] - sum(max(0, x - v) for x, v in zip(mins, value[i])) for i in rest]
+                assert bound == cost + sum(mins) + sum(sorted(gains)[:t])
+            kinds[kind] += 1
+    assert kinds["a"] > 500 and kinds["b"] > 120, kinds
 
 
 def mapped(instance, value):
