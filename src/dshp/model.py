@@ -20,8 +20,8 @@ each recorded object once and looks each cell's text up by id the same way.
 Every solver picks a first-stage set F and returns complete_first_stage(F):
 with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
 optimal.  It groups each scenario's held assets, those not in F, with
-by_value: highest value first, ties to the lowest index.  The full selling
-order of every asset (ScaledView.order) is the exact search's own cache.
+by_value: highest value first, ties to the lowest index.  The exact
+search builds the full selling order of every asset itself (SearchTables).
 """
 
 from __future__ import annotations
@@ -316,16 +316,6 @@ class ScaledView:
     scale: int
     pscale: int
 
-    @cached_property
-    def order(self) -> tuple[list[int], ...]:
-        """The selling order: per scenario, every asset by_value, built on first use.
-
-        The exact search's cache; second_stage_greedy groups only the held
-        assets and never builds it.
-        """
-        assets = range(len(self.c))
-        return tuple(by_value(column, assets) for column in self.columns)
-
 
 def by_value(values, items) -> list:
     """items by values[i], highest first; equal values keep their order in items.
@@ -458,9 +448,9 @@ def second_stage_greedy(
     integral optimum, so this greedy is exact.  Each scenario groups the
     held assets, those not in F in ascending order, by_value and sells the
     first k - |F| of them.  by_value keeps item order within a value, so that
-    is the scenario's selling order (ScaledView.order) with F left out, and
-    the order is never built here.  With |F| = k nothing is left to sell,
-    and instance.scaled is not built.
+    is the scenario's selling order (by_value of every asset) with F left
+    out, and that order is never built here.  With |F| = k nothing is left
+    to sell, and instance.scaled is not built.
 
     Returns the per-scenario sold lists (index-sorted) and the expected
     second-stage revenue sum_j p_j * (sum of selected f_ij).  Raises

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dshp.model
 from dshp import (
     EnumerationCapError,
     ExactOptions,
@@ -339,18 +340,19 @@ def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
     assert checked > 3000 and exact_at_last > 300
 
 
+# The reductions at k = n - 2: at n - 1 the held-set search runs, not SearchTables.
 RUN_INPUTS = {
     "any-5x2": lambda: gen_random_instance(5, 2, 2, "any", 0),
     "two-6x3": lambda: gen_random_instance(6, 3, 3, "2", 1),
     "three-6x1": lambda: gen_random_instance(6, 1, 4, "3", 2),
     "any-7x3": lambda: gen_random_instance(7, 3, 5, "any", 3),
     "any-7x4-k1": lambda: gen_random_instance(7, 4, 1, "any", 4),
-    "reduction-6-3": lambda: build_reduction(gen_regular_graph(6, 3, 0)),
-    "reduction-6-4": lambda: build_reduction(gen_regular_graph(6, 4, 1)),
-    "reduction-8-3": lambda: build_reduction(gen_regular_graph(8, 3, 0)),
-    "reduction-8-3-b": lambda: build_reduction(gen_regular_graph(8, 3, 2)),
-    "reduction-8-4": lambda: build_reduction(gen_regular_graph(8, 4, 1)),
-    "reduction-9-4": lambda: build_reduction(gen_regular_graph(9, 4, 0)),
+    "reduction-6-3": lambda: with_budget(build_reduction(gen_regular_graph(6, 3, 0)), 4),
+    "reduction-6-4": lambda: with_budget(build_reduction(gen_regular_graph(6, 4, 1)), 4),
+    "reduction-8-3": lambda: with_budget(build_reduction(gen_regular_graph(8, 3, 0)), 6),
+    "reduction-8-3-b": lambda: with_budget(build_reduction(gen_regular_graph(8, 3, 2)), 6),
+    "reduction-8-4": lambda: with_budget(build_reduction(gen_regular_graph(8, 4, 1)), 6),
+    "reduction-9-4": lambda: with_budget(build_reduction(gen_regular_graph(9, 4, 0)), 7),
 }
 
 
@@ -435,9 +437,7 @@ def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch)
     monkeypatch.setattr(SearchTables, "bound", recording)
     rng = random.Random(53)
     # Reductions held back to r = 2: at r = 1 the held-set search runs instead.
-    instances = [
-        with_budget(build_reduction(gen_regular_graph(8, 3, seed)), 6) for seed in range(3)
-    ]
+    instances = [with_budget(build_reduction(gen_regular_graph(8, 3, s)), 6) for s in range(3)]
     instances += [
         gen_random_instance(8, rng.randint(1, 4), rng.randint(4, 7), "any", rng.randrange(10**6))
         for _ in range(6)
@@ -550,13 +550,38 @@ def test_tables_tune_the_multipliers_as_the_sorted_scan(instance, pruned):
 )
 def test_tables_tune_the_multipliers_as_the_sorted_scan_on_the_bench_shapes(shape):
     # The bench's random (any-valued, k = n/2) and reduction shapes, on the
-    # pool the solver searches.
+    # pool the solver searches; the reductions held back to k = n - 2.
     for seed in range(3):
         if len(shape) == 3:
             inst = gen_random_instance(*shape, "any", seed)
         else:
-            inst = build_reduction(gen_regular_graph(*shape, seed))
+            inst = with_budget(build_reduction(gen_regular_graph(*shape, seed)), shape[0] - 2)
         assert_tuned_as_the_scan(inst.scaled, inst.k, pruned_pool(inst))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.data(), st.integers(0, 10**6))
+def test_order_sorts_only_distinct_values(n, m, data, seed):
+    # the O(nm) bound: a two-valued column is grouped by value, and only its
+    # (at most two) distinct values are ever sorted; a scenario of zero
+    # weight gets no order
+    inst = gen_random_instance(n, m, data.draw(st.integers(0, n)), "2", seed)
+    view = inst.scaled
+    kept = [column for column, w in zip(view.columns, view.weights) if w]
+    lengths = []
+
+    def spy(iterable, **kwargs):
+        items = list(iterable)
+        lengths.append(len(items))
+        return sorted(items, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dshp.model, "sorted", spy, raising=False)
+        tables = SearchTables(view, inst.k, pruned_pool(inst))
+    assert lengths == [len(set(column)) for column in kept]
+    assert max(lengths) <= 2
+    assert tables.orders == [sorted(range(n), key=lambda i: (-column[i], i)) for column in kept]
+    assert solve_two_value(inst).value == solve_exact(inst).value
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

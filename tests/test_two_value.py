@@ -5,9 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
-import dshp.model
 import dshp.two_value
 from dshp import (
     Instance,
@@ -175,7 +174,7 @@ def test_first_stage_only_max_valued_assets():
 def test_visit_count_does_not_depend_on_call_history(k):
     # the counter charges one fixed rule, not whichever views an earlier call
     # left on the instance: a second solve, and a solve after the value scan
-    # and the selling order were built by hand, count what a fresh one does
+    # and the integer view were built by hand, count what a fresh one does
     def visits(instance):
         counter = VisitCounter()
         solve_two_value(instance, counter)
@@ -186,7 +185,7 @@ def test_visit_count_does_not_depend_on_call_history(k):
     assert [visits(inst), visits(inst)] == [fresh, fresh]
     built = gen_random_instance(8, 4, k, "2", 7)
     built.distinct
-    built.scaled.order
+    built.scaled
     assert visits(built) == fresh
     # the plan takes the branch its id names
     assert (len(solve_two_value(inst).first_stage) < k) == (k == 3)
@@ -249,28 +248,3 @@ def test_visit_count_scales_linearly_in_m():
         solve_two_value(base, small)
         solve_two_value(doubled, big)
         assert big.visits <= 2.5 * small.visits
-
-
-@settings(max_examples=80, derandomize=True, deadline=None, database=None)
-@given(st.integers(1, 12), st.integers(1, 4), st.data(), st.integers(0, 10**6))
-def test_order_sorts_only_distinct_values(n, m, data, seed):
-    # the O(nm) bound: a two-valued column is grouped by value, and only its
-    # (at most two) distinct values are ever sorted
-    inst = gen_random_instance(n, m, data.draw(st.integers(0, n)), "2", seed)
-    view = inst.scaled
-    lengths = []
-
-    def spy(iterable, **kwargs):
-        items = list(iterable)
-        lengths.append(len(items))
-        return sorted(items, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dshp.model, "sorted", spy, raising=False)
-        order = view.order
-    assert lengths == [len(set(column)) for column in view.columns]
-    assert max(lengths) <= 2
-    assert order == tuple(
-        sorted(range(n), key=lambda i: (-column[i], i)) for column in view.columns
-    )
-    assert solve_two_value(inst).value == solve_exact(inst).value
