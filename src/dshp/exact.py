@@ -13,13 +13,13 @@ over held sets instead (see the last part below); the plan is the same.
   lexicographically, keeps first: maximal objective, then smallest |F|,
   then the lexicographically first set.
 - Incremental second stage.  Each scenario of nonzero weight sells the
-  first k-|F| assets of its selling order (SearchTables.orders, built by
-  model.by_value) not in F.  The search keeps, per scenario, the position
-  in that order of the last asset sold and its value, and the objective
-  of F.  From F to F+{t}, one asset leaves each scenario's sale: t if it
-  sells at or before that position, else the asset there, so the larger
-  of the two values.  Where the asset there leaves, the position steps
-  back to the previous asset not in F.  A set costs O(m), not a walk of
+  first k-|F| assets of its selling order (SearchTables.orders, flattened
+  from model.by_value's groups) not in F.  The search keeps, per scenario,
+  the position in that order of the last asset sold and its value, and the
+  objective of F.  From F to F+{t}, one asset leaves each scenario's sale:
+  t if it sells at or before that position, else the asset there, so the
+  larger of the two values.  Where the asset there leaves, the position
+  steps back to the previous asset not in F.  A set costs O(m), not a walk of
   every order.
 - Lagrangian cut.  SearchTables.bound(q, ...) bounds every set F+G, G
   made of pool assets from pool[q] on, by giving each scenario j, of weight
@@ -148,12 +148,12 @@ class SearchTables:
     pool lists the assets a first stage may hold, ascending.  hold is n - k,
     the number of assets every scenario leaves unsold.  Only scenarios of
     nonzero weight w are kept, and every value is multiplied by its
-    scenario's w.  Per kept scenario: orders holds the selling order, every
-    asset by_value, and ranked the values in that order.  Per asset i, with
-    one entry per kept scenario: values[i] holds its value, positions[i] its
-    index in the selling order and firsts[i] its first-stage value w c_i;
-    expected[i] is the sum of values[i], and net[i] is pscale * c_i minus
-    expected[i].
+    scenario's w.  Per kept scenario: orders holds the selling order, the
+    by_value groups of every asset flattened, and ranked the values in that
+    order.  Per asset i, with one entry per kept scenario: values[i] holds
+    its value, positions[i] its index in the selling order and firsts[i] its
+    first-stage value w c_i; expected[i] is the sum of values[i], and net[i]
+    is pscale * c_i minus expected[i].
 
     multipliers holds one row of integers per kept scenario, one per asset,
     and each column sums to 0 (all zeros gives the wait-and-see bound).  In
@@ -181,7 +181,9 @@ class SearchTables:
     def __init__(self, view: ScaledView, k: int, pool: Sequence[int]):
         n, pscale, weights = len(view.c), view.pscale, view.weights
         kept = [j for j, w in enumerate(weights) if w]
-        orders = [by_value(view.columns[j], range(n)) for j in kept]
+        orders = [
+            [i for _, members in by_value(range(n), view.columns[j]) for i in members] for j in kept
+        ]
         columns = [[weights[j] * v for v in view.columns[j]] for j in kept]
         values = list(zip(*columns))
         expected = list(map(sum, values))  # sum_j w_j f_ij

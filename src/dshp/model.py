@@ -12,16 +12,19 @@ Instance is the one place a number becomes a Fraction, and cells of equal
 value mostly share one: every cell spelling one numeral does, quoted or bare
 in a file.  So Instance coerces a row of strings and ints in one C-level
 pass, and keeps a record of the value objects of c and f as it makes them.
-Its distinct values read that record and no cell; its integer view
-(Instance.scaled) scales each recorded object once and reads the cells once,
-in C (map, zip), to look each integer up by id.  serialize_instance writes
-each recorded object once and looks each cell's text up by id the same way.
+Its distinct values read that record and no cell.  Its integer table
+(Instance.integers) scales each recorded object once and keys the integers
+by id, one entry per object; a cell then looks its integer up in C (map).
+serialize_instance writes each recorded object once and looks each cell's
+text up by id the same way.  The whole-instance integer view
+(Instance.scaled) is built from that table for the exact search alone.
 
 Every solver picks a first-stage set F and returns complete_first_stage(F):
 with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
-optimal.  It groups each scenario's held assets, those not in F, with
-by_value: highest value first, ties to the lowest index.  The exact
-search builds the full selling order of every asset itself (SearchTables).
+optimal.  It maps only the held rows, those of the assets not in F, through
+the integer table, and groups each scenario's held assets with by_value:
+highest value first, ties to the lowest index.  The exact search flattens
+by_value's groups of every asset into its selling orders (SearchTables).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -238,12 +241,14 @@ class Instance:
     through as_rational.  A cell refused raises TypeError, ParseError or
     (an int past the digit limit) ValueError naming it, e.g. "f[1][0]: ...".
     c and f share one numeral table and one record of their value objects,
-    kept for the instance's lifetime, which distinct, scaled and
+    kept for the instance's lifetime, which distinct, integers and
     serialize_instance read; p has a table of its own, so a value spelled
     only in p is not one of the distinct values.  The record holds the
-    objects, not their ids, so copy.deepcopy and pickle keep it right.  It
-    holds one reference per recorded object: one per distinct numeral of a
-    parsed file, one per cell of an instance built from fresh Fractions.
+    objects, not their ids, so copy.deepcopy and pickle keep it right; the
+    integer table, keyed by id, is left out of a copy's state and rebuilt
+    on first use.  The record holds one reference per recorded object: one
+    per distinct numeral of a parsed file, one per cell of an instance
+    built from fresh Fractions.
     Then the invariant is checked: n, m >= 1, 0 <= k <= n, len(c) = len(f)
     = n, len(p) = len(f[i]) = m, p >= 0 and sum(p) = 1.  Breaking it, by
     dataclasses.replace too, raises InstanceError listing every violation,
@@ -283,23 +288,55 @@ class Instance:
         objects = self._objects
         return tuple(dict(zip(map(Fraction.as_integer_ratio, objects), objects)).values())
 
-    @cached_property
-    def scaled(self) -> ScaledView:
-        """The integer view of this instance, built on first use.
+    def __getstate__(self):
+        """The state copy.deepcopy and pickle keep: all but the integer
+        table, whose id keys name this instance's objects, not the copy's."""
+        state = dict(vars(self))
+        state.pop("integers", None)
+        return state
 
-        Each recorded value object is scaled once; each cell then looks its
-        integer up by id, row by row, and one zip transposes the rows of f
-        into the columns.
+    @cached_property
+    def integers(self) -> IntegerTable:
+        """The integer table of this instance, built on first use.
+
+        Each recorded value object is scaled once and keyed by its id; no
+        cell is read.
         """
         objects = self._objects
         scale = lcm(*{v.denominator for v in objects})
         ratios = map(Fraction.as_integer_ratio, objects)
-        ints = dict(zip(map(id, objects), [n * (scale // d) for n, d in ratios])).__getitem__
-        c = tuple(map(ints, map(id, self.c)))
-        columns = tuple(zip(*[map(ints, map(id, row)) for row in self.f]))
+        ints = dict(zip(map(id, objects), [n * (scale // d) for n, d in ratios]))
         pscale = lcm(*(v.denominator for v in self.p))
         weights = tuple(v.numerator * (pscale // v.denominator) for v in self.p)
-        return ScaledView(c, columns, weights, scale, pscale)
+        return IntegerTable(ints, weights, scale, pscale)
+
+    @cached_property
+    def scaled(self) -> ScaledView:
+        """The integer view of every cell of this instance, built on first use.
+
+        Each cell looks its integer up in the integer table by id, row by
+        row, and one zip transposes the rows of f into the columns.  Only
+        the exact search reads it.
+        """
+        table = self.integers
+        ints = table.ints.__getitem__
+        c = tuple(map(ints, map(id, self.c)))
+        columns = tuple(zip(*[map(ints, map(id, row)) for row in self.f]))
+        return ScaledView(c, columns, table.weights, table.scale, table.pscale)
+
+
+@dataclass(frozen=True)
+class IntegerTable:
+    """An instance's value objects as integers over common denominators.
+
+    ints maps the id of each recorded value object v of c and f to v times
+    scale; weights[j] is p_j times pscale.
+    """
+
+    ints: dict[int, int]
+    weights: tuple[int, ...]
+    scale: int
+    pscale: int
 
 
 @dataclass(frozen=True)
@@ -317,18 +354,19 @@ class ScaledView:
     pscale: int
 
 
-def by_value(values, items) -> list:
-    """items by values[i], highest first; equal values keep their order in items.
+def by_value(items, values) -> list[tuple]:
+    """items grouped by their values (values[t] is the value of items[t]):
+    (value, members) pairs, highest value first, members in item order.
 
     This is the one selling rule of the package: "value descending, ties to
-    the lowest index" whenever items ascend.  Items are grouped by value and
-    only the distinct values are sorted, so with d distinct values the cost
-    is O(len(items) + d log d): linear on a two-valued column.
+    the lowest index" whenever items ascend.  Only the distinct values are
+    sorted, so with d distinct values the cost is O(len(items) + d log d):
+    linear on a two-valued column.
     """
     groups = defaultdict(list)
-    for i in items:
-        groups[values[i]].append(i)
-    return [i for v in sorted(groups, reverse=True) for i in groups[v]]
+    for i, v in zip(items, values):
+        groups[v].append(i)
+    return sorted(groups.items(), reverse=True)
 
 
 @dataclass(frozen=True)
@@ -445,12 +483,15 @@ def second_stage_greedy(
     With the first stage fixed, each scenario independently sells the
     k - |F| most valuable remaining assets (ties to the lowest index);
     the continuous relaxation of that per-scenario subproblem has an
-    integral optimum, so this greedy is exact.  Each scenario groups the
-    held assets, those not in F in ascending order, by_value and sells the
-    first k - |F| of them.  by_value keeps item order within a value, so that
-    is the scenario's selling order (by_value of every asset) with F left
+    integral optimum, so this greedy is exact.  Only the held rows, those
+    of the assets not in F, are mapped through instance.integers and
+    transposed.  Each scenario groups its held column by_value once, then
+    sells whole value groups, highest first, the last one cut to its
+    lowest-indexed members, until k - |F| assets are sold, and sums each
+    group it sells as value times count.  That is the first k - |F| assets
+    of the scenario's selling order (by_value of every asset) with F left
     out, and that order is never built here.  With |F| = k nothing is left
-    to sell, and instance.scaled is not built.
+    to sell, and no integer table is built.
 
     Returns the per-scenario sold lists (index-sorted) and the expected
     second-stage revenue sum_j p_j * (sum of selected f_ij).  Raises
@@ -461,44 +502,64 @@ def second_stage_greedy(
     need = instance.k - len(chosen)
     if not need:
         return ((),) * instance.m, Fraction(0)
-    view, first = instance.scaled, set(chosen)
+    table, first, f = instance.integers, set(chosen), instance.f
+    ints = table.ints.__getitem__
     held = list(filterfalse(first.__contains__, range(instance.n)))
+    columns = zip(*[map(ints, map(id, f[i])) for i in held])
     total = 0  # sum_j weights[j] * (sum of sold values): the revenue times scale * pscale
     selections = []
-    for weight, column in zip(view.weights, view.columns):
-        sold = by_value(column, held)[:need]
-        total += weight * sum(map(column.__getitem__, sold))
+    for weight, column in zip(table.weights, columns):
+        sold, revenue = [], 0
+        for value, members in by_value(held, column):
+            members = members[: need - len(sold)]
+            sold += members
+            revenue += value * len(members)
+            if len(sold) == need:
+                break
+        total += weight * revenue
         selections.append(tuple(sorted(sold)))
-    return tuple(selections), Fraction(total, view.scale * view.pscale)
+    return tuple(selections), Fraction(total, table.scale * table.pscale)
 
 
 def complete_first_stage(instance: Instance, first_stage: Iterable[int]) -> Solution:
     """The full Solution for a first-stage set under greedy completion: every solver's plan.
 
-    When a second stage runs, F's value is summed in the integer view that
-    stage built, one Fraction for the whole set; with |F| = k, in Fractions,
-    so that instance.scaled is still not built.
+    When a second stage runs, F's value is summed over F's integers in the
+    integer table that stage read, one Fraction for the whole set; with
+    |F| = k, in Fractions, so that no integer table is built.
     """
     chosen = sorted(first_stage)
     selections, revenue = second_stage_greedy(instance, chosen)
     if len(chosen) < instance.k:
-        view = instance.scaled
-        value = Fraction(sum(map(view.c.__getitem__, chosen)), view.scale) + revenue
+        table = instance.integers
+        first = sum(map(table.ints.__getitem__, map(id, map(instance.c.__getitem__, chosen))))
+        value = Fraction(first, table.scale) + revenue
     else:
         value = sum((instance.c[i] for i in chosen), Fraction(0))
     return Solution(chosen, selections, value)
 
 
+def _sum_by_object(cells: list[Fraction]) -> Fraction:
+    """The exact sum of cells: each value object's count times its value."""
+    ids = list(map(id, cells))
+    objects = dict(zip(ids, cells))
+    return sum((count * objects[key] for key, count in Counter(ids).items()), Fraction(0))
+
+
 def evaluate(instance: Instance, solution: Solution) -> Fraction:
     """Exact objective of a solution; raises SolutionError on structural violations.
 
-    The returned value is recomputed from scratch, so callers can compare it
-    against solution.value (check_solution does exactly that).
+    The returned value is recomputed from scratch in Fractions, so callers
+    can compare it against solution.value (check_solution does exactly
+    that).  The first stage, and each scenario's sale, counts its cells per
+    value object and adds count times value, one Fraction product per
+    object, never reading the integer table.
     """
     _check_plan(instance, solution.first_stage, solution.second_stage)
-    total = sum((instance.c[i] for i in solution.first_stage), Fraction(0))
-    for j, sel in enumerate(solution.second_stage):
-        total += instance.p[j] * sum((instance.f[i][j] for i in sel), Fraction(0))
+    c, f = instance.c, instance.f
+    total = _sum_by_object([c[i] for i in solution.first_stage])
+    for j, (pj, sel) in enumerate(zip(instance.p, solution.second_stage)):
+        total += pj * _sum_by_object([f[i][j] for i in sel])
     return total
 
 

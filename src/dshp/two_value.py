@@ -82,8 +82,9 @@ def solve_two_value(
     solve of a fresh instance reads: n(m+1) for the value scan plus n for
     detection's reads of c when this call detects (profile is None), |F| for
     the first stage, and, when |F| < k, (n - |F|)*m for grouping each
-    scenario's held assets plus (k - |F|)*m for the values each scenario's
-    sale sums.  The charge counts each value read once, wherever it happens:
+    scenario's held assets; the sale sums each value group it sells as
+    value times count, so it reads no value again.  The charge counts each
+    value read once, wherever it happens:
     Instance.distinct reads the objects recorded while the cells were
     coerced, and a view built by an earlier call is charged again, so the
     same instance always gets the same count.
@@ -98,8 +99,6 @@ def solve_two_value(
         counter.add(len(first))
         if len(first) < instance.k:
             # Grouping reads each held asset's value once per scenario (a
-            # two-valued column has two value groups, so by_value is O(n)),
-            # and each sale reads the values of the k - |F| assets it sold.
-            held, need = instance.n - len(first), instance.k - len(first)
-            counter.add((held + need) * instance.m)
+            # two-valued column has two value groups, so by_value is O(n)).
+            counter.add((instance.n - len(first)) * instance.m)
     return solution

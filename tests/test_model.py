@@ -32,6 +32,7 @@ from dshp import (
     serialize_instance,
     serialize_solution,
     solve_approx,
+    solve_two_value,
 )
 from dshp.cli import gen_random_instance
 from dshp.model import by_value
@@ -122,13 +123,14 @@ def test_greedy_no_budget_left(tightness_012):
 
 def test_full_first_stage_builds_no_integer_view():
     # |F| == k leaves nothing to sell, so no solver builds Instance.scaled
+    # or the integer table it is read from
     inst = gen_tightness(0, 1, 2)
     sol = complete_first_stage(inst, (1,))
     assert sol == Solution((1,), ((), (), ()), 1)
-    assert "scaled" not in inst.__dict__
+    assert not {"integers", "scaled"} & set(vars(inst))
     inst = gen_tightness(0, 1, 2)
     assert solve_approx(inst) == sol
-    assert "scaled" not in inst.__dict__
+    assert not {"integers", "scaled"} & set(vars(inst))
 
 
 def test_greedy_tightness_sells_high_asset_per_scenario(tightness_012):
@@ -238,6 +240,45 @@ def test_evaluate_names_violated_constraints(tightness_012):
     too_big = Solution((0, 1), ((), (), ()), Fraction(1))
     with pytest.raises(SolutionError, match="budget"):
         evaluate(tightness_012, too_big)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.sampled_from(["file", "fresh", "mixed"]),
+    st.data(),
+)
+def test_evaluate_equals_the_per_cell_fraction_sum(n, m, mode, data):
+    # cells spelled "1/2" and "0.5" share one object per spelling, fresh
+    # Fractions are one object each: evaluate counts sold cells per object,
+    # and must add up as one Fraction per cell does
+    inst = drawn_instance(n, m, mode, data)
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    p = [Fraction(w, sum(weights)) for w in weights]
+    inst = dataclasses.replace(inst, k=data.draw(st.integers(0, n)), p=p)
+    first = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=inst.k))
+    rest = [i for i in range(n) if i not in first]
+    second = [data.draw(st.permutations(rest))[: inst.k - len(first)] for _ in range(m)]
+    solution = Solution(first, second, 0)
+    expected = sum((inst.c[i] for i in first), Fraction(0))
+    for j, sold in enumerate(second):
+        expected += inst.p[j] * sum((inst.f[i][j] for i in sold), Fraction(0))
+    assert evaluate(inst, solution) == expected
+    # a from-scratch check: no integer table or view is built
+    assert not {"integers", "scaled"} & set(vars(inst))
+
+
+@pytest.mark.parametrize("values, solve", [("2", solve_two_value), ("3", solve_approx)])
+def test_a_second_stage_builds_no_whole_instance_view(values, solve):
+    # completion maps only the held rows through the integer table; the
+    # whole-instance view is the exact search's alone
+    inst = gen_random_instance(150, 100, 135, values, 1)
+    solution = solve(inst)
+    assert len(solution.first_stage) < inst.k  # a second stage ran
+    assert "integers" in vars(inst)
+    assert "scaled" not in vars(inst)
+    assert solution.value == evaluate(inst, solution)
 
 
 def test_check_solution_reports_value_mismatch(tightness_012):
@@ -435,7 +476,13 @@ def test_by_value_is_value_descending_ties_to_lowest_index(values, data):
     # items is any ascending subset of the positions
     keep = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
     items = [i for i, kept in enumerate(keep) if kept]
-    assert by_value(values, items) == sorted(items, key=lambda i: (-values[i], i))
+    groups = by_value(items, [values[i] for i in items])
+    assert [i for _, members in groups for i in members] == sorted(
+        items, key=lambda i: (-values[i], i)
+    )
+    # one group per distinct value, strictly descending, each holding its members only
+    assert [value for value, _ in groups] == sorted({values[i] for i in items}, reverse=True)
+    assert all(values[i] == value for value, members in groups for i in members)
 
 
 # Each value with numerals that spell it; a numeral JSON reads as a number may
@@ -523,9 +570,14 @@ def test_value_table_matches_the_per_cell_scan(n, m, mode, data):
     assert (view.c, view.columns, view.weights, view.scale, view.pscale) == reference_scaled(inst)
     # equal values spelled apart share one integer
     assert len({*view.c, *(x for column in view.columns for x in column)}) == len(inst.distinct)
-    # neither build keeps a value table of its own; the instance keeps its record
+    # scaled is read from the integer table, one entry per recorded object;
+    # neither build keeps a value table of its own, and the instance keeps its record
+    objects = vars(inst)["_objects"]
+    scale = view.scale
+    assert inst.integers.ints == {id(v): v.numerator * (scale // v.denominator) for v in objects}
+    assert len(inst.integers.ints) == len(objects)
     fields = {field.name for field in dataclasses.fields(inst)}
-    assert set(vars(inst)) == fields | {"_objects", "distinct", "scaled"}
+    assert set(vars(inst)) == fields | {"_objects", "distinct", "integers", "scaled"}
     assert recorded_ids(inst) == first_appearance_ids(inst)
 
 
@@ -584,7 +636,7 @@ def first_appearance_ids(inst):
     st.integers(1, 5),
     st.integers(1, 4),
     st.sampled_from(["file", "shared", "fresh", "int", "mixed"]),
-    st.sampled_from(["distinct", "scaled"]),
+    st.sampled_from(["distinct", "integers", "scaled"]),
     st.data(),
 )
 def test_the_value_record_serves_either_view_first(n, m, mode, first, data):
@@ -598,7 +650,7 @@ def test_the_value_record_serves_either_view_first(n, m, mode, first, data):
     assert (view.c, view.columns, view.weights, view.scale, view.pscale) == reference_scaled(inst)
     # and kept after both, for the instance's lifetime
     fields = {field.name for field in dataclasses.fields(inst)}
-    assert set(vars(inst)) == fields | {"_objects", "distinct", "scaled"}
+    assert set(vars(inst)) == fields | {"_objects", "distinct", "integers", "scaled"}
     assert recorded_ids(inst) == first_appearance_ids(inst)
 
 
@@ -635,7 +687,7 @@ def test_the_value_record_follows_the_cells_of_c_and_f_only():
 
 
 @pytest.mark.parametrize("copier", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
-@pytest.mark.parametrize("built", ["distinct", "scaled"])
+@pytest.mark.parametrize("built", ["distinct", "integers", "scaled"])
 def test_an_instance_with_one_view_copies_with_its_record(built, copier):
     text = (
         '{"n": 3, "m": 2, "k": 1, "c": ["1/2", 0.5, "7/3"], "p": ["1/4", "3/4"],'
@@ -649,6 +701,10 @@ def test_an_instance_with_one_view_copies_with_its_record(built, copier):
     # the copy's record is its own cells' objects, kept through both views
     assert recorded_ids(again) == first_appearance_ids(again)
     assert again.distinct == fresh.distinct
+    # the integer table, keyed by the ids of the original's objects, is not
+    # copied: the copy builds its own, for its completion and its view
+    assert "integers" not in vars(again)
+    assert complete_first_stage(again, ()) == complete_first_stage(fresh, ())
     assert again.scaled == fresh.scaled
     assert recorded_ids(again) == first_appearance_ids(again)
 
