@@ -34,10 +34,13 @@ over held sets instead (see the last part below); the plan is the same.
   each at most that scenario's best: any zero-sum lambda gives a sound
   bound, exact when q is past the pool, and lambda changes how much is cut,
   never the result.  lambda = 0 is the perfect-information ("wait-and-see")
-  bound.  SearchTables picks lambda once, at the root: alpha times each
-  scenario's deviation from the expected second-stage value, alpha from a
-  short scan that keeps the lowest root bound (F empty, q = 0), priced
-  through the tables the search bounds with.  The search bounds two things
+  bound, and the search starts with it.  SearchTables.tune picks lambda
+  once: alpha times each scenario's deviation from the expected
+  second-stage value, alpha from a short scan that keeps the lowest root
+  bound (F empty, q = 0), priced through the tables the search bounds with.
+  The scan costs about as much as one bound per pool asset per alpha, so the
+  search tunes only once it has taken that many bounds (the ski-rental
+  rule): most small searches end first.  The search bounds two things
   before a child F+{t}, t = pool[q]: past the first child, the run of it
   and its later siblings, every F+G with G from pool[q] on (F forced, from
   q), and then the subtree of F+{t} (F+{t} forced, from q+1).  A run or
@@ -58,11 +61,16 @@ over held sets instead (see the last part below); the plan is the same.
   The run and the subtree at one q read the same held sums.  So a bound
   costs O(rm) and a set O(m).
 
-The pool always excludes the prunable assets, those whose first-stage
-value is strictly below their expected second-stage value.  No optimal plan
-sells one first (an exchange argument: moving it to every scenario's second
-stage gains E f_i - c_i > 0), so searching the full pool would return the
-same plan.  The returned plan is built by model.complete_first_stage.
+The pool always excludes the prunable assets.  With r >= 1 and s_j the r-th
+lowest value of scenario j over all n assets, those are the assets whose
+first-stage value is strictly below sum_j p_j max(f_ij, s_j); with r = 0,
+below their expected second-stage value.  No optimal plan sells one first
+(an exchange argument: moving it to the second stage makes every scenario
+sell one more asset, worth max(f_ij, the r-th lowest value held) >=
+max(f_ij, s_j), since the held set is a subset of all n), so searching the
+full pool would return the same plan.  At r = 1, s_j is the column minimum
+and the rule is c_i < E f_i.  The returned plan is built by
+model.complete_first_stage.
 
 Held sets at r = 1.  With k = n - 1, as on every dominating-set reduction,
 each scenario sells all of the held set H = V - F but its lowest value, and
@@ -128,17 +136,30 @@ class ExactOptions:
 
 
 def prunable(instance: Instance) -> frozenset[int]:
-    """Assets with c_i strictly below sum_j p_j f_ij (never sold first-stage)."""
+    """Assets no optimal plan sells first: with r = n - k >= 1 and s_j the
+    r-th lowest value of scenario j over all n assets, c_i strictly below
+    sum_j p_j max(f_ij, s_j); with r = 0, c_i strictly below sum_j p_j f_ij.
+
+    Moving i from F to the second stage makes every scenario sell one more
+    asset, worth max(f_ij, the r-th lowest value of the held set) >= max(f_ij,
+    s_j), so the move gains.  At r = 1, s_j is the column minimum and the
+    test is c_i < E f_i.
+    """
     view = instance.scaled
-    # Both sides times scale * pscale: c_i * pscale against sum_j weights[j] * f_ij.
+    hold = instance.n - instance.k
+    rows = zip(*view.columns)
+    if hold:
+        floors = [sorted(column)[hold - 1] for column in view.columns]
+        rows = ([v if v > s else s for v, s in zip(row, floors)] for row in rows)
+    # Both sides times scale * pscale: c_i * pscale against sum_j weights[j] * max(f_ij, s_j).
     return frozenset(
         i
-        for i, (ci, row) in enumerate(zip(view.c, zip(*view.columns)))
+        for i, (ci, row) in enumerate(zip(view.c, rows))
         if ci * view.pscale < sum(map(mul, view.weights, row))
     )
 
 
-# alpha, in sixteenths, in the order SearchTables tries it.
+# alpha, in sixteenths, in the order SearchTables.tune tries it.
 _ALPHA_SIXTEENTHS = (0, 8, 12, 13, 14, 15, 16)
 
 
@@ -153,21 +174,19 @@ class SearchTables:
     order.  Per asset i, with one entry per kept scenario: values[i] holds
     its value, positions[i] its index in the selling order and firsts[i] its
     first-stage value w c_i; expected[i] is the sum of values[i], and net[i]
-    is pscale * c_i minus expected[i].
+    is pscale * c_i minus expected[i].  weights lists the kept scenarios' w.
 
     multipliers holds one row of integers per kept scenario, one per asset,
     and each column sums to 0 (all zeros gives the wait-and-see bound).  In
     a kept scenario of weight w with row lam, a pool asset's either value is
     max(w c_i + lam[i], w f_ij): sold first, at its priced value, or in the
-    scenario.  The constructor tunes them: alpha times scenario j's deviation
-    of asset i from its expected value, w_j (pscale f_ij - sum_j' w_j'
-    f_ij') / pscale in scaled units, rounded to the nearest integer, less
-    each column's sum in the last kept scenario.  At alpha = 1 every scenario
-    values asset i at about f_ij + max(c_i - E f_i, 0), so all scenarios
-    agree on the first stage.  price gives each alpha in _ALPHA_SIXTEENTHS
-    its root bound, and the first alpha with the lowest is kept; the bound
-    is convex in alpha up to the rounding, so the scan stops at the first
-    rise.
+    scenario.  The constructor prices them at zero, and tune picks alpha
+    times scenario j's deviation of asset i from its expected value, w_j
+    (pscale f_ij - sum_j' w_j' f_ij') / pscale in scaled units, rounded to
+    the nearest integer, less each column's sum in the last kept scenario.
+    At alpha = 1 every scenario values asset i at about f_ij + max(c_i - E
+    f_i, 0), so all scenarios agree on the first stage.  root is the root
+    bound under the multipliers in force.
 
     The bound reads lowest-value tables: the table of a set of assets lists,
     for s = 1..min(hold, its size), the per-scenario sums of the s lowest
@@ -197,34 +216,48 @@ class SearchTables:
         self.net = [pscale * ci - e for ci, e in zip(view.c, expected)]
         self.firsts = [tuple(weights[j] * ci for j in kept) for ci in view.c]
         self.expected = expected
+        self.pscale = pscale
+        self.weights = [weights[j] for j in kept]
         held = []
         for i in sorted(set(range(n)) - set(pool)):
             held = self.insert(held, values[i])
         self.held = held
+        self.price([[0] * n for _ in kept])
+
+    def tune(self) -> None:
+        """Scan alpha over _ALPHA_SIXTEENTHS for the multipliers of the lowest
+        root bound, and keep the first such, with its tables.  Called once,
+        with the constructor's zero multipliers in force.
+
+        Those are alpha = 0, already priced; price gives each later alpha its
+        root bound, and the scan stops at the first rise, since the bound is
+        convex in alpha up to the rounding.  The held tables read values only,
+        so the search may tune between two bounds: that changes what is cut,
+        never the plan.
+        """
+        pscale = self.pscale
         # Each deviation times 2 * pscale, so that e/16 of it, rounded half up,
         # is (e * d + half) // unit.
         unit = 32 * pscale
         half = unit // 2
         deviations = [
-            [2 * (pscale * f - weights[j] * s) for f, s in zip(column, expected)]
-            for j, column in zip(kept, columns)
+            [2 * (pscale * f - w * s) for f, s in zip(column, self.expected)]
+            for w, column in zip(self.weights, zip(*self.values))
         ]
-        best = None
-        for e in _ALPHA_SIXTEENTHS:
-            if e:
-                rows = [[(e * d + half) // unit for d in row] for row in deviations]
-                rows[-1] = [p - s for p, s in zip(rows[-1], map(sum, zip(*rows)))]
-            else:
-                rows = [[0] * n for _ in kept]
+        best = (self.root, self.multipliers, self.free, self.tail)
+        for e in _ALPHA_SIXTEENTHS[1:]:
+            rows = [[(e * d + half) // unit for d in row] for row in deviations]
+            rows[-1] = [p - s for p, s in zip(rows[-1], map(sum, zip(*rows)))]
             bound = self.price(rows)
-            if best is not None and bound > best[0]:
+            if bound > best[0]:
                 break
-            if best is None or bound < best[0]:
+            if bound < best[0]:
                 best = (bound, rows, self.free, self.tail)
-        _, self.multipliers, self.free, self.tail = best
+        self.root, self.multipliers, self.free, self.tail = best
 
     def price(self, multipliers: Sequence[Sequence[int]]) -> int:
-        """Set multipliers, fill free and tail for them, and return the root bound.
+        """Set multipliers, fill free and tail for them, and set and return
+        root, the root bound.
 
         The root bound, bound(0, 0, held), is the bound with nothing forced:
         every value, a pool asset counting its either value, less each
@@ -242,7 +275,8 @@ class SearchTables:
         # Built from the back; reversed, free[q] covers the pool from pool[q] on.
         self.free = free[::-1]
         self.tail = tail[::-1]
-        return self.bound(0, 0, self.held)
+        self.root = self.bound(0, 0, self.held)
+        return self.root
 
     def insert(self, table: list[list[int]], row: Sequence[int]) -> list[list[int]]:
         """table with one more asset, of per-scenario values row: the s
@@ -422,11 +456,13 @@ def solve_exact(
     cut by the module's bounds (a) and (b), a later size winning a tie and,
     within a size, the first set found.  That is the same plan: the largest
     optimal held set is the smallest first stage, and the first one found
-    of a size has the lexicographically first complement.  The pool leaves
-    out prunable(instance), which no optimal plan sells first; given extras,
-    a dict, the solver sets extras["pruned_assets"] to their number.  An
-    Instance is valid by construction, so only n > options.max_n is refused
-    here.
+    of a size has the lexicographically first complement.  The first-stage
+    search bounds with zero multipliers and calls SearchTables.tune once it
+    has taken len(_ALPHA_SIXTEENTHS) * len(pool) bounds, about what the scan
+    costs.  The pool leaves out prunable(instance), which no optimal plan
+    sells first; given extras, a dict, the solver sets
+    extras["pruned_assets"] to their number.  An Instance is valid by
+    construction, so only n > options.max_n is refused here.
     """
     if options is None:
         options = ExactOptions()
@@ -448,6 +484,17 @@ def solve_exact(
     values, positions, net = tables.values, tables.positions, tables.net
     insert = tables.insert
     size = len(pool)
+    # Tuning prices up to one table per alpha, each about size inserts, as
+    # dear as that many bounds: tune once the search has taken as many.
+    untuned = len(_ALPHA_SIXTEENTHS) * size
+
+    def bound_at(q: int, net_sum: int, held: list[list[int]]) -> int:
+        nonlocal untuned
+        if not untuned:
+            tables.tune()
+        untuned -= 1
+        return tables.bound(q, net_sum, held)
+
     first_value = [view.pscale * ci for ci in view.c]
     # bounded[a][r]: a subtree with a pool assets after t and r picks left
     # holds sum_{s <= r} C(a, s) sets.  A bound costs about hold passes over
@@ -496,10 +543,10 @@ def solve_exact(
                 # of F+{t} has at least depth assets and comes later in the order.
                 if q > start:
                     held = insert(held, values[pool[q - 1]])
-                    bound = tables.bound(q, net_sum, held)
+                    bound = bound_at(q, net_sum, held)
                     if bound < best_total or (bound == best_total and depth >= len(best_first)):
                         return
-                bound = tables.bound(q + 1, child_net, held)
+                bound = bound_at(q + 1, child_net, held)
                 if bound < best_total or (bound == best_total and depth >= len(best_first)):
                     continue
             # Orders are by value, so t leaves the sale if it sells at or

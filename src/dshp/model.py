@@ -118,11 +118,19 @@ def parse_rational(text: str) -> Fraction:
     digits and exponent before any big integer is built (_judged):
     Fraction("1e10000000") takes seconds, and int() would refuse a numeral
     of too many digits, or of too many leading zeros, as if it were
-    malformed.
+    malformed.  A short numeral of an optional sign, ASCII digits and
+    optionally "/" and ASCII digits is read through int(), which is about
+    twice as fast as Fraction(str) and gives the same value and errors.
     """
     numeral = text.strip()
     try:
         if len(numeral) <= 640 and "e" not in numeral and "E" not in numeral:
+            whole, slash, denominator = numeral.partition("/")
+            digits = whole[1:] if whole[:1] in ("+", "-") else whole
+            if digits.isascii() and digits.isdigit() and (
+                not slash or (denominator.isascii() and denominator.isdigit())
+            ):
+                return Fraction(int(whole), int(denominator)) if slash else Fraction(int(whole))
             return Fraction(numeral)
         limit = _max_str_digits()
         match = limit and _NUMERAL.fullmatch(numeral)

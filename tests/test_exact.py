@@ -59,6 +59,14 @@ def brute_force_optimum(instance):
     return best
 
 
+HALF = Fraction(1, 2)
+SIGNED = dict(n=3, m=2, c=(1, -2, 3), p=(HALF, HALF), f=((1, 2), (3, 4), (-5, 6)))
+# Scenario 0 has zero weight; in the others asset 0 is worth 0 and the rest 4.
+ZERO_WEIGHTS = dict(
+    n=4, m=3, c=(1, 4, 4, 4), p=(0, HALF, HALF), f=((9, 0, 0), (-3, 4, 4), (7, 4, 4), (0, 4, 4))
+)
+
+
 def test_nothing_to_sell():
     inst = Instance(n=3, m=2, k=0, c=(1, 2, 3), p=(Fraction(1, 2),) * 2, f=((1, 1), (1, 1), (1, 1)))
     sol = solve_exact(inst)
@@ -115,6 +123,43 @@ def test_prunable_boundary_excluded():
 
 def test_prunable_on_tightness(tightness_012):
     assert prunable(tightness_012) == {0, 2, 3}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(instance=small_instances(), draws=st.randoms(use_true_random=False))
+@example(instance=Instance(k=0, **SIGNED), draws=random.Random(1))  # r = n
+@example(instance=Instance(k=2, **SIGNED), draws=random.Random(2))  # r = 1
+@example(instance=Instance(k=3, **SIGNED), draws=random.Random(3))  # r = 0
+@example(instance=Instance(k=2, **ZERO_WEIGHTS), draws=random.Random(4))
+@example(instance=Instance(k=1, **ZERO_WEIGHTS), draws=random.Random(5))
+def test_selling_a_pruned_asset_first_always_loses(instance, draws):
+    """For each asset prunable names and a drawn first stage F holding it,
+    F less that asset earns strictly more, by complete_first_stage; the
+    pruned set holds the plain rule's, c_i < E f_i, and equals it at r <= 1."""
+    pruned = prunable(instance)
+    plain = set(range(instance.n)) - set(pruned_pool(instance))
+    assert plain <= pruned
+    if instance.n - instance.k <= 1:
+        assert pruned == plain
+    for i in sorted(pruned) if instance.k else ():
+        others = [a for a in range(instance.n) if a != i]
+        rest = draws.sample(others, draws.randint(0, min(instance.k - 1, len(others))))
+        kept = complete_first_stage(instance, rest).value
+        assert kept > complete_first_stage(instance, [i, *rest]).value, (i, rest)
+
+
+def test_prunable_drops_more_than_the_plain_rule_at_a_hold_of_two():
+    # Asset 0 earns 1 sold first and 0 in either weighted scenario, so c_0 >
+    # E f_0 and the plain rule keeps it.  But at r = 2 each weighted
+    # scenario's second-lowest value is 4: holding asset 0 back lets every
+    # scenario sell one more asset, worth 4.  At r = 1 the floor is 0.
+    assert pruned_pool(Instance(k=2, **ZERO_WEIGHTS)) == [0, 1, 2, 3]
+    assert prunable(Instance(k=2, **ZERO_WEIGHTS)) == {0}
+    assert prunable(Instance(k=1, **ZERO_WEIGHTS)) == {0}
+    assert prunable(Instance(k=3, **ZERO_WEIGHTS)) == frozenset()
+    assert solve_exact(Instance(k=2, **ZERO_WEIGHTS)) == first_optimum_by_enumeration(
+        Instance(k=2, **ZERO_WEIGHTS), range(4)
+    )
 
 
 def test_solve_exact_reports_its_pruned_count(tightness_012):
@@ -175,16 +220,23 @@ def test_deterministic_tie_break_prefers_smaller_first_stage():
 
 
 def pruned_pool(instance):
+    """The assets with c_i >= E f_i, in Fractions: the pool of the plain
+    exchange rule, which holds solve_exact's pool (prunable also drops, at
+    r = n - k >= 2, assets whose c_i is below sum_j p_j max(f_ij, s_j))."""
+    return [
+        i for i, (ci, row) in enumerate(zip(instance.c, instance.f))
+        if ci >= sum(map(operator.mul, instance.p, row))
+    ]
+
+
+def search_pool(instance):
+    """The pool solve_exact searches."""
     return sorted(set(range(instance.n)) - prunable(instance))
 
 
 def with_budget(instance, k):
     """instance with its sale budget set to k."""
     return Instance(n=instance.n, m=instance.m, k=k, c=instance.c, p=instance.p, f=instance.f)
-
-
-HALF = Fraction(1, 2)
-SIGNED = dict(n=3, m=2, c=(1, -2, 3), p=(HALF, HALF), f=((1, 2), (3, 4), (-5, 6)))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -424,50 +476,65 @@ def test_incremental_bound_equals_the_definition_at_every_node(instance, pruned,
 def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch):
     # The search adds each held-back sibling to its held table as it passes
     # it.  Each bound it takes, on the run of a child and its later siblings
-    # or on the child's subtree, must be the definition's bound at a node of
-    # the same index and sum of net: a fold that skipped, repeated or wrongly
-    # took an asset would loosen it.
+    # or on the child's subtree, must be the definition's bound, under the
+    # multipliers in force when it is taken, at a node of the same index and
+    # sum of net: a fold that skipped, repeated or wrongly took an asset would
+    # loosen it.  The search takes its first 7 * len(pool) bounds at alpha = 0
+    # and the rest at the tuned alpha; tuning's own root bounds (q = 0) come
+    # between.
     taken = []
     original = SearchTables.bound
 
     def recording(self, q, net, held):
-        taken.append((q, net, original(self, q, net, held)))
+        taken.append((q, net, original(self, q, net, held), self.multipliers))
         return taken[-1][2]
 
     monkeypatch.setattr(SearchTables, "bound", recording)
     rng = random.Random(53)
     # Reductions held back to r = 2: at r = 1 the held-set search runs instead.
+    # The reductions take 67, 68 and 73 bounds, so each tunes after its 56th.
     instances = [with_budget(build_reduction(gen_regular_graph(8, 3, s)), 6) for s in range(3)]
     instances += [
         gen_random_instance(8, rng.randint(1, 4), rng.randint(4, 7), "any", rng.randrange(10**6))
         for _ in range(6)
     ]
-    checked = runs = 0
+    checked = runs = tuned = 0
     for inst in instances:
         taken.clear()
         solve_exact(inst)
-        search = list(taken)
-        view, k, pool = inst.scaled, inst.k, pruned_pool(inst)
+        recorded = list(taken)
+        view, k, pool = inst.scaled, inst.k, search_pool(inst)
         tables = SearchTables(view, k, pool)
-        multipliers = tables.multipliers
+        zero = tables.multipliers
+        tables.tune()
+        search = [entry for entry in recorded if entry[0]]
+        schedule = [zero] * min(len(search), 7 * len(pool))
+        schedule += [tables.multipliers] * (len(search) - len(schedule))
+        assert [entry[3] for entry in search] == schedule, inst
+        tuned += len(search) > 7 * len(pool)
         net = tables.net
-        children, nodes = set(), set()
-        for first, q, _, _ in incremental_bounds(tables, k):
-            child_net = sum(net[i] for i in (*first, pool[q]))
-            children.add((q + 1, child_net, subtree_bound(view, k, pool, multipliers, first, q)))
-            nodes.add((q, child_net - net[pool[q]], run_bound(view, k, pool, multipliers, first, q)))
-        # The root bound of each alpha the constructor prices, by sorting.
-        nodes |= {
-            (0, 0, root_bound(view, k, set(pool), alpha_multipliers(view, e)))
-            for e in ALPHA_SIXTEENTHS
-        }
-        assert set(search) <= children | nodes, inst
+        by_multipliers = {}
+        for q, net_sum, bound, multipliers in recorded:
+            entries = by_multipliers.setdefault(id(multipliers), (multipliers, set()))[1]
+            entries.add((q, net_sum, bound))
+        for multipliers, entries in by_multipliers.values():
+            if all(q == 0 for q, _, _ in entries):  # root bounds of the alphas tuning prices
+                assert entries == {(0, 0, root_bound(view, k, set(pool), multipliers))}, inst
+                continue
+            children, nodes = set(), set()
+            for first, q, _, _ in incremental_bounds(tables, k):
+                child_net = sum(net[i] for i in (*first, pool[q]))
+                subtree = subtree_bound(view, k, pool, multipliers, first, q)
+                children.add((q + 1, child_net, subtree))
+                run = run_bound(view, k, pool, multipliers, first, q)
+                nodes.add((q, child_net - net[pool[q]], run))
+            assert entries <= children | nodes, inst
+            runs += sum(1 for entry in entries if entry[0] and entry not in children)
         checked += len(search)
-        runs += sum(1 for entry in search if entry[0] and entry not in children)
-    assert checked > 100 and runs > 10
+    assert checked > 200 and runs > 10 and tuned == 3
 
 
-# The alpha SearchTables scans for its multipliers, in sixteenths, in order.
+# The alpha SearchTables.tune scans for its multipliers, in sixteenths, in order.
 ALPHA_SIXTEENTHS = (0, 8, 12, 13, 14, 15, 16)
 
 
@@ -505,13 +572,16 @@ def root_bound(view, k, pool, multipliers):
 
 
 def assert_tuned_as_the_scan(view, k, pool):
-    """SearchTables prices every alpha's multipliers at their sorted root
-    bound, and keeps those of the first lowest bound, the scan stopping at the
-    first rise, with the tables they give."""
+    """SearchTables starts at alpha = 0; tune prices every alpha's
+    multipliers at their sorted root bound, and keeps those of the first
+    lowest bound, the scan stopping at the first rise, with the tables they
+    give."""
     tables = SearchTables(view, k, pool)
-    chosen, free, tail = tables.multipliers, tables.free, tables.tail
     candidates = [alpha_multipliers(view, e) for e in ALPHA_SIXTEENTHS]
     bounds = [root_bound(view, k, set(pool), rows) for rows in candidates]
+    assert (tables.multipliers, tables.root) == (candidates[0], bounds[0])
+    tables.tune()
+    chosen, root, free, tail = tables.multipliers, tables.root, tables.free, tables.tail
     assert [tables.price(rows) for rows in candidates] == bounds
     kept = 0
     for a in range(1, len(bounds)):
@@ -519,7 +589,7 @@ def assert_tuned_as_the_scan(view, k, pool):
             break
         if bounds[a] < bounds[kept]:
             kept = a
-    assert chosen == candidates[kept], (bounds, kept)
+    assert (chosen, root) == (candidates[kept], bounds[kept]), (bounds, kept)
     tables.price(chosen)
     assert (tables.free, tables.tail) == (free, tail)
 
@@ -556,7 +626,84 @@ def test_tables_tune_the_multipliers_as_the_sorted_scan_on_the_bench_shapes(shap
             inst = gen_random_instance(*shape, "any", seed)
         else:
             inst = with_budget(build_reduction(gen_regular_graph(*shape, seed)), shape[0] - 2)
-        assert_tuned_as_the_scan(inst.scaled, inst.k, pruned_pool(inst))
+        assert_tuned_as_the_scan(inst.scaled, inst.k, search_pool(inst))
+
+
+def solve_tuned(instance, schedule):
+    """solve_exact's plan, and the bounds its search took, with tune moved:
+    "root" tunes in SearchTables' constructor, "per-asset" once the search
+    has taken one bound per pool asset, "lazy" where solve_exact tunes, and
+    "never" not at all."""
+    init, tune, bound = SearchTables.__init__, SearchTables.tune, SearchTables.bound
+    taken = []
+
+    def tuned_init(self, *args):
+        init(self, *args)
+        tune(self)
+
+    def counted(self, q, net, held):
+        if q:  # the search's own bounds; price takes the root bound, q = 0
+            if schedule == "per-asset" and len(taken) == len(self.pool):
+                tune(self)
+            taken.append(q)
+        return bound(self, q, net, held)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SearchTables, "bound", counted)
+        if schedule != "lazy":
+            patch.setattr(SearchTables, "tune", lambda self: None)
+        if schedule == "root":
+            patch.setattr(SearchTables, "__init__", tuned_init)
+        solution = solve_exact(instance, ExactOptions(max_n=instance.n))
+    return solution, len(taken)
+
+
+def tuning_inputs():
+    rng = random.Random(61)
+    for values in ("any", "2", "3"):
+        for _ in range(6):
+            n = rng.randint(8, 16)
+            yield gen_random_instance(
+                n, rng.choice([4, 8, 32]), rng.randint(2, n - 2), values, rng.randrange(10**6)
+            )
+    for n, d, held, seed in ((10, 3, 2, 0), (10, 3, 3, 1), (12, 4, 2, 2), (12, 3, 3, 3),
+                             (14, 3, 2, 4), (14, 4, 3, 5)):
+        yield with_budget(build_reduction(gen_regular_graph(n, d, seed)), n - held)
+
+
+def test_the_plan_does_not_depend_on_when_the_multipliers_are_tuned():
+    # Any zero-sum multipliers give a sound bound and the held tables read
+    # values only, so tuning at the root, after one bound per pool asset,
+    # lazily or never changes what is cut, never the plan.
+    tuned_mid_search = 0
+    for inst in tuning_inputs():
+        plan, taken = solve_tuned(inst, "lazy")
+        assert plan == solve_exact(inst)
+        for schedule in ("root", "per-asset", "never"):
+            assert solve_tuned(inst, schedule)[0] == plan, (schedule, inst)
+        tuned_mid_search += taken > 7 * (inst.n - len(prunable(inst)))
+    assert tuned_mid_search >= 6
+
+
+def test_a_two_valued_plan_does_not_depend_on_when_the_multipliers_are_tuned():
+    inst = gen_random_instance(28, 32, 14, "2", 1)
+    expected = two_valued_first_stage(inst)
+    for schedule in ("root", "per-asset", "lazy", "never"):
+        assert solve_tuned(inst, schedule)[0].first_stage == expected, schedule
+
+
+@pytest.mark.parametrize("n, d", [(20, 4), (18, 3)])
+def test_lazy_tuning_costs_at_most_the_scan_over_root_tuning(n, d):
+    # The ski-rental rule: the search tunes once it has taken as many bounds
+    # as the scan costs, so it takes at most that many more than a search
+    # tuned at the root.
+    for seed in range(3):
+        inst = with_budget(build_reduction(gen_regular_graph(n, d, seed)), n - 2)
+        lazy, lazy_bounds = solve_tuned(inst, "lazy")
+        root, root_bounds = solve_tuned(inst, "root")
+        assert lazy == root
+        scan = 7 * len(search_pool(inst))
+        assert lazy_bounds <= root_bounds + scan, (seed, lazy_bounds, root_bounds)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
@@ -584,14 +731,27 @@ def test_order_sorts_only_distinct_values(n, m, data, seed):
     assert solve_two_value(inst).value == solve_exact(inst).value
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_search_at_scale_matches_enumeration(seed):
-    # Every optimum avoids the prunable assets (the exchange argument), so
-    # enumerating the rest finds the same first optimum.  The per-set
-    # completion is the greedy, which criterion 7 checks against brute force.
-    inst = gen_random_instance(22, 8, 11, "any", seed)
+@pytest.mark.parametrize(
+    "shape, values, seed",
+    [pytest.param((22, 8, 11), "any", seed, id=str(seed)) for seed in range(3)]
+    # Where prunable's floors drop the most beyond the plain rule: 12 -> 4,
+    # 12 -> 9, 15 -> 5, 12 -> 11, 15 -> 7 and 7 -> 5 pool assets.
+    + [
+        pytest.param(shape, values, seed, id=f"{values}-{shape[0]}x{shape[1]}-k{shape[2]}-{seed}")
+        for shape, values, seed in [
+            ((20, 32, 5), "any", 0), ((20, 32, 10), "any", 0), ((24, 32, 6), "any", 0),
+            ((24, 32, 12), "any", 1), ((22, 32, 6), "3", 0), ((22, 32, 11), "3", 1),
+        ]
+    ],
+)
+def test_search_at_scale_matches_enumeration(shape, values, seed):
+    # Every optimum avoids the assets with c_i < E f_i (the exchange
+    # argument), so enumerating the rest finds the same first optimum; the
+    # search leaves out more.  The per-set completion is the greedy, which
+    # criterion 7 checks against brute force.
+    inst = gen_random_instance(*shape, values, seed)
     expected = first_optimum_by_enumeration(inst, pruned_pool(inst), greedy_second_stage)
-    assert solve_exact(inst) == expected
+    assert solve_exact(inst, ExactOptions(max_n=inst.n)) == expected
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

@@ -371,6 +371,42 @@ def test_decimal_literals_parse_exactly():
     assert inst.f[0][0] == Fraction(3, 10)
 
 
+ASCII_DIGITS = st.text("0123456789", min_size=1, max_size=12)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    sign=st.sampled_from(["", "+", "-"]),
+    whole=ASCII_DIGITS,
+    denominator=st.none() | ASCII_DIGITS.filter(lambda d: d.strip("0")),
+    pad=st.sampled_from(["", " ", "\t\n"]),
+)
+@example(sign="-", whole="0", denominator=None, pad="")
+@example(sign="+", whole="5", denominator=None, pad="")
+@example(sign="", whole="007", denominator="010", pad="")
+def test_plain_numerals_parse_as_fraction_reads_them(sign, whole, denominator, pad):
+    # Sign, digits and "/" digits, leading zeros included, read through int().
+    numeral = sign + whole + ("" if denominator is None else "/" + denominator)
+    value = parse_rational(pad + numeral + pad)
+    assert value == Fraction(numeral) and type(value) is Fraction
+
+
+@pytest.mark.parametrize(
+    "numeral", ["1_0", "٣", "²", "+-1", "1/-2", "5/0", "-05/00", "", "-", "1 /2", "0x10"]
+)
+def test_near_plain_numerals_read_as_fraction_reads_them(numeral):
+    # Spellings next to the int() path: each gives Fraction's value, or its
+    # error with the message parse_rational has always given.
+    try:
+        expected = Fraction(numeral)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ParseError) as info:
+            parse_rational(numeral)
+        assert str(info.value) == f"not a rational numeral: {numeral!r} ({exc})"
+    else:
+        assert parse_rational(numeral) == expected
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError, match="f\\[1\\]\\[0\\]"):
         parse_instance(
