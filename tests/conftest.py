@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -36,6 +37,27 @@ def dominating_plan(instance, dominating):
     """
     chosen = set(dominating)
     return complete_first_stage(instance, [i for i in range(instance.n) if i not in chosen])
+
+
+class IntegerView(NamedTuple):
+    """An instance's cells as integers: c[i] and columns[j][i] are c_i and
+    f_ij times scale, and weights[j] is p_j times pscale."""
+
+    c: tuple
+    columns: tuple
+    weights: tuple
+    scale: int
+    pscale: int
+
+
+def integer_view(instance) -> IntegerView:
+    """Every cell of instance looked up, one by one, in Instance.integers: the
+    tests' reference for the integers the exact search reads."""
+    table = instance.integers
+    ints = table.ints
+    c = tuple(ints[id(v)] for v in instance.c)
+    columns = tuple(zip(*[[ints[id(v)] for v in row] for row in instance.f]))
+    return IntegerView(c, columns, table.weights, table.scale, table.pscale)
 
 
 def brute_force_second_stage(instance, first_stage):

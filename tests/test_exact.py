@@ -34,6 +34,7 @@ from conftest import (
     brute_force_second_stage,
     first_optimum_by_enumeration,
     greedy_second_stage,
+    integer_view,
     small_instances,
     two_valued_first_stage,
     two_valued_instances,
@@ -534,6 +535,83 @@ def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch)
     assert checked > 200 and runs > 10 and tuned == 3
 
 
+# name: (SearchTables.bound calls, _HoldOneSearch.spread calls, _HoldOneSearch.drop
+# calls, first stage).  The bench's any-valued shapes (k = n/2) at two seeds, and its
+# reduction shapes held back to r = 1 (the held-set search) and r = 2 (the
+# first-stage search, tuning once it has taken 7 bounds per pool asset).
+WORK_COUNTS = {
+    "any-14x8-0": (2, 0, 0, (5, 8)),
+    "any-14x8-1": (2, 0, 0, (2, 4, 8)),
+    "any-14x32-0": (21, 0, 0, (0, 5, 8, 13)),
+    "any-14x32-1": (2, 0, 0, (2, 4, 8)),
+    "any-15x8-0": (1, 0, 0, (5, 8)),
+    "any-15x8-1": (1, 0, 0, (2, 4, 8)),
+    "any-15x32-0": (11, 0, 0, (0, 5, 8, 13)),
+    "any-15x32-1": (2, 0, 0, (2, 4, 8)),
+    "any-16x8-0": (5, 0, 0, (0, 5, 8, 15)),
+    "any-16x8-1": (1, 0, 0, (2, 4, 8)),
+    "any-16x32-0": (11, 0, 0, (5, 8, 13, 15)),
+    "any-16x32-1": (2, 0, 0, (2, 4, 8)),
+    "any-17x8-0": (7, 0, 0, (0, 5, 8, 15)),
+    "any-17x8-1": (1, 0, 0, (2, 8, 16)),
+    "any-17x32-0": (22, 0, 0, (5, 8, 13, 15)),
+    "any-17x32-1": (4, 0, 0, (2, 4, 8, 16)),
+    "reduction-12-3-r1-0": (0, 59, 8, (0, 1, 2, 3, 4, 6, 7, 8, 11)),
+    "reduction-12-3-r1-1": (0, 115, 29, (0, 1, 2, 3, 4, 5, 9, 10)),
+    "reduction-12-3-r2-0": (815, 0, 0, (0, 1, 3, 4, 5)),
+    "reduction-12-3-r2-1": (710, 0, 0, (0, 1, 2, 7, 8)),
+    "reduction-12-4-r1-0": (0, 51, 3, (0, 1, 2, 3, 4, 5, 7, 8, 10)),
+    "reduction-12-4-r1-1": (0, 47, 1, (0, 1, 2, 3, 4, 5, 6, 7, 9)),
+    "reduction-12-4-r2-0": (711, 0, 0, (0, 1, 2, 5, 7, 8, 10)),
+    "reduction-12-4-r2-1": (726, 0, 0, (0, 1, 2, 3, 4, 6, 9)),
+    "reduction-13-4-r1-0": (0, 57, 5, (0, 1, 2, 3, 4, 5, 8, 10, 11, 12)),
+    "reduction-13-4-r1-1": (0, 83, 19, (0, 1, 3, 4, 6, 7, 8, 9, 10, 12)),
+    "reduction-13-4-r2-0": (1226, 0, 0, (0, 1, 2, 3, 4, 8, 11)),
+    "reduction-13-4-r2-1": (1079, 0, 0, (0, 1, 2, 4, 5, 8, 11)),
+    "reduction-14-3-r1-0": (0, 91, 18, (0, 1, 2, 3, 4, 5, 6, 10, 11, 12)),
+    "reduction-14-3-r1-1": (0, 149, 56, (0, 1, 2, 4, 5, 6, 8, 9, 10, 13)),
+    "reduction-14-3-r2-0": (2134, 0, 0, (0, 1, 2, 3, 4, 5)),
+    "reduction-14-3-r2-1": (2196, 0, 0, (0, 1, 2, 4, 6, 8)),
+    "reduction-14-4-r1-0": (0, 81, 15, (0, 1, 2, 3, 4, 7, 8, 9, 11, 12, 13)),
+    "reduction-14-4-r1-1": (0, 109, 29, (0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 12)),
+    "reduction-14-4-r2-0": (2241, 0, 0, (0, 1, 4, 5, 6, 9, 10, 13)),
+    "reduction-14-4-r2-1": (2608, 0, 0, (0, 1, 2, 4, 6, 7, 8, 12)),
+}
+
+
+def work_count_input(name):
+    """The instance a WORK_COUNTS name describes."""
+    kind, *shape, seed = name.split("-")
+    if kind == "any":
+        n, m = map(int, shape[0].split("x"))
+        return gen_random_instance(n, m, n // 2, "any", int(seed))
+    n, d, held = int(shape[0]), int(shape[1]), int(shape[2][1:])
+    return with_budget(build_reduction(gen_regular_graph(n, d, int(seed))), n - held)
+
+
+def test_the_search_takes_the_pinned_work_and_plan_on_the_bench_shapes(monkeypatch):
+    # Deterministic work counts: a change that leaves every plan alone but
+    # bounds more, or bounds differently, moves a count here.  Every bound
+    # counts, the root bounds that pricing and tuning take included.
+    counts = {}
+
+    def counted(name, method):
+        def count(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+        return count
+
+    monkeypatch.setattr(SearchTables, "bound", counted("bound", SearchTables.bound))
+    monkeypatch.setattr(_HoldOneSearch, "spread", counted("spread", _HoldOneSearch.spread))
+    monkeypatch.setattr(_HoldOneSearch, "drop", counted("drop", _HoldOneSearch.drop))
+    found = {}
+    for name in WORK_COUNTS:
+        counts.update(bound=0, spread=0, drop=0)
+        first_stage = solve_exact(work_count_input(name)).first_stage
+        found[name] = (counts["bound"], counts["spread"], counts["drop"], first_stage)
+    assert found == WORK_COUNTS
+
+
 # The alpha SearchTables.tune scans for its multipliers, in sixteenths, in order.
 ALPHA_SIXTEENTHS = (0, 8, 12, 13, 14, 15, 16)
 
@@ -937,6 +1015,104 @@ def test_every_bound_the_hold_one_search_takes_is_sound_and_its_definition(monke
                 assert bound == cost + sum(mins) + sum(sorted(gains)[:t])
             kinds[kind] += 1
     assert kinds["a"] > 500 and kinds["b"] > 120, kinds
+
+
+def held_set_first_stage(instance):
+    """Oracle for solve_exact's first stage at r = n - k >= 1: a search over
+    held sets H = V - F that shares no code with the solver.
+
+    Over the scenarios of nonzero weight, with v_ij = w_j f_ij and net_i =
+    pscale c_i - sum_j v_ij (integer_view's units), F's objective is sum_i
+    pscale c_i less cost(H) = sum_{i in H} net_i + sum_j (the r lowest v_ij
+    over H), and |F| <= k is |H| >= r.  So the plan is the H of least cost,
+    ties to the largest H and then to the lexicographically first F.  Every
+    optimal H holds each asset with pscale c_i < sum_j max(v_ij, s_j), s_j
+    the r-th lowest v_ij over all n (prunable's exchange argument), so H is
+    those plus S drawn from the rest, whose nets are >= 0.  Sizes |S|
+    ascend; within one a depth-first search decides the rest in ascending
+    order, sold before held, so the sets of one size come in the order of
+    their F.  A node adding t assets of rest[q:] to a held part of net sum
+    c is cut when c + the t smallest nets over rest[q:] + sum_j (the r
+    lowest v_ij over the held part and rest[q:]) exceeds the best cost, or
+    equals it within the best's own size; the search ends at the first size
+    whose floor, that bound at the root, exceeds the best cost.
+    """
+    n, r = instance.n, instance.n - instance.k
+    view = integer_view(instance)
+    kept = [j for j, w in enumerate(view.weights) if w]
+    value = [[view.weights[j] * view.columns[j][i] for j in kept] for i in range(n)]
+    net = [view.pscale * ci - sum(row) for ci, row in zip(view.c, value)]
+    floors = [sorted(column)[r - 1] for column in zip(*value)]
+    fixed = [i for i in range(n) if view.pscale * view.c[i] < sum(map(max, value[i], floors))]
+    rest = [i for i in range(n) if i not in fixed]
+
+    def lowest(assets):
+        """Per scenario, the r lowest values over assets, ascending."""
+        return [sorted(column)[:r] for column in zip(*(value[i] for i in assets))] or [[]] * len(kept)
+
+    later = [lowest(rest[q:]) for q in range(len(rest) + 1)]
+    cheapest = [[0, *itertools.accumulate(sorted(net[i] for i in rest[q:]))]
+                for q in range(len(rest) + 1)]
+    best = None  # (cost, |S|, F)
+
+    def visit(q, t, cost, lows, held):
+        nonlocal best
+        if len(rest) - q < t:
+            return
+        bound = cost + cheapest[q][t] + sum(
+            sum(sorted(a + b)[:r]) for a, b in zip(lows, later[q])
+        )
+        if best and (bound > best[0] or (bound == best[0] and best[1] == size)):
+            return
+        if not t:
+            total = cost + sum(map(sum, lows))
+            if not best or total < best[0] or (total == best[0] and size > best[1]):
+                best = (total, size, tuple(i for i in rest if i not in held))
+            return
+        i = rest[q]
+        visit(q + 1, t, cost, lows, held)
+        visit(q + 1, t - 1, cost + net[i],
+              [sorted([*a, v])[:r] for a, v in zip(lows, value[i])], {*held, i})
+
+    base = lowest(fixed)
+    for size in range(max(0, r - len(fixed)), len(rest) + 1):
+        floor = sum(net[i] for i in fixed) + cheapest[0][size]
+        if best and floor + sum(sum(sorted(a + b)[:r]) for a, b in zip(base, later[0])) > best[0]:
+            break
+        visit(0, size, sum(net[i] for i in fixed), base, set())
+    return best[2]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(instance=small_instances().filter(lambda inst: inst.k < inst.n))
+@example(instance=Instance(k=2, **ZERO_WEIGHTS))
+def test_held_set_oracle_is_the_first_optimum_by_enumeration(instance):
+    expected = first_optimum_by_enumeration(instance, range(instance.n), greedy_second_stage)
+    assert held_set_first_stage(instance) == expected.first_stage
+
+
+# Reductions held back to r = 2 and 3, and any-valued inputs at r = 2 and 3,
+# where the first-stage search runs past enumeration sizes.
+HELD_SET_ORACLE_INPUTS = [
+    *((f"reduction-{n}-{d}-r{r}-{seed}", (n, d, r, seed))
+      for n, d, r, seed in [(12, 3, 2, 0), (12, 4, 3, 1), (13, 4, 2, 2), (14, 3, 3, 3),
+                            (14, 4, 2, 4), (15, 4, 3, 5), (16, 3, 2, 6), (16, 4, 3, 7)]),
+    *((f"any-{n}x{m}-r{r}-{seed}", (n, m, r, seed))
+      for n, m, r, seed in [(16, 8, 2, 0), (17, 32, 3, 1), (18, 8, 2, 2), (19, 32, 3, 3),
+                            (20, 8, 2, 4), (20, 32, 3, 5)]),
+]
+
+
+@pytest.mark.parametrize("shape", [shape for _, shape in HELD_SET_ORACLE_INPUTS],
+                         ids=[name for name, _ in HELD_SET_ORACLE_INPUTS])
+def test_search_past_enumeration_returns_the_held_set_oracle_plan(shape):
+    n, size, r, seed = shape
+    if size <= 4:
+        inst = with_budget(build_reduction(gen_regular_graph(n, size, seed)), n - r)
+    else:
+        inst = gen_random_instance(n, size, n - r, "any", seed)
+    expected = complete_first_stage(inst, held_set_first_stage(inst))
+    assert solve_exact(inst, ExactOptions(max_n=n)) == expected
 
 
 def mapped(instance, value):
