@@ -2,10 +2,11 @@
 held sets when every scenario holds one asset back.
 
 The search covers first-stage sets of every size 0..k, because holding
-everything back for the second stage is often optimal.  It works on the
-instance's integer view (model.Instance.scaled), where every objective,
-times scale * pscale, is an integer.  When r = n - k is 1 the search runs
-over held sets instead (see the last part below); the plan is the same.
+everything back for the second stage is often optimal.  It reads the
+instance's integers through _Costs, built once per solve from
+model.Instance.integers, where every objective, times scale * pscale, is an
+integer.  When r = n - k is 1 the search runs over held sets instead (see
+the last part below); the plan is the same.
 
 - Order and ties.  Sets are visited depth first, the children F+{t} of F
   in increasing t, so sets of one size are met in lexicographic order.
@@ -105,14 +106,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
-from operator import add, mul
+from operator import add
 from typing import Sequence
 
 from .model import (
     DEFAULT_MAX_N,
     EnumerationCapError,
     Instance,
-    ScaledView,
     Solution,
     by_value,
     complete_first_stage,
@@ -135,6 +135,46 @@ class ExactOptions:
             raise ValueError(f"max_n must be >= 1, got {self.max_n}")
 
 
+class _Costs:
+    """An instance's objective in integers, built once per solve from its
+    integer table (model.Instance.integers) and its cells.
+
+    n, k and hold = n - k are the instance's, scale and pscale the table's,
+    and c[i] is c_i times scale.  Only the scenarios of nonzero weight w_j =
+    pscale * p_j are kept: weights lists their w_j, columns[j] holds w_j
+    f_ij times scale over the assets, and values[i] asset i's row of those,
+    one per kept scenario.  expected[i] is the sum of values[i], and net[i]
+    is pscale * c_i less it.  Every objective the search compares, times
+    scale * pscale, is an integer over these.
+
+    pruned is prunable's set: with hold >= 1 and s_j the hold-th lowest of
+    columns[j], the assets with pscale * c_i strictly below sum_j max(w_j
+    f_ij, s_j); with hold = 0, those with net[i] < 0.  That is prunable's
+    test times scale * pscale: for w_j > 0, s_j is w_j times the hold-th
+    lowest f_ij, and a scenario of zero weight adds 0 to both sides.
+    """
+
+    def __init__(self, instance: Instance):
+        table = instance.integers
+        ints = table.ints.__getitem__
+        pscale = table.pscale
+        self.n, self.k = instance.n, instance.k
+        self.hold = hold = instance.n - instance.k
+        self.scale, self.pscale = table.scale, pscale
+        self.c = c = list(map(ints, map(id, instance.c)))
+        columns = zip(*[map(ints, map(id, row)) for row in instance.f])
+        self.weights = [w for w in table.weights if w]
+        self.columns = [[w * v for v in column] for w, column in zip(table.weights, columns) if w]
+        self.values = values = list(zip(*self.columns))
+        self.expected = expected = list(map(sum, values))  # sum_j w_j f_ij
+        self.net = [pscale * ci - e for ci, e in zip(c, expected)]
+        worth = expected
+        if hold:
+            floors = [sorted(column)[hold - 1] for column in self.columns]
+            worth = [sum([v if v > s else s for v, s in zip(row, floors)]) for row in values]
+        self.pruned = frozenset(i for i, (ci, x) in enumerate(zip(c, worth)) if pscale * ci < x)
+
+
 def prunable(instance: Instance) -> frozenset[int]:
     """Assets no optimal plan sells first: with r = n - k >= 1 and s_j the
     r-th lowest value of scenario j over all n assets, c_i strictly below
@@ -143,20 +183,9 @@ def prunable(instance: Instance) -> frozenset[int]:
     Moving i from F to the second stage makes every scenario sell one more
     asset, worth max(f_ij, the r-th lowest value of the held set) >= max(f_ij,
     s_j), so the move gains.  At r = 1, s_j is the column minimum and the
-    test is c_i < E f_i.
+    test is c_i < E f_i.  _Costs computes it in integers.
     """
-    view = instance.scaled
-    hold = instance.n - instance.k
-    rows = zip(*view.columns)
-    if hold:
-        floors = [sorted(column)[hold - 1] for column in view.columns]
-        rows = ([v if v > s else s for v, s in zip(row, floors)] for row in rows)
-    # Both sides times scale * pscale: c_i * pscale against sum_j weights[j] * max(f_ij, s_j).
-    return frozenset(
-        i
-        for i, (ci, row) in enumerate(zip(view.c, rows))
-        if ci * view.pscale < sum(map(mul, view.weights, row))
-    )
+    return _Costs(instance).pruned
 
 
 # alpha, in sixteenths, in the order SearchTables.tune tries it.
@@ -164,17 +193,16 @@ _ALPHA_SIXTEENTHS = (0, 8, 12, 13, 14, 15, 16)
 
 
 class SearchTables:
-    """What the search reads of an instance's integer view, for one pool.
+    """The first-stage search's tables over a solve's costs, for one pool.
 
-    pool lists the assets a first stage may hold, ascending.  hold is n - k,
-    the number of assets every scenario leaves unsold.  Only scenarios of
-    nonzero weight w are kept, and every value is multiplied by its
-    scenario's w.  Per kept scenario: orders holds the selling order, the
+    costs is the solve's _Costs, whose kept scenarios and weighted values
+    the tables read.  pool lists the assets a first stage may hold,
+    ascending.  hold is n - k, the number of assets every scenario
+    leaves unsold.  Per kept scenario: orders holds the selling order, the
     by_value groups of every asset flattened, and ranked the values in that
-    order.  Per asset i, with one entry per kept scenario: values[i] holds
-    its value, positions[i] its index in the selling order and firsts[i] its
-    first-stage value w c_i; expected[i] is the sum of values[i], and net[i]
-    is pscale * c_i minus expected[i].  weights lists the kept scenarios' w.
+    order.  Per asset i, with one entry per kept scenario: positions[i]
+    holds its index in the selling order and firsts[i] its first-stage value
+    w c_i.
 
     multipliers holds one row of integers per kept scenario, one per asset,
     and each column sums to 0 (all zeros gives the wait-and-see bound).  In
@@ -197,32 +225,23 @@ class SearchTables:
     assets from pool[q] on, either value minus value.
     """
 
-    def __init__(self, view: ScaledView, k: int, pool: Sequence[int]):
-        n, pscale, weights = len(view.c), view.pscale, view.weights
-        kept = [j for j, w in enumerate(weights) if w]
-        orders = [
-            [i for _, members in by_value(range(n), view.columns[j]) for i in members] for j in kept
-        ]
-        columns = [[weights[j] * v for v in view.columns[j]] for j in kept]
-        values = list(zip(*columns))
-        expected = list(map(sum, values))  # sum_j w_j f_ij
+    def __init__(self, costs: _Costs, pool: Sequence[int]):
+        n, columns = costs.n, costs.columns
+        orders = [[i for _, members in by_value(range(n), column) for i in members]
+                  for column in columns]
+        self.costs = costs
         self.pool = list(pool)
-        self.hold = n - k
+        self.hold = costs.hold
         self.orders = orders
         self.ranked = [[column[i] for i in order] for column, order in zip(columns, orders)]
-        self.values = values
         # Each order's inverse: asset i's index in it.
         self.positions = list(zip(*(sorted(range(n), key=order.__getitem__) for order in orders)))
-        self.net = [pscale * ci - e for ci, e in zip(view.c, expected)]
-        self.firsts = [tuple(weights[j] * ci for j in kept) for ci in view.c]
-        self.expected = expected
-        self.pscale = pscale
-        self.weights = [weights[j] for j in kept]
+        self.firsts = [tuple(w * ci for w in costs.weights) for ci in costs.c]
         held = []
         for i in sorted(set(range(n)) - set(pool)):
-            held = self.insert(held, values[i])
+            held = self.insert(held, costs.values[i])
         self.held = held
-        self.price([[0] * n for _ in kept])
+        self.price([[0] * n for _ in columns])
 
     def tune(self) -> None:
         """Scan alpha over _ALPHA_SIXTEENTHS for the multipliers of the lowest
@@ -235,14 +254,15 @@ class SearchTables:
         so the search may tune between two bounds: that changes what is cut,
         never the plan.
         """
-        pscale = self.pscale
+        costs = self.costs
+        pscale = costs.pscale
         # Each deviation times 2 * pscale, so that e/16 of it, rounded half up,
         # is (e * d + half) // unit.
         unit = 32 * pscale
         half = unit // 2
         deviations = [
-            [2 * (pscale * f - w * s) for f, s in zip(column, self.expected)]
-            for w, column in zip(self.weights, zip(*self.values))
+            [2 * (pscale * f - w * s) for f, s in zip(column, costs.expected)]
+            for w, column in zip(costs.weights, costs.columns)
         ]
         best = (self.root, self.multipliers, self.free, self.tail)
         for e in _ALPHA_SIXTEENTHS[1:]:
@@ -264,7 +284,7 @@ class SearchTables:
         scenario's hold lowest.
         """
         self.multipliers = multipliers
-        values, firsts, expected = self.values, self.firsts, self.expected
+        values, expected, firsts = self.costs.values, self.costs.expected, self.firsts
         prices = list(zip(*multipliers))
         free = [[]]
         tail = [sum(expected)]
@@ -329,10 +349,10 @@ class SearchTables:
 class _HoldOneSearch:
     """The search over held sets at hold n - k = 1, for one pool.
 
-    Only scenarios of nonzero weight w are kept, and values[i] holds asset
-    i's value times w in each; net[i] is pscale * c_i less their sum.  A
-    held set H = V - F costs sum_{i in H} net_i plus, per kept scenario, the
-    least value in H, and F's objective is sum_i pscale * c_i less that cost.
+    values and net are those of the solve's _Costs, over its kept scenarios.
+    A held set H = V - F costs sum_{i in H} net_i plus, per kept scenario,
+    the least value in H, and F's objective is sum_i pscale * c_i less that
+    cost.
     Every asset outside the pool is held: cost and mins are the net sum and
     per-scenario least values of those (mins is None when there are none).
     Per q = 0..len(pool): lows[q] holds each scenario's least value over
@@ -340,16 +360,14 @@ class _HoldOneSearch:
     net over pool[q:], which are all >= 0: a pool asset is not prunable.
     """
 
-    def __init__(self, view: ScaledView, pool: Sequence[int]):
-        pscale = view.pscale
-        columns = [[w * v for v in column] for w, column in zip(view.weights, view.columns) if w]
-        values = list(zip(*columns))
+    def __init__(self, costs: _Costs, pool: Sequence[int]):
+        values = costs.values
         self.pool = list(pool)
         self.values = values
-        self.net = [pscale * ci - sum(row) for ci, row in zip(view.c, values)]
-        held = sorted(set(range(len(values))) - set(pool))
+        self.net = costs.net
+        held = sorted(set(range(costs.n)) - set(pool))
         self.cost = sum(self.net[i] for i in held)
-        self.mins = [min(column[i] for i in held) for column in columns] if held else None
+        self.mins = [min(column[i] for i in held) for column in costs.columns] if held else None
         lows = [None]
         cheapest = [[0]]
         for q in reversed(range(len(pool))):
@@ -459,10 +477,11 @@ def solve_exact(
     of a size has the lexicographically first complement.  The first-stage
     search bounds with zero multipliers and calls SearchTables.tune once it
     has taken len(_ALPHA_SIXTEENTHS) * len(pool) bounds, about what the scan
-    costs.  The pool leaves out prunable(instance), which no optimal plan
-    sells first; given extras, a dict, the solver sets
-    extras["pruned_assets"] to their number.  An Instance is valid by
-    construction, so only n > options.max_n is refused here.
+    costs.  The solve builds one _Costs, and its pool leaves out the pruned
+    assets, prunable(instance), which no optimal plan sells first; given
+    extras, a dict, the solver sets extras["pruned_assets"] to their
+    number.  An Instance is valid by construction, so only n >
+    options.max_n is refused here.
     """
     if options is None:
         options = ExactOptions()
@@ -470,18 +489,18 @@ def solve_exact(
         raise EnumerationCapError("enumeration", instance.n, options.max_n)
 
     n, k = instance.n, instance.k
-    view = instance.scaled
-    pool = sorted(set(range(n)) - prunable(instance))
+    costs = _Costs(instance)
+    pool = [i for i in range(n) if i not in costs.pruned]
     if extras is not None:
         extras["pruned_assets"] = n - len(pool)
     if not (k and pool):  # the empty first stage is the only candidate
         return complete_first_stage(instance, ())
     if n - k == 1:
-        held = set(_HoldOneSearch(view, pool).held())
+        held = set(_HoldOneSearch(costs, pool).held())
         return complete_first_stage(instance, [i for i in pool if i not in held])
-    tables = SearchTables(view, k, pool)
-    orders, ranked = tables.orders, tables.ranked
-    values, positions, net = tables.values, tables.positions, tables.net
+    tables = SearchTables(costs, pool)
+    orders, ranked, positions = tables.orders, tables.ranked, tables.positions
+    values, net = costs.values, costs.net
     insert = tables.insert
     size = len(pool)
     # Tuning prices up to one table per alpha, each about size inserts, as
@@ -495,7 +514,7 @@ def solve_exact(
         untuned -= 1
         return tables.bound(q, net_sum, held)
 
-    first_value = [view.pscale * ci for ci in view.c]
+    first_value = [costs.pscale * ci for ci in costs.c]
     # bounded[a][r]: a subtree with a pool assets after t and r picks left
     # holds sum_{s <= r} C(a, s) sets.  A bound costs about hold passes over
     # the kept scenarios and a set about one, so only subtrees of more than

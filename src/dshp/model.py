@@ -16,8 +16,8 @@ Its distinct values read that record and no cell.  Its integer table
 (Instance.integers) scales each recorded object once and keys the integers
 by id, one entry per object; a cell then looks its integer up in C (map).
 serialize_instance writes each recorded object once and looks each cell's
-text up by id the same way.  The whole-instance integer view
-(Instance.scaled) is built from that table for the exact search alone.
+text up by id the same way.  The exact search reads the whole instance
+through that table once per solve (exact._Costs).
 
 Every solver picks a first-stage set F and returns complete_first_stage(F):
 with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
@@ -318,20 +318,6 @@ class Instance:
         weights = tuple(v.numerator * (pscale // v.denominator) for v in self.p)
         return IntegerTable(ints, weights, scale, pscale)
 
-    @cached_property
-    def scaled(self) -> ScaledView:
-        """The integer view of every cell of this instance, built on first use.
-
-        Each cell looks its integer up in the integer table by id, row by
-        row, and one zip transposes the rows of f into the columns.  Only
-        the exact search reads it.
-        """
-        table = self.integers
-        ints = table.ints.__getitem__
-        c = tuple(map(ints, map(id, self.c)))
-        columns = tuple(zip(*[map(ints, map(id, row)) for row in self.f]))
-        return ScaledView(c, columns, table.weights, table.scale, table.pscale)
-
 
 @dataclass(frozen=True)
 class IntegerTable:
@@ -342,21 +328,6 @@ class IntegerTable:
     """
 
     ints: dict[int, int]
-    weights: tuple[int, ...]
-    scale: int
-    pscale: int
-
-
-@dataclass(frozen=True)
-class ScaledView:
-    """An instance's values as integers over common denominators.
-
-    c[i] and columns[j][i] are c_i and f_ij times scale; weights[j] is p_j
-    times pscale.
-    """
-
-    c: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
     scale: int
     pscale: int
@@ -654,7 +625,7 @@ def serialize_instance(instance: Instance) -> str:
     """Inverse of parse_instance: parse(serialize(I)) == I field for field.
 
     Each value object in the instance's record is written with str() once,
-    keyed by id as in Instance.scaled; the cells then look their text up in C.
+    keyed by id as in Instance.integers; the cells then look their text up in C.
     """
     texts = {id(v): str(v) for v in instance._objects}.__getitem__
     obj = {

@@ -1,0 +1,187 @@
+"""Mutation gate for the exact solver: every listed mutant must fail its tests.
+
+    python tests/mutants.py
+
+Each mutant is a file, an exact text substitution and the test ids expected
+to fail.  The script copies src/, tests/ and pyproject.toml into a temporary
+directory, and for each mutant writes the substituted file there, runs pytest
+on its test ids alone and restores the file.  A mutant is caught when pytest
+reports failed tests (exit code 1).  The script exits 1 when a substitution
+no longer matches its file exactly once, when a mutant survives, or when its
+run ends any other way (a collection error, say).  It is not part of tier-1:
+it starts one pytest process per mutant, each stopping at its first failure.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+EXACT = "src/dshp/exact.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+def exact_tests(*names: str) -> tuple[str, ...]:
+    return tuple(f"tests/test_exact.py::{name}" for name in names)
+
+
+# pytest runs ids in the order given and -x stops at the first failure, so
+# the seeded tests come before the hypothesis ones, which shrink what fails.
+HOLD_ONE_PLANS = exact_tests(
+    "test_reduction_plan_on_the_bench_shapes",
+    "test_hold_one_search_returns_first_optimum_by_enumeration",
+)
+
+MUTANTS = (
+    Mutant(
+        "held-set search: held tried before sold",
+        EXACT,
+        """            visit(q + 1, t, cost, mins)  # pool[q] sold
+            i = pool[q]
+            row = values[i]
+            path.append(i)
+            visit(q + 1, t - 1, cost + net[i],
+                  row if mins is None else [x if x < v else v for x, v in zip(mins, row)])
+            path.pop()
+""",
+        """            i = pool[q]
+            row = values[i]
+            path.append(i)
+            visit(q + 1, t - 1, cost + net[i],
+                  row if mins is None else [x if x < v else v for x, v in zip(mins, row)])
+            path.pop()
+            visit(q + 1, t, cost, mins)  # pool[q] sold
+""",
+        HOLD_ONE_PLANS,
+    ),
+    Mutant(
+        "held-set search: last pick in ascending order",
+        EXACT,
+        "for i in reversed(pool[q:]):",
+        "for i in pool[q:]:",
+        HOLD_ONE_PLANS,
+    ),
+    Mutant(
+        "held-set search: <= in the same-level replace",
+        EXACT,
+        "if total < best or (total == best and best_level < level):",
+        "if total <= best or (total == best and best_level < level):",
+        HOLD_ONE_PLANS,
+    ),
+    Mutant(
+        "held-set search: level loop stops at >=",
+        EXACT,
+        "if spread(0, level, self.cost, self.mins) > best:",
+        "if spread(0, level, self.cost, self.mins) >= best:",
+        exact_tests(
+            "test_deterministic_tie_break_prefers_smaller_first_stage",
+            "test_hold_one_search_returns_first_optimum_by_enumeration",
+        ),
+    ),
+    Mutant(
+        "held-set search: bound (b) without max(0, .)",
+        EXACT,
+        "net[i] - sum([x - v for x, v in zip(mins, values[i]) if x > v])",
+        "net[i] - sum([x - v for x, v in zip(mins, values[i])])",
+        exact_tests(
+            "test_every_bound_the_hold_one_search_takes_is_sound_and_its_definition",
+            "test_reduction_plan_on_the_bench_shapes",
+        ),
+    ),
+    Mutant(
+        "held-set search: bound (a) with t - 1 nets",
+        EXACT,
+        "return cost + self.cheapest[q][t] + sum(lows)",
+        "return cost + self.cheapest[q][t - 1] + sum(lows)",
+        HOLD_ONE_PLANS,
+    ),
+    Mutant(
+        "prune: s_j as the (r+1)-th lowest",
+        EXACT,
+        "floors = [sorted(column)[hold - 1] for column in self.columns]",
+        "floors = [sorted(column)[min(hold, len(column) - 1)] for column in self.columns]",
+        exact_tests(
+            "test_selling_a_pruned_asset_first_always_loses",
+            "test_prunable_drops_more_than_the_plain_rule_at_a_hold_of_two",
+        ),
+    ),
+    Mutant(
+        "prune: max(f_ij, s_j) replaced by s_j",
+        EXACT,
+        "worth = [sum([v if v > s else s for v, s in zip(row, floors)]) for row in values]",
+        "worth = [sum([s for v, s in zip(row, floors)]) for row in values]",
+        exact_tests("test_selling_a_pruned_asset_first_always_loses"),
+    ),
+    Mutant(
+        "tune keeps the last priced alpha",
+        EXACT,
+        "        self.root, self.multipliers, self.free, self.tail = best\n",
+        "",
+        exact_tests(
+            "test_tables_tune_the_multipliers_as_the_sorted_scan",
+            "test_tables_tune_the_multipliers_as_the_sorted_scan_on_the_bench_shapes",
+        ),
+    ),
+    Mutant(
+        "first-stage search: an equal later set of one size replaces the best",
+        EXACT,
+        "(total == best_total and depth < len(best_first))",
+        "(total == best_total and depth <= len(best_first))",
+        exact_tests("test_search_past_enumeration_returns_the_held_set_oracle_plan"),
+    ),
+)
+
+
+def run(mutant: Mutant, copy: Path) -> str:
+    """Apply mutant in copy, run its tests, restore the file; the verdict."""
+    target = copy / mutant.path
+    original = target.read_text(encoding="utf-8")
+    if original.count(mutant.old) != 1:
+        return f"unmatched ({original.count(mutant.old)} matches)"
+    target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(copy / "src"),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+    finally:
+        target.write_text(original, encoding="utf-8")
+    return {0: "survived", 1: "caught"}.get(proc.returncode, f"pytest exit code {proc.returncode}")
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        for mutant in MUTANTS:
+            started = time.perf_counter()
+            verdict = run(mutant, copy)
+            failed += verdict != "caught"
+            print(f"{verdict:>10}  {mutant.name}  ({time.perf_counter() - started:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants caught")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

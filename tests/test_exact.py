@@ -28,7 +28,7 @@ from dshp import (
     solve_two_value,
 )
 from dshp.cli import gen_random_instance
-from dshp.exact import SearchTables, _HoldOneSearch
+from dshp.exact import SearchTables, _Costs, _HoldOneSearch
 
 from conftest import (
     brute_force_second_stage,
@@ -271,6 +271,15 @@ def test_cut_on_an_equal_bound_still_finds_the_first_optimum(shape, seed):
     assert solve_exact(inst) == first_optimum_by_enumeration(inst, range(inst.n))
 
 
+def weighted(view):
+    """Per asset, its row of values times the weights of the scenarios of
+    nonzero weight, and its net, pscale * c_i less that row's sum: the
+    reference for _Costs' values and net."""
+    kept = [j for j, w in enumerate(view.weights) if w]
+    values = [tuple(view.weights[j] * view.columns[j][i] for j in kept) for i in range(len(view.c))]
+    return values, [view.pscale * ci - sum(row) for ci, row in zip(view.c, values)]
+
+
 def random_multipliers(rng, view, spread):
     """Integers in -spread..spread, a row per kept scenario, each column summing to 0."""
     kept = sum(1 for w in view.weights if w)
@@ -324,13 +333,15 @@ def run_bound(view, k, pool, multipliers, first, q):
     return total
 
 
-def incremental_bounds(tables, k):
+def incremental_bounds(tables, view, k):
     """(F, q, run, child) at every node F+{pool[q]} of the search tree: run is
     tables.bound(q, ...) on the run F+G, G from pool[q:], and child is
     tables.bound(q + 1, ...) on the subtree of F+{pool[q]}.  The held table is
     carried down the tree as the search carries it: a child starts from its
-    parent's table at its own q, and each sibling step inserts one asset."""
-    pool, net, values = tables.pool, tables.net, tables.values
+    parent's table at its own q, and each sibling step inserts one asset.
+    Nets and values are view's."""
+    pool = tables.pool
+    values, net = weighted(view)
 
     def walk(first, start, net_sum, held):
         if len(first) == k:
@@ -348,7 +359,8 @@ def incremental_bounds(tables, k):
 def objectives(instance, pool):
     """The objective, times scale * pscale, of every first stage of at most k
     pool assets, keyed by its ascending tuple, by brute force."""
-    units = instance.scaled.scale * instance.scaled.pscale
+    view = integer_view(instance)
+    units = view.scale * view.pscale
     return {
         first: units * (sum((instance.c[i] for i in first), Fraction(0))
                         + brute_force_second_stage(instance, first))
@@ -368,11 +380,11 @@ def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
         inst = gen_random_instance(
             n, rng.randint(1, 3), rng.randint(1, n), values, rng.randrange(10**6)
         )
-        view = inst.scaled
+        view = integer_view(inst)
         units = view.scale * view.pscale
         kept = sum(1 for w in view.weights if w)
         for pool in (list(range(n)), pruned_pool(inst)):
-            tables = SearchTables(view, inst.k, pool)
+            tables = SearchTables(_Costs(inst), pool)
             tuned = tables.multipliers
             assert len(tuned) == kept and all(len(row) == n for row in tuned)
             assert all(sum(column) == 0 for column in zip(*tuned)), (inst, pool, tuned)
@@ -381,7 +393,7 @@ def test_subtree_bound_is_sound_and_exact_at_the_last_pool_asset():
                 [[0] * n] * kept, random_multipliers(draws, view, 3 * units), tuned
             ):
                 tables.price(multipliers)
-                for first, q, _, bound in incremental_bounds(tables, inst.k):
+                for first, q, _, bound in incremental_bounds(tables, view, inst.k):
                     child = (*first, pool[q])
                     subtree = [s for s in objective if s[: len(child)] == child]
                     where = (inst, pool, multipliers, child)
@@ -416,12 +428,12 @@ def test_run_bound_is_at_least_every_set_of_its_run(name):
     # and it is the definition's bound, under zero, random and tuned
     # multipliers on the full and the pruned pool.
     inst = RUN_INPUTS[name]()
-    view, k = inst.scaled, inst.k
+    view, k = integer_view(inst), inst.k
     kept = sum(1 for w in view.weights if w)
     draws = random.Random(59)
     checked = 0
     for pool in (list(range(inst.n)), pruned_pool(inst)):
-        tables = SearchTables(view, k, pool)
+        tables = SearchTables(_Costs(inst), pool)
         objective = objectives(inst, pool)
         for multipliers in (
             [[0] * inst.n] * kept,
@@ -429,7 +441,7 @@ def test_run_bound_is_at_least_every_set_of_its_run(name):
             tables.multipliers,
         ):
             tables.price(multipliers)
-            for first, q, run, _ in incremental_bounds(tables, k):
+            for first, q, run, _ in incremental_bounds(tables, view, k):
                 members = [
                     s for s in objective
                     if s[: len(first)] == first and set(s[len(first):]) <= set(pool[q:])
@@ -459,17 +471,17 @@ def test_run_bound_is_at_least_every_set_of_its_run(name):
 def test_incremental_bound_equals_the_definition_at_every_node(instance, pruned, kind, draws):
     """Every hold n - k, full and pruned pools, zero, random and tuned
     multipliers, signed values and zero-weight scenarios: exact equality."""
-    view, k = instance.scaled, instance.k
+    view, k = integer_view(instance), instance.k
     pool = pruned_pool(instance) if pruned else list(range(instance.n))
     kept = sum(1 for w in view.weights if w)
-    tables = SearchTables(view, k, pool)
+    tables = SearchTables(_Costs(instance), pool)
     multipliers = {
         "zero": lambda: [[0] * instance.n] * kept,
         "random": lambda: random_multipliers(draws, view, 3 * view.scale * view.pscale),
         "tuned": lambda: tables.multipliers,
     }[kind]()
     tables.price(multipliers)
-    for first, q, run, child in incremental_bounds(tables, k):
+    for first, q, run, child in incremental_bounds(tables, view, k):
         assert child == subtree_bound(view, k, pool, multipliers, first, q), (first, q)
         assert run == run_bound(view, k, pool, multipliers, first, q), (first, q)
 
@@ -504,8 +516,8 @@ def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch)
         taken.clear()
         solve_exact(inst)
         recorded = list(taken)
-        view, k, pool = inst.scaled, inst.k, search_pool(inst)
-        tables = SearchTables(view, k, pool)
+        view, k, pool = integer_view(inst), inst.k, search_pool(inst)
+        tables = SearchTables(_Costs(inst), pool)
         zero = tables.multipliers
         tables.tune()
         search = [entry for entry in recorded if entry[0]]
@@ -513,7 +525,7 @@ def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch)
         schedule += [tables.multipliers] * (len(search) - len(schedule))
         assert [entry[3] for entry in search] == schedule, inst
         tuned += len(search) > 7 * len(pool)
-        net = tables.net
+        net = weighted(view)[1]
         by_multipliers = {}
         for q, net_sum, bound, multipliers in recorded:
             entries = by_multipliers.setdefault(id(multipliers), (multipliers, set()))[1]
@@ -523,7 +535,7 @@ def test_every_bound_the_search_takes_is_the_definition_at_its_node(monkeypatch)
                 assert entries == {(0, 0, root_bound(view, k, set(pool), multipliers))}, inst
                 continue
             children, nodes = set(), set()
-            for first, q, _, _ in incremental_bounds(tables, k):
+            for first, q, _, _ in incremental_bounds(tables, view, k):
                 child_net = sum(net[i] for i in (*first, pool[q]))
                 subtree = subtree_bound(view, k, pool, multipliers, first, q)
                 children.add((q + 1, child_net, subtree))
@@ -649,12 +661,13 @@ def root_bound(view, k, pool, multipliers):
     return total
 
 
-def assert_tuned_as_the_scan(view, k, pool):
+def assert_tuned_as_the_scan(instance, pool):
     """SearchTables starts at alpha = 0; tune prices every alpha's
     multipliers at their sorted root bound, and keeps those of the first
     lowest bound, the scan stopping at the first rise, with the tables they
     give."""
-    tables = SearchTables(view, k, pool)
+    view, k = integer_view(instance), instance.k
+    tables = SearchTables(_Costs(instance), pool)
     candidates = [alpha_multipliers(view, e) for e in ALPHA_SIXTEENTHS]
     bounds = [root_bound(view, k, set(pool), rows) for rows in candidates]
     assert (tables.multipliers, tables.root) == (candidates[0], bounds[0])
@@ -689,7 +702,7 @@ def test_tables_tune_the_multipliers_as_the_sorted_scan(instance, pruned):
     """Full and pruned pools, every hold down to 0, signed values and
     zero-weight scenarios: exact equality of every alpha's root bound."""
     pool = pruned_pool(instance) if pruned else list(range(instance.n))
-    assert_tuned_as_the_scan(instance.scaled, instance.k, pool)
+    assert_tuned_as_the_scan(instance, pool)
 
 
 @pytest.mark.parametrize(
@@ -704,7 +717,7 @@ def test_tables_tune_the_multipliers_as_the_sorted_scan_on_the_bench_shapes(shap
             inst = gen_random_instance(*shape, "any", seed)
         else:
             inst = with_budget(build_reduction(gen_regular_graph(*shape, seed)), shape[0] - 2)
-        assert_tuned_as_the_scan(inst.scaled, inst.k, search_pool(inst))
+        assert_tuned_as_the_scan(inst, search_pool(inst))
 
 
 def solve_tuned(instance, schedule):
@@ -791,7 +804,7 @@ def test_order_sorts_only_distinct_values(n, m, data, seed):
     # (at most two) distinct values are ever sorted; a scenario of zero
     # weight gets no order
     inst = gen_random_instance(n, m, data.draw(st.integers(0, n)), "2", seed)
-    view = inst.scaled
+    view = integer_view(inst)
     kept = [column for column, w in zip(view.columns, view.weights) if w]
     lengths = []
 
@@ -802,7 +815,7 @@ def test_order_sorts_only_distinct_values(n, m, data, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dshp.model, "sorted", spy, raising=False)
-        tables = SearchTables(view, inst.k, pruned_pool(inst))
+        tables = SearchTables(_Costs(inst), pruned_pool(inst))
     assert lengths == [len(set(column)) for column in kept]
     assert max(lengths) <= 2
     assert tables.orders == [sorted(range(n), key=lambda i: (-column[i], i)) for column in kept]
@@ -944,7 +957,7 @@ def hold_one_costs(instance):
     """Every held set's cost, by brute force: each first stage F of at most
     k pool assets, keyed by V - F, costs sum_i pscale * c_i less F's
     objective (both times scale * pscale)."""
-    view, pool = instance.scaled, pruned_pool(instance)
+    view, pool = integer_view(instance), pruned_pool(instance)
     everything = view.pscale * sum(view.c)
     return {
         frozenset(range(instance.n)) - set(first): everything - objective
@@ -982,10 +995,8 @@ def test_every_bound_the_hold_one_search_takes_is_sound_and_its_definition(monke
     for inst in instances:
         taken.clear()
         solve_exact(inst)
-        view, pool = inst.scaled, pruned_pool(inst)
-        kept = [j for j, w in enumerate(view.weights) if w]
-        value = [[view.weights[j] * view.columns[j][i] for j in kept] for i in range(inst.n)]
-        net = [view.pscale * ci - sum(row) for ci, row in zip(view.c, value)]
+        pool = pruned_pool(inst)
+        value, net = weighted(integer_view(inst))
         outside = [i for i in range(inst.n) if i not in pool]
         costs = hold_one_costs(inst)
         # Each held part, the assets outside the pool and some pool assets,
@@ -1039,16 +1050,15 @@ def held_set_first_stage(instance):
     """
     n, r = instance.n, instance.n - instance.k
     view = integer_view(instance)
-    kept = [j for j, w in enumerate(view.weights) if w]
-    value = [[view.weights[j] * view.columns[j][i] for j in kept] for i in range(n)]
-    net = [view.pscale * ci - sum(row) for ci, row in zip(view.c, value)]
+    value, net = weighted(view)
     floors = [sorted(column)[r - 1] for column in zip(*value)]
     fixed = [i for i in range(n) if view.pscale * view.c[i] < sum(map(max, value[i], floors))]
     rest = [i for i in range(n) if i not in fixed]
 
     def lowest(assets):
         """Per scenario, the r lowest values over assets, ascending."""
-        return [sorted(column)[:r] for column in zip(*(value[i] for i in assets))] or [[]] * len(kept)
+        lows = [sorted(column)[:r] for column in zip(*(value[i] for i in assets))]
+        return lows or [[]] * len(floors)
 
     later = [lowest(rest[q:]) for q in range(len(rest) + 1)]
     cheapest = [[0, *itertools.accumulate(sorted(net[i] for i in rest[q:]))]

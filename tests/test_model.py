@@ -35,9 +35,16 @@ from dshp import (
     solve_two_value,
 )
 from dshp.cli import gen_random_instance
+from dshp.exact import _Costs
 from dshp.model import by_value
 
-from conftest import brute_force_second_stage, dominating_plan, octahedron, small_instances
+from conftest import (
+    brute_force_second_stage,
+    dominating_plan,
+    integer_view,
+    octahedron,
+    small_instances,
+)
 
 
 def test_validate_budget_exceeds_assets():
@@ -122,15 +129,14 @@ def test_greedy_no_budget_left(tightness_012):
 
 
 def test_full_first_stage_builds_no_integer_view():
-    # |F| == k leaves nothing to sell, so no solver builds Instance.scaled
-    # or the integer table it is read from
+    # |F| == k leaves nothing to sell, so no solver builds the integer table
     inst = gen_tightness(0, 1, 2)
     sol = complete_first_stage(inst, (1,))
     assert sol == Solution((1,), ((), (), ()), 1)
-    assert not {"integers", "scaled"} & set(vars(inst))
+    assert "integers" not in vars(inst)
     inst = gen_tightness(0, 1, 2)
     assert solve_approx(inst) == sol
-    assert not {"integers", "scaled"} & set(vars(inst))
+    assert "integers" not in vars(inst)
 
 
 def test_greedy_tightness_sells_high_asset_per_scenario(tightness_012):
@@ -191,7 +197,7 @@ def test_completion_sells_the_selling_order_without_the_first_stage(case):
     # is the exact objective recomputed in Fractions
     instance, first = case
     selections, revenue = second_stage_greedy(instance, first)
-    need, view = instance.k - len(first), instance.scaled
+    need, view = instance.k - len(first), integer_view(instance)
     orders = [sorted(range(instance.n), key=lambda i: (-column[i], i)) for column in view.columns]
     expected = tuple(
         tuple(sorted(islice(filterfalse(set(first).__contains__, order), need)))
@@ -265,19 +271,19 @@ def test_evaluate_equals_the_per_cell_fraction_sum(n, m, mode, data):
     for j, sold in enumerate(second):
         expected += inst.p[j] * sum((inst.f[i][j] for i in sold), Fraction(0))
     assert evaluate(inst, solution) == expected
-    # a from-scratch check: no integer table or view is built
-    assert not {"integers", "scaled"} & set(vars(inst))
+    # a from-scratch check: no integer table is built
+    assert "integers" not in vars(inst)
 
 
 @pytest.mark.parametrize("values, solve", [("2", solve_two_value), ("3", solve_approx)])
 def test_a_second_stage_builds_no_whole_instance_view(values, solve):
-    # completion maps only the held rows through the integer table; the
-    # whole-instance view is the exact search's alone
+    # completion maps only the held rows through the integer table, and the
+    # instance keeps nothing else of what it built
     inst = gen_random_instance(150, 100, 135, values, 1)
     solution = solve(inst)
     assert len(solution.first_stage) < inst.k  # a second stage ran
-    assert "integers" in vars(inst)
-    assert "scaled" not in vars(inst)
+    fields = {field.name for field in dataclasses.fields(inst)}
+    assert set(vars(inst)) == fields | {"_objects", "distinct", "integers"}
     assert solution.value == evaluate(inst, solution)
 
 
@@ -540,7 +546,7 @@ def reference_distinct(inst):
     return tuple({(v.numerator, v.denominator): v for row in rows for v in row}.values())
 
 
-def reference_scaled(inst):
+def reference_integers(inst):
     """The per-cell integer view: (c, columns, weights, scale, pscale)."""
     scale = lcm(*(v.denominator for row in (inst.c, *inst.f) for v in row))
     pscale = lcm(*(v.denominator for v in inst.p))
@@ -602,18 +608,26 @@ def test_value_table_matches_the_per_cell_scan(n, m, mode, data):
     else:
         inst = Instance(n=n, m=m, k=0, c=c, p=p, f=f)
     assert inst.distinct == reference_distinct(inst)
-    view = inst.scaled
-    assert (view.c, view.columns, view.weights, view.scale, view.pscale) == reference_scaled(inst)
+    c, columns, weights, scale, pscale = reference_integers(inst)
+    assert integer_view(inst) == (c, columns, weights, scale, pscale)
     # equal values spelled apart share one integer
-    assert len({*view.c, *(x for column in view.columns for x in column)}) == len(inst.distinct)
-    # scaled is read from the integer table, one entry per recorded object;
-    # neither build keeps a value table of its own, and the instance keeps its record
+    assert len({*c, *(x for column in columns for x in column)}) == len(inst.distinct)
+    # the exact search's integers, per cell, over the scenarios of nonzero weight
+    costs = _Costs(inst)
+    kept = [(w, column) for w, column in zip(weights, columns) if w]
+    assert (costs.c, costs.scale, costs.pscale) == (list(c), scale, pscale)
+    assert costs.weights == [w for w, _ in kept]
+    assert costs.columns == [[w * v for v in column] for w, column in kept]
+    assert costs.values == [tuple(w * column[i] for w, column in kept) for i in range(n)]
+    assert costs.net == [pscale * ci - sum(w * column[i] for w, column in kept)
+                         for i, ci in enumerate(c)]
+    # the integer table holds one entry per recorded object; no build keeps
+    # a value table of its own, and the instance keeps its record
     objects = vars(inst)["_objects"]
-    scale = view.scale
     assert inst.integers.ints == {id(v): v.numerator * (scale // v.denominator) for v in objects}
     assert len(inst.integers.ints) == len(objects)
     fields = {field.name for field in dataclasses.fields(inst)}
-    assert set(vars(inst)) == fields | {"_objects", "distinct", "integers", "scaled"}
+    assert set(vars(inst)) == fields | {"_objects", "distinct", "integers"}
     assert recorded_ids(inst) == first_appearance_ids(inst)
 
 
@@ -672,7 +686,7 @@ def first_appearance_ids(inst):
     st.integers(1, 5),
     st.integers(1, 4),
     st.sampled_from(["file", "shared", "fresh", "int", "mixed"]),
-    st.sampled_from(["distinct", "integers", "scaled"]),
+    st.sampled_from(["distinct", "integers"]),
     st.data(),
 )
 def test_the_value_record_serves_either_view_first(n, m, mode, first, data):
@@ -682,11 +696,10 @@ def test_the_value_record_serves_either_view_first(n, m, mode, first, data):
     getattr(inst, first)
     assert recorded_ids(inst) == first_appearance_ids(inst)  # kept for the other view
     assert inst.distinct == reference_distinct(inst)
-    view = inst.scaled
-    assert (view.c, view.columns, view.weights, view.scale, view.pscale) == reference_scaled(inst)
+    assert integer_view(inst) == reference_integers(inst)
     # and kept after both, for the instance's lifetime
     fields = {field.name for field in dataclasses.fields(inst)}
-    assert set(vars(inst)) == fields | {"_objects", "distinct", "integers", "scaled"}
+    assert set(vars(inst)) == fields | {"_objects", "distinct", "integers"}
     assert recorded_ids(inst) == first_appearance_ids(inst)
 
 
@@ -723,7 +736,7 @@ def test_the_value_record_follows_the_cells_of_c_and_f_only():
 
 
 @pytest.mark.parametrize("copier", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
-@pytest.mark.parametrize("built", ["distinct", "integers", "scaled"])
+@pytest.mark.parametrize("built", ["distinct", "integers"])
 def test_an_instance_with_one_view_copies_with_its_record(built, copier):
     text = (
         '{"n": 3, "m": 2, "k": 1, "c": ["1/2", 0.5, "7/3"], "p": ["1/4", "3/4"],'
@@ -741,7 +754,7 @@ def test_an_instance_with_one_view_copies_with_its_record(built, copier):
     # copied: the copy builds its own, for its completion and its view
     assert "integers" not in vars(again)
     assert complete_first_stage(again, ()) == complete_first_stage(fresh, ())
-    assert again.scaled == fresh.scaled
+    assert integer_view(again) == integer_view(fresh)
     assert recorded_ids(again) == first_appearance_ids(again)
 
 
@@ -766,7 +779,7 @@ def per_cell_serialization(inst) -> str:
     st.integers(1, 4),
     st.sampled_from(["file", "shared", "fresh", "int", "mixed"]),
     st.sampled_from(["", "drawn"]),
-    st.sampled_from([None, "distinct", "scaled", "both"]),
+    st.sampled_from([None, "distinct", "integers", "both"]),
     st.data(),
 )
 def test_serialization_per_value_object_equals_the_per_cell_form(n, m, mode, label, built, data):
@@ -774,14 +787,14 @@ def test_serialization_per_value_object_equals_the_per_cell_form(n, m, mode, lab
     # Fractions, are distinct objects of one text; either view, or both, may
     # be built before writing
     inst = dataclasses.replace(drawn_instance(n, m, mode, data), label=label)
-    for view in {"both": ["distinct", "scaled"], None: []}.get(built, [built]):
+    for view in {"both": ["distinct", "integers"], None: []}.get(built, [built]):
         getattr(inst, view)
     text = serialize_instance(inst)
     assert text == per_cell_serialization(inst)
     assert parse_instance(text) == inst
 
 
-@pytest.mark.parametrize("views", [(), ("distinct", "scaled")], ids=["no-view", "both-views"])
+@pytest.mark.parametrize("views", [(), ("distinct", "integers")], ids=["no-view", "both-views"])
 def test_serialization_writes_each_value_object_once(views):
     written = []
 

@@ -174,7 +174,7 @@ def test_first_stage_only_max_valued_assets():
 def test_visit_count_does_not_depend_on_call_history(k):
     # the counter charges one fixed rule, not whichever views an earlier call
     # left on the instance: a second solve, and a solve after the value scan
-    # and the integer view were built by hand, count what a fresh one does
+    # and the integer table were built by hand, count what a fresh one does
     def visits(instance):
         counter = VisitCounter()
         solve_two_value(instance, counter)
@@ -185,7 +185,7 @@ def test_visit_count_does_not_depend_on_call_history(k):
     assert [visits(inst), visits(inst)] == [fresh, fresh]
     built = gen_random_instance(8, 4, k, "2", 7)
     built.distinct
-    built.scaled
+    built.integers
     assert visits(built) == fresh
     # the plan takes the branch its id names
     assert (len(solve_two_value(inst).first_stage) < k) == (k == 3)
