@@ -1101,26 +1101,31 @@ def test_held_set_oracle_is_the_first_optimum_by_enumeration(instance):
     assert held_set_first_stage(instance) == expected.first_stage
 
 
-# Reductions held back to r = 2 and 3, and any-valued inputs at r = 2 and 3,
-# where the first-stage search runs past enumeration sizes.
+# Reductions held back to r = 2 and 3, and random inputs at r = 2 to 4, where
+# the first-stage search runs past enumeration sizes.  The any-valued optima
+# are unique; the two- and three-valued inputs, like the reductions, have
+# tied optima, so a tie-break fault changes their plans.
 HELD_SET_ORACLE_INPUTS = [
-    *((f"reduction-{n}-{d}-r{r}-{seed}", (n, d, r, seed))
+    *((f"reduction-{n}-{d}-r{r}-{seed}", ("reduction", n, d, r, seed))
       for n, d, r, seed in [(12, 3, 2, 0), (12, 4, 3, 1), (13, 4, 2, 2), (14, 3, 3, 3),
                             (14, 4, 2, 4), (15, 4, 3, 5), (16, 3, 2, 6), (16, 4, 3, 7)]),
-    *((f"any-{n}x{m}-r{r}-{seed}", (n, m, r, seed))
-      for n, m, r, seed in [(16, 8, 2, 0), (17, 32, 3, 1), (18, 8, 2, 2), (19, 32, 3, 3),
-                            (20, 8, 2, 4), (20, 32, 3, 5)]),
+    *((f"{values}-{n}x{m}-r{r}-{seed}", (values, n, m, r, seed))
+      for values, n, m, r, seed in [
+          ("any", 16, 8, 2, 0), ("any", 17, 32, 3, 1), ("any", 18, 8, 2, 2),
+          ("any", 19, 32, 3, 3), ("any", 20, 8, 2, 4), ("any", 20, 32, 3, 5),
+          ("3", 16, 8, 3, 0), ("3", 18, 8, 3, 0), ("3", 20, 8, 4, 0), ("2", 18, 8, 4, 2),
+      ]),
 ]
 
 
 @pytest.mark.parametrize("shape", [shape for _, shape in HELD_SET_ORACLE_INPUTS],
                          ids=[name for name, _ in HELD_SET_ORACLE_INPUTS])
 def test_search_past_enumeration_returns_the_held_set_oracle_plan(shape):
-    n, size, r, seed = shape
-    if size <= 4:
+    kind, n, size, r, seed = shape
+    if kind == "reduction":
         inst = with_budget(build_reduction(gen_regular_graph(n, size, seed)), n - r)
     else:
-        inst = gen_random_instance(n, size, n - r, "any", seed)
+        inst = gen_random_instance(n, size, n - r, kind, seed)
     expected = complete_first_stage(inst, held_set_first_stage(inst))
     assert solve_exact(inst, ExactOptions(max_n=n)) == expected
 
