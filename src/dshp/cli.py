@@ -4,10 +4,11 @@ Reports are single-line JSON objects on stdout (pass --pretty for indented
 output).  Exit codes: 0 success, 1 check failed, 2 invalid instance or
 arguments, 3 algorithm/domain mismatch, 4 I/O failure.  The searches
 (solve_exact, brute_force_mds) alone enforce the cap from --max-n or
-DSHP_MAX_N, raising EnumerationCapError: solve and mds exit 2 on it, compare
-and check reduction report that search as skipped.  The check commands only
-read their files and emit a report: model.check_solution and
-reduction.check_reduction decide every check in it.
+DSHP_MAX_N, raising EnumerationCapError: solve --algo exact and mds exit 2
+on it, compare and check reduction report that search as skipped; the
+other solvers never read the cap.  The check commands only read their
+files and emit a report: model.check_solution and reduction.check_reduction
+decide every check in it.
 """
 
 from __future__ import annotations
@@ -178,11 +179,10 @@ def gen_random_instance(n: int, m: int, k: int, values: str, seed: int) -> Insta
 
 def cmd_solve(args) -> int:
     instance = parse_instance(_read(args.instance))
-    cap = _enumeration_cap(args.max_n)
     started = time.perf_counter()
     extras: dict = {}
-    if args.algo == "exact":
-        solution = solve_exact(instance, ExactOptions(max_n=cap), extras)
+    if args.algo == "exact":  # the one solver that reads the cap
+        solution = solve_exact(instance, ExactOptions(max_n=_enumeration_cap(args.max_n)), extras)
     elif args.algo == "two-value":
         profile = detect_two_values(instance)
         if profile.v_min == profile.v_max:

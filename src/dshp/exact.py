@@ -14,14 +14,14 @@ the last part below); the plan is the same.
   lexicographically, keeps first: maximal objective, then smallest |F|,
   then the lexicographically first set.
 - Incremental second stage.  Each scenario of nonzero weight sells the
-  first k-|F| assets of its selling order (SearchTables.orders, flattened
-  from model.by_value's groups) not in F.  The search keeps, per scenario,
-  the position in that order of the last asset sold and its value, and the
-  objective of F.  From F to F+{t}, one asset leaves each scenario's sale:
-  t if it sells at or before that position, else the asset there, so the
-  larger of the two values.  Where the asset there leaves, the position
-  steps back to the previous asset not in F.  A set costs O(m), not a walk of
-  every order.
+  first k-|F| assets of its selling order (SearchTables.orders: value
+  descending, ties to the lowest index, the rule of the greedy sale) not in
+  F.  The search keeps, per scenario, the position in that order of the
+  last asset sold and its value, and the objective of F.  From F to F+{t},
+  one asset leaves each scenario's sale: t if it sells at or before that
+  position, else the asset there, so the larger of the two values.  Where
+  the asset there leaves, the position steps back to the previous asset not
+  in F.  A set costs O(m), not a walk of every order.
 - Lagrangian cut.  SearchTables.bound(q, ...) bounds every set F+G, G
   made of pool assets from pool[q] on, by giving each scenario j, of weight
   w_j = pscale * p_j, its own copy of the first stage, priced with integer
@@ -114,7 +114,6 @@ from .model import (
     EnumerationCapError,
     Instance,
     Solution,
-    by_value,
     complete_first_stage,
 )
 
@@ -198,11 +197,11 @@ class SearchTables:
     costs is the solve's _Costs, whose kept scenarios and weighted values
     the tables read.  pool lists the assets a first stage may hold,
     ascending.  hold is n - k, the number of assets every scenario
-    leaves unsold.  Per kept scenario: orders holds the selling order, the
-    by_value groups of every asset flattened, and ranked the values in that
-    order.  Per asset i, with one entry per kept scenario: positions[i]
-    holds its index in the selling order and firsts[i] its first-stage value
-    w c_i.
+    leaves unsold.  Per kept scenario: orders holds the selling order of
+    every asset, value descending and ties to the lowest index, from one
+    stable sort, and ranked the values in that order.  Per asset i, with
+    one entry per kept scenario: positions[i] holds its index in the
+    selling order and firsts[i] its first-stage value w c_i.
 
     multipliers holds one row of integers per kept scenario, one per asset,
     and each column sums to 0 (all zeros gives the wait-and-see bound).  In
@@ -227,8 +226,8 @@ class SearchTables:
 
     def __init__(self, costs: _Costs, pool: Sequence[int]):
         n, columns = costs.n, costs.columns
-        orders = [[i for _, members in by_value(range(n), column) for i in members]
-                  for column in columns]
+        # Value descending, ties to the lowest index: reverse keeps the sort stable.
+        orders = [sorted(range(n), key=column.__getitem__, reverse=True) for column in columns]
         self.costs = costs
         self.pool = list(pool)
         self.hold = costs.hold

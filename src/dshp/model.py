@@ -23,8 +23,9 @@ Every solver picks a first-stage set F and returns complete_first_stage(F):
 with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
 optimal.  It maps only the held rows, those of the assets not in F, through
 the integer table, and groups each scenario's held assets with by_value:
-highest value first, ties to the lowest index.  The exact search flattens
-by_value's groups of every asset into its selling orders (SearchTables).
+highest value first, ties to the lowest index, sorting only the distinct
+values, which keeps a sale O(nm) on inputs of few values.  F's value comes
+from the same table, so every plan is valued through one integer path.
 """
 
 from __future__ import annotations
@@ -337,10 +338,11 @@ def by_value(items, values) -> list[tuple]:
     """items grouped by their values (values[t] is the value of items[t]):
     (value, members) pairs, highest value first, members in item order.
 
-    This is the one selling rule of the package: "value descending, ties to
-    the lowest index" whenever items ascend.  Only the distinct values are
-    sorted, so with d distinct values the cost is O(len(items) + d log d):
-    linear on a two-valued column.
+    This is the greedy sale's selling rule: "value descending, ties to the
+    lowest index" whenever items ascend (the exact search sorts its orders
+    by the same rule).  Only the distinct values are sorted, so with d
+    distinct values the cost is O(len(items) + d log d): linear on a
+    two-valued column.
     """
     groups = defaultdict(list)
     for i, v in zip(items, values):
@@ -468,9 +470,9 @@ def second_stage_greedy(
     sells whole value groups, highest first, the last one cut to its
     lowest-indexed members, until k - |F| assets are sold, and sums each
     group it sells as value times count.  That is the first k - |F| assets
-    of the scenario's selling order (by_value of every asset) with F left
-    out, and that order is never built here.  With |F| = k nothing is left
-    to sell, and no integer table is built.
+    of the scenario's selling order (every asset, value descending, ties to
+    the lowest index) with F left out, and that order is never built here.
+    With |F| = k nothing is left to sell, and it returns at once.
 
     Returns the per-scenario sold lists (index-sorted) and the expected
     second-stage revenue sum_j p_j * (sum of selected f_ij).  Raises
@@ -503,19 +505,14 @@ def second_stage_greedy(
 def complete_first_stage(instance: Instance, first_stage: Iterable[int]) -> Solution:
     """The full Solution for a first-stage set under greedy completion: every solver's plan.
 
-    When a second stage runs, F's value is summed over F's integers in the
-    integer table that stage read, one Fraction for the whole set; with
-    |F| = k, in Fractions, so that no integer table is built.
+    F's value is summed over F's integers in the integer table, one Fraction
+    for the whole set, and added to the second stage's revenue.
     """
     chosen = sorted(first_stage)
     selections, revenue = second_stage_greedy(instance, chosen)
-    if len(chosen) < instance.k:
-        table = instance.integers
-        first = sum(map(table.ints.__getitem__, map(id, map(instance.c.__getitem__, chosen))))
-        value = Fraction(first, table.scale) + revenue
-    else:
-        value = sum((instance.c[i] for i in chosen), Fraction(0))
-    return Solution(chosen, selections, value)
+    table = instance.integers
+    first = sum(map(table.ints.__getitem__, map(id, map(instance.c.__getitem__, chosen))))
+    return Solution(chosen, selections, Fraction(first, table.scale) + revenue)
 
 
 def _sum_by_object(cells: list[Fraction]) -> Fraction:

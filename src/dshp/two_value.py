@@ -7,7 +7,7 @@ entries first.  A single-valued instance is the case v_min = v_max: every
 asset is worth v_max, so the first k are sold up front.  So solve_two_value
 only detects the values and picks that first stage;
 model.complete_first_stage sells the rest: each scenario groups the held
-assets, those not sold first, by the package's one selling rule
+assets, those not sold first, by the sale's selling rule
 (model.by_value), which sorts only the distinct values, at most two here, so
 the work is linear in n*m.  A VisitCounter tallies the value entries a solve
 reads, by one fixed rule that no earlier call on the instance changes.

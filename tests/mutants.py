@@ -1,4 +1,4 @@
-"""Mutation gate for the exact solver: every listed mutant must fail its tests.
+"""Mutation gate: every listed mutant of the package must fail its tests.
 
     python tests/mutants.py
 
@@ -25,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EXACT = "src/dshp/exact.py"
+MODEL = "src/dshp/model.py"
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,16 @@ class Mutant:
     tests: tuple[str, ...]
 
 
+def tests_in(module: str, *names: str) -> tuple[str, ...]:
+    return tuple(f"tests/{module}.py::{name}" for name in names)
+
+
 def exact_tests(*names: str) -> tuple[str, ...]:
-    return tuple(f"tests/test_exact.py::{name}" for name in names)
+    return tests_in("test_exact", *names)
+
+
+def model_tests(*names: str) -> tuple[str, ...]:
+    return tests_in("test_model", *names)
 
 
 # pytest runs ids in the order given and -x stops at the first failure, so
@@ -143,6 +152,70 @@ MUTANTS = (
         "(total == best_total and depth < len(best_first))",
         "(total == best_total and depth <= len(best_first))",
         exact_tests("test_search_past_enumeration_returns_the_held_set_oracle_plan"),
+    ),
+    Mutant(
+        "by_value: ties to the highest index",
+        MODEL,
+        "        groups[v].append(i)\n",
+        "        groups[v].insert(0, i)\n",
+        model_tests("test_by_value_is_value_descending_ties_to_lowest_index")
+        + tests_in("test_golden", "test_golden[solve-two-value]"),
+    ),
+    Mutant(
+        "by_value: every item sorted (same groups)",
+        MODEL,
+        "    for i, v in zip(items, values):\n",
+        "    for i, v in sorted(zip(items, values)):\n",
+        model_tests("test_the_sale_sorts_only_the_distinct_held_values"),
+    ),
+    Mutant(
+        "sale: a group summed as its value only",
+        MODEL,
+        "revenue += value * len(members)",
+        "revenue += value",
+        exact_tests("test_constant_values")
+        + model_tests("test_greedy_matches_brute_force_on_random_instances"),
+    ),
+    Mutant(
+        "sale: the last group not cut",
+        MODEL,
+        "            members = members[: need - len(sold)]\n",
+        "",
+        exact_tests("test_constant_values")
+        + model_tests("test_greedy_matches_brute_force_on_random_instances"),
+    ),
+    Mutant(
+        "plan value: F's sum over scale * pscale",
+        MODEL,
+        "Fraction(first, table.scale) + revenue",
+        "Fraction(first, table.scale * table.pscale) + revenue",
+        model_tests("test_full_first_stage_leaves_nothing_to_sell")
+        + tests_in("test_acceptance", "test_criterion_3_tightness"),
+    ),
+    Mutant(
+        "evaluate adds each value object once",
+        MODEL,
+        "sum((count * objects[key] for",
+        "sum((objects[key] for",
+        model_tests(
+            "test_evaluate_octahedron_dominating_plan_value",
+            "test_evaluate_equals_the_per_cell_fraction_sum",
+        ),
+    ),
+    Mutant(
+        "no Instance.__getstate__: a copy keeps the integer table",
+        MODEL,
+        "    def __getstate__(self):",
+        "    def _getstate(self):",
+        model_tests("test_an_instance_with_one_view_copies_with_its_record"),
+    ),
+    Mutant(
+        "numeral fast path drops the sign",
+        MODEL,
+        "return Fraction(int(whole), int(denominator)) if slash else Fraction(int(whole))",
+        "return Fraction(int(digits), int(denominator)) if slash else Fraction(int(digits))",
+        model_tests("test_plain_numerals_parse_as_fraction_reads_them")
+        + tests_in("test_boundary", "test_cell_forms_parse_to_the_same_fractions"),
     ),
 )
 

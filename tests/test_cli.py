@@ -503,10 +503,11 @@ def input_files(tmp_path, capsys):
 def test_cap_and_domain_errors_exit_with_one_error_line(
     input_files, capsys, monkeypatch, argv, env, expected
 ):
-    """Caps exceeded, caps below 1 (in every command that takes one), a bad
+    """Caps exceeded, caps below 1 (in every command that searches), a bad
     DSHP_MAX_N and generator arguments no instance fits exit 2, value-domain
     mismatches exit 3; either prints one stderr line starting "error: " and no
-    report."""
+    report.  solve --algo two-value and approx never read the cap (see the
+    test below)."""
     if env is not None:
         monkeypatch.setenv("DSHP_MAX_N", env)
     code = main([arg.format(**input_files) for arg in argv])
@@ -515,6 +516,30 @@ def test_cap_and_domain_errors_exit_with_one_error_line(
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("algo, name", [("two-value", "two"), ("approx", "three")])
+def test_solvers_without_a_search_ignore_the_cap(input_files, capsys, monkeypatch, algo, name):
+    # A bad DSHP_MAX_N or a --max-n below 1 leaves the report as it is
+    # without them; only the exact search refuses them.
+    argv = ["solve", "--algo", algo, "--instance", str(input_files[name])]
+
+    def report(*extra):
+        code, out = run(capsys, *argv, *extra)
+        assert code == 0
+        obj = json.loads(out)
+        del obj["wall_time_ms"]
+        return obj
+
+    plain = report()
+    assert report("--max-n", "0") == plain
+    monkeypatch.setenv("DSHP_MAX_N", "abc")
+    assert report() == plain
+    assert report("--max-n", "-3") == plain
+    code = main(["solve", "--algo", "exact", "--instance", str(input_files[name])])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: DSHP_MAX_N must be an integer, got 'abc'\n"
 
 
 def test_mds_cap_follows_max_n_and_env(input_files, capsys, monkeypatch):

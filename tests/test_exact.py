@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import dshp.model
 from dshp import (
     EnumerationCapError,
     ExactOptions,
@@ -799,25 +798,14 @@ def test_lazy_tuning_costs_at_most_the_scan_over_root_tuning(n, d):
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(st.integers(1, 12), st.integers(1, 4), st.data(), st.integers(0, 10**6))
-def test_order_sorts_only_distinct_values(n, m, data, seed):
-    # the O(nm) bound: a two-valued column is grouped by value, and only its
-    # (at most two) distinct values are ever sorted; a scenario of zero
-    # weight gets no order
+def test_search_orders_follow_the_selling_rule_on_two_valued_inputs(n, m, data, seed):
+    # one selling order per scenario of nonzero weight, value descending and
+    # ties to the lowest index; the O(nm) grouping of the sale is checked in
+    # test_model.test_the_sale_sorts_only_the_distinct_held_values
     inst = gen_random_instance(n, m, data.draw(st.integers(0, n)), "2", seed)
     view = integer_view(inst)
     kept = [column for column, w in zip(view.columns, view.weights) if w]
-    lengths = []
-
-    def spy(iterable, **kwargs):
-        items = list(iterable)
-        lengths.append(len(items))
-        return sorted(items, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dshp.model, "sorted", spy, raising=False)
-        tables = SearchTables(_Costs(inst), pruned_pool(inst))
-    assert lengths == [len(set(column)) for column in kept]
-    assert max(lengths) <= 2
+    tables = SearchTables(_Costs(inst), pruned_pool(inst))
     assert tables.orders == [sorted(range(n), key=lambda i: (-column[i], i)) for column in kept]
     assert solve_two_value(inst).value == solve_exact(inst).value
 

@@ -12,6 +12,7 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dshp.model
 from dshp import (
     Instance,
     InstanceError,
@@ -128,15 +129,13 @@ def test_greedy_no_budget_left(tightness_012):
     assert revenue == 0
 
 
-def test_full_first_stage_builds_no_integer_view():
-    # |F| == k leaves nothing to sell, so no solver builds the integer table
+def test_full_first_stage_leaves_nothing_to_sell():
+    # |F| == k: every scenario sells nothing, and the plan is worth F's c
     inst = gen_tightness(0, 1, 2)
     sol = complete_first_stage(inst, (1,))
     assert sol == Solution((1,), ((), (), ()), 1)
-    assert "integers" not in vars(inst)
     inst = gen_tightness(0, 1, 2)
     assert solve_approx(inst) == sol
-    assert "integers" not in vars(inst)
 
 
 def test_greedy_tightness_sells_high_asset_per_scenario(tightness_012):
@@ -525,6 +524,39 @@ def test_by_value_is_value_descending_ties_to_lowest_index(values, data):
     # one group per distinct value, strictly descending, each holding its members only
     assert [value for value, _ in groups] == sorted({values[i] for i in items}, reverse=True)
     assert all(values[i] == value for value, members in groups for i in members)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from("23"), st.integers(2, 12), st.integers(1, 4), st.data(), st.integers(0, 10**6))
+def test_the_sale_sorts_only_the_distinct_held_values(values, n, m, data, seed):
+    # The O(nm) bound of the two-value algorithm: each scenario groups its
+    # held column with by_value, whose one sort sees one group per distinct
+    # held value (at most two or three), never the held assets themselves.
+    inst = gen_random_instance(n, m, data.draw(st.integers(0, n)), values, seed)
+    first = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=inst.k))
+    sorts = []  # per by_value call: its column's distinct values, the lengths sorted
+
+    def grouped(items, column):
+        lengths = []
+        sorts.append((len(set(column)), lengths))
+
+        def spy(iterable, **kwargs):
+            listed = list(iterable)
+            lengths.append(len(listed))
+            return sorted(listed, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dshp.model, "sorted", spy, raising=False)
+            return by_value(items, column)
+
+    solve = solve_two_value if values == "2" else solve_approx
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dshp.model, "by_value", grouped)
+        second_stage_greedy(inst, first)
+        assert len(sorts) == (inst.m if len(first) < inst.k else 0)
+        solve(inst)
+    assert all(lengths == [distinct] for distinct, lengths in sorts), sorts
+    assert all(distinct <= int(values) for distinct, _ in sorts)
 
 
 # Each value with numerals that spell it; a numeral JSON reads as a number may
