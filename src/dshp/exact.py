@@ -138,7 +138,7 @@ class _Costs:
     """An instance's objective in integers, built once per solve from its
     integer table (model.Instance.integers) and its cells.
 
-    n, k and hold = n - k are the instance's, scale and pscale the table's,
+    n and hold = n - k are the instance's, scale and pscale the table's,
     and c[i] is c_i times scale.  Only the scenarios of nonzero weight w_j =
     pscale * p_j are kept: weights lists their w_j, columns[j] holds w_j
     f_ij times scale over the assets, and values[i] asset i's row of those,
@@ -157,7 +157,7 @@ class _Costs:
         table = instance.integers
         ints = table.ints.__getitem__
         pscale = table.pscale
-        self.n, self.k = instance.n, instance.k
+        self.n = instance.n
         self.hold = hold = instance.n - instance.k
         self.scale, self.pscale = table.scale, pscale
         self.c = c = list(map(ints, map(id, instance.c)))

@@ -19,13 +19,13 @@ serialize_instance writes each recorded object once and looks each cell's
 text up by id the same way.  The exact search reads the whole instance
 through that table once per solve (exact._Costs).
 
-Every solver picks a first-stage set F and returns complete_first_stage(F):
-with F fixed, the greedy second stage (second_stage_greedy, the one sale) is
-optimal.  It maps only the held rows, those of the assets not in F, through
-the integer table, and groups each scenario's held assets with by_value:
-highest value first, ties to the lowest index, sorting only the distinct
-values, which keeps a sale O(nm) on inputs of few values.  F's value comes
-from the same table, so every plan is valued through one integer path.
+Every solver picks a first-stage set F and returns complete_first_stage(F),
+the one completion: with F fixed, the greedy second stage is optimal.  It
+maps only the held rows, those of the assets not in F, through the integer
+table, and groups each scenario's held assets with by_value: highest value
+first, ties to the lowest index, sorting only the distinct values, which
+keeps a sale O(nm) on inputs of few values.  F's value and the sale's add
+up to one integer of the same table, so every plan's value is one Fraction.
 """
 
 from __future__ import annotations
@@ -456,38 +456,39 @@ def _check_plan(instance: Instance, first_stage, second_stage=None) -> tuple[int
     return chosen
 
 
-def second_stage_greedy(
-    instance: Instance, first_stage: Iterable[int]
-) -> tuple[tuple[tuple[int, ...], ...], Fraction]:
-    """Optimal second-stage completion of a fixed first-stage set.
+def complete_first_stage(instance: Instance, first_stage: Iterable[int]) -> Solution:
+    """The optimal plan for a fixed first-stage set F: every solver's plan.
 
-    With the first stage fixed, each scenario independently sells the
-    k - |F| most valuable remaining assets (ties to the lowest index);
-    the continuous relaxation of that per-scenario subproblem has an
-    integral optimum, so this greedy is exact.  Only the held rows, those
-    of the assets not in F, are mapped through instance.integers and
-    transposed.  Each scenario groups its held column by_value once, then
-    sells whole value groups, highest first, the last one cut to its
-    lowest-indexed members, until k - |F| assets are sold, and sums each
-    group it sells as value times count.  That is the first k - |F| assets
-    of the scenario's selling order (every asset, value descending, ties to
-    the lowest index) with F left out, and that order is never built here.
-    With |F| = k nothing is left to sell, and it returns at once.
+    With F fixed, each scenario independently sells the k - |F| most
+    valuable remaining assets (ties to the lowest index); the continuous
+    relaxation of that per-scenario subproblem has an integral optimum, so
+    this greedy is exact.  F, any iterable, is read once and checked; a
+    first stage with duplicates, out-of-range assets or more than k assets
+    raises SolutionError.  Only the held rows, those of the assets not in
+    F, are mapped through instance.integers and transposed.  Each scenario
+    groups its held column by_value once, then sells whole value groups,
+    highest first, the last one cut to its lowest-indexed members, until
+    k - |F| assets are sold, and sums each group it sells as value times
+    count.  That is the first k - |F| assets of the scenario's selling
+    order (every asset, value descending, ties to the lowest index) with F
+    left out, and that order is never built here.  With |F| = k nothing is
+    left to sell, and no row is mapped.
 
-    Returns the per-scenario sold lists (index-sorted) and the expected
-    second-stage revenue sum_j p_j * (sum of selected f_ij).  Raises
-    SolutionError for a first stage with duplicates, out-of-range assets
-    or more than k assets.
+    pscale times F's first-stage integers and each scenario's weighted
+    revenue add up to one integer, the plan's value times scale * pscale,
+    and the plan gets the one Fraction of it.  The sold lists stay in
+    selling order: Solution index-sorts every list once.
     """
     chosen = _check_plan(instance, first_stage)
-    need = instance.k - len(chosen)
-    if not need:
-        return ((),) * instance.m, Fraction(0)
-    table, first, f = instance.integers, set(chosen), instance.f
+    table, need = instance.integers, instance.k - len(chosen)
     ints = table.ints.__getitem__
+    # the plan's value times scale * pscale
+    total = table.pscale * sum(map(ints, map(id, map(instance.c.__getitem__, chosen))))
+    if not need:
+        return Solution(chosen, ((),) * instance.m, Fraction(total, table.scale * table.pscale))
+    first, f = set(chosen), instance.f
     held = list(filterfalse(first.__contains__, range(instance.n)))
     columns = zip(*[map(ints, map(id, f[i])) for i in held])
-    total = 0  # sum_j weights[j] * (sum of sold values): the revenue times scale * pscale
     selections = []
     for weight, column in zip(table.weights, columns):
         sold, revenue = [], 0
@@ -498,21 +499,8 @@ def second_stage_greedy(
             if len(sold) == need:
                 break
         total += weight * revenue
-        selections.append(tuple(sorted(sold)))
-    return tuple(selections), Fraction(total, table.scale * table.pscale)
-
-
-def complete_first_stage(instance: Instance, first_stage: Iterable[int]) -> Solution:
-    """The full Solution for a first-stage set under greedy completion: every solver's plan.
-
-    F's value is summed over F's integers in the integer table, one Fraction
-    for the whole set, and added to the second stage's revenue.
-    """
-    chosen = sorted(first_stage)
-    selections, revenue = second_stage_greedy(instance, chosen)
-    table = instance.integers
-    first = sum(map(table.ints.__getitem__, map(id, map(instance.c.__getitem__, chosen))))
-    return Solution(chosen, selections, Fraction(first, table.scale) + revenue)
+        selections.append(sold)
+    return Solution(chosen, selections, Fraction(total, table.scale * table.pscale))
 
 
 def _sum_by_object(cells: list[Fraction]) -> Fraction:

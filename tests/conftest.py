@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import strategies as st
 
-from dshp import Graph, Instance, complete_first_stage, second_stage_greedy
+from dshp import Graph, Instance, complete_first_stage
 
 
 def octahedron() -> Graph:
@@ -139,21 +139,20 @@ def two_valued_instances(draw, max_n=9, max_m=4):
     return Instance(n=n, m=m, k=draw(st.integers(0, n)), c=c, p=p, f=f)
 
 
-def greedy_second_stage(instance, first_stage):
-    """second_stage_greedy's revenue, a faster completion for
-    first_optimum_by_enumeration (criterion 7 checks it against brute force)."""
-    return second_stage_greedy(instance, first_stage)[1]
-
-
-def first_optimum_by_enumeration(instance, pool, second_stage=brute_force_second_stage):
+def first_optimum_by_enumeration(instance, pool, greedy=False):
     """Naive reference for solve_exact's plan: every first-stage set drawn
     from pool, by size and then lexicographically, scored as its c sum plus
-    second_stage(instance, set); the first strict maximum is completed by
-    complete_first_stage."""
+    brute_force_second_stage(instance, set), or with greedy, faster, as
+    complete_first_stage(instance, set).value (criterion 7 checks the two
+    agree); the first strict maximum is completed by complete_first_stage."""
     best_value, best_first = None, ()
     for size in range(min(instance.k, len(pool)) + 1):
         for first in itertools.combinations(sorted(pool), size):
-            value = sum((instance.c[i] for i in first), Fraction(0)) + second_stage(instance, first)
+            if greedy:
+                value = complete_first_stage(instance, first).value
+            else:
+                value = sum((instance.c[i] for i in first), Fraction(0))
+                value += brute_force_second_stage(instance, first)
             if best_value is None or value > best_value:
                 best_value, best_first = value, first
     return complete_first_stage(instance, best_first)

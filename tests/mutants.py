@@ -6,7 +6,10 @@ Each mutant is a file, an exact text substitution and the test ids expected
 to fail.  The script copies src/, tests/ and pyproject.toml into a temporary
 directory, and for each mutant writes the substituted file there, runs pytest
 on its test ids alone and restores the file.  A mutant is caught when pytest
-reports failed tests (exit code 1).  The script exits 1 when a substitution
+reports failed tests (exit code 1).  Before the first mutant, the union of
+the listed test ids runs once on the unmodified copy; if any of them fails
+there, the script names them and exits 1, since a test that fails unmutated
+catches every mutant.  The script also exits 1 when a substitution
 no longer matches its file exactly once, when a mutant survives, or when its
 run ends any other way (a collection error, say).  It is not part of tier-1:
 it starts one pytest process per mutant, each stopping at its first failure.
@@ -185,10 +188,10 @@ MUTANTS = (
         + model_tests("test_greedy_matches_brute_force_on_random_instances"),
     ),
     Mutant(
-        "plan value: F's sum over scale * pscale",
+        "plan value: F's integers not times pscale",
         MODEL,
-        "Fraction(first, table.scale) + revenue",
-        "Fraction(first, table.scale * table.pscale) + revenue",
+        "total = table.pscale * sum(",
+        "total = sum(",
         model_tests("test_full_first_stage_leaves_nothing_to_sell")
         + tests_in("test_acceptance", "test_criterion_3_tightness"),
     ),
@@ -210,6 +213,15 @@ MUTANTS = (
         model_tests("test_an_instance_with_one_view_copies_with_its_record"),
     ),
     Mutant(
+        "Solution keeps the sale's order",
+        MODEL,
+        "tuple(tuple(sorted(sel)) for sel in self.second_stage)",
+        "tuple(tuple(sel) for sel in self.second_stage)",
+        tests_in("test_approx", "test_no_qualifying_first_stage_assets")
+        + tests_in("test_golden", "test_bulk_inputs_and_solutions_are_pinned[three-150]")
+        + model_tests("test_completion_sells_the_selling_order_without_the_first_stage"),
+    ),
+    Mutant(
         "numeral fast path drops the sign",
         MODEL,
         "return Fraction(int(whole), int(denominator)) if slash else Fraction(int(whole))",
@@ -220,6 +232,28 @@ MUTANTS = (
 )
 
 
+def pytest(copy: Path, *args: str) -> subprocess.CompletedProcess:
+    """pytest run quietly in copy on its own src/."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+        cwd=copy, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+
+
+def baseline(copy: Path) -> list[str]:
+    """Every listed test id that does not pass on the unmutated copy, in one run.
+
+    A test that fails already would count every mutant listing it as caught.
+    """
+    proc = pytest(copy, "-rfE", *dict.fromkeys(t for mutant in MUTANTS for t in mutant.tests))
+    if proc.returncode == 0:
+        return []
+    failing = [line.split()[1] for line in proc.stdout.splitlines()
+               if line.startswith(("FAILED ", "ERROR "))]
+    return failing or [f"pytest exit code {proc.returncode}: {(proc.stderr + proc.stdout).strip()}"]
+
+
 def run(mutant: Mutant, copy: Path) -> str:
     """Apply mutant in copy, run its tests, restore the file; the verdict."""
     target = copy / mutant.path
@@ -228,12 +262,7 @@ def run(mutant: Mutant, copy: Path) -> str:
         return f"unmatched ({original.count(mutant.old)} matches)"
     target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=copy, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(copy / "src"),
-                 "PYTHONDONTWRITEBYTECODE": "1"},
-        )
+        proc = pytest(copy, "-x", *mutant.tests)
     finally:
         target.write_text(original, encoding="utf-8")
     return {0: "survived", 1: "caught"}.get(proc.returncode, f"pytest exit code {proc.returncode}")
@@ -247,6 +276,12 @@ def main() -> int:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, copy / name, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy)
+        started = time.perf_counter()
+        failing = baseline(copy)
+        if failing:
+            print("listed tests fail unmutated:", *failing, sep="\n  ")
+            return 1
+        print(f"baseline: every listed test passes ({time.perf_counter() - started:.1f} s)")
         for mutant in MUTANTS:
             started = time.perf_counter()
             verdict = run(mutant, copy)

@@ -12,6 +12,7 @@ from functools import lru_cache
 from dshp import (
     brute_force_mds,
     build_reduction,
+    complete_first_stage,
     default_params,
     detect_three_values,
     dominating_solution_revenue,
@@ -22,7 +23,6 @@ from dshp import (
     parse_instance,
     prunable,
     regular_degree,
-    second_stage_greedy,
     serialize_instance,
     solve_approx,
     solve_exact,
@@ -36,7 +36,6 @@ from conftest import (
     cycle_graph,
     dominating_plan,
     first_optimum_by_enumeration,
-    greedy_second_stage,
     octahedron,
 )
 
@@ -143,7 +142,7 @@ def test_criterion_6_pruning_preserves_objective():
         m = rng.randint(1, 6)
         k = rng.randint(0, n)
         inst = gen_random_instance(n, m, k, "any", rng.randrange(10**9))
-        expected = first_optimum_by_enumeration(inst, range(n), greedy_second_stage)
+        expected = first_optimum_by_enumeration(inst, range(n), greedy=True)
         assert solve_exact(inst) == expected
         with_prunable += bool(prunable(inst))
     assert with_prunable > 400
@@ -161,8 +160,9 @@ def test_criterion_7_greedy_second_stage_optimality():
         k = rng.randint(0, n)
         inst = gen_random_instance(n, m, k, "any", rng.randrange(10**9))
         first = set(rng.sample(range(n), rng.randint(0, k)))
-        _, revenue = second_stage_greedy(inst, first)
-        assert revenue == brute_force_second_stage(inst, first)
+        first_value = sum((inst.c[i] for i in first), Fraction(0))
+        value = complete_first_stage(inst, first).value
+        assert value == first_value + brute_force_second_stage(inst, first)
     print("ACCEPTANCE 7 PASS: greedy equals exhaustive completion on 200 instances")
 
 

@@ -32,7 +32,6 @@ from dshp.exact import SearchTables, _Costs, _HoldOneSearch
 from conftest import (
     brute_force_second_stage,
     first_optimum_by_enumeration,
-    greedy_second_stage,
     integer_view,
     small_instances,
     two_valued_first_stage,
@@ -829,7 +828,7 @@ def test_search_at_scale_matches_enumeration(shape, values, seed):
     # search leaves out more.  The per-set completion is the greedy, which
     # criterion 7 checks against brute force.
     inst = gen_random_instance(*shape, values, seed)
-    expected = first_optimum_by_enumeration(inst, pruned_pool(inst), greedy_second_stage)
+    expected = first_optimum_by_enumeration(inst, pruned_pool(inst), greedy=True)
     assert solve_exact(inst, ExactOptions(max_n=inst.n)) == expected
 
 
@@ -838,7 +837,7 @@ def test_search_at_scale_matches_enumeration(shape, values, seed):
 def test_two_valued_oracle_is_the_first_optimum_by_enumeration(instance):
     # Every first-stage set of every size, completed greedily (criterion 7
     # checks the greedy against brute force).
-    expected = first_optimum_by_enumeration(instance, range(instance.n), greedy_second_stage)
+    expected = first_optimum_by_enumeration(instance, range(instance.n), greedy=True)
     assert two_valued_first_stage(instance) == expected.first_stage
 
 
@@ -1085,7 +1084,7 @@ def held_set_first_stage(instance):
 @given(instance=small_instances().filter(lambda inst: inst.k < inst.n))
 @example(instance=Instance(k=2, **ZERO_WEIGHTS))
 def test_held_set_oracle_is_the_first_optimum_by_enumeration(instance):
-    expected = first_optimum_by_enumeration(instance, range(instance.n), greedy_second_stage)
+    expected = first_optimum_by_enumeration(instance, range(instance.n), greedy=True)
     assert held_set_first_stage(instance) == expected.first_stage
 
 

@@ -29,7 +29,6 @@ from dshp import (
     parse_instance,
     parse_rational,
     parse_solution,
-    second_stage_greedy,
     serialize_instance,
     serialize_solution,
     solve_approx,
@@ -122,11 +121,16 @@ def test_every_way_of_building_a_broken_instance_lists_every_violation(
         assert str(caught.value) == "invalid instance: " + "; ".join(expected)
 
 
+def revenue(instance, solution):
+    """A plan's expected second-stage revenue: its value less its first stage's c sum."""
+    return solution.value - sum((instance.c[i] for i in solution.first_stage), Fraction(0))
+
+
 def test_greedy_no_budget_left(tightness_012):
     inst = gen_tightness(0, 1, 2)
-    selections, revenue = second_stage_greedy(inst, {1})  # |F| == k == 1
-    assert selections == ((), (), ())
-    assert revenue == 0
+    solution = complete_first_stage(inst, {1})  # |F| == k == 1
+    assert solution.second_stage == ((), (), ())
+    assert revenue(inst, solution) == 0
 
 
 def test_full_first_stage_leaves_nothing_to_sell():
@@ -139,22 +143,21 @@ def test_full_first_stage_leaves_nothing_to_sell():
 
 
 def test_greedy_tightness_sells_high_asset_per_scenario(tightness_012):
-    selections, revenue = second_stage_greedy(tightness_012, set())
-    assert selections == ((0,), (2,), (3,))
-    assert revenue == 2
+    solution = complete_first_stage(tightness_012, set())
+    assert solution.second_stage == ((0,), (2,), (3,))
+    assert revenue(tightness_012, solution) == 2
 
 
 def test_greedy_budget_violation():
     inst = gen_tightness(0, 1, 2)
     with pytest.raises(SolutionError):
-        second_stage_greedy(inst, {0, 1})
+        complete_first_stage(inst, {0, 1})
 
 
 def test_completion_rejects_duplicate_first_stage():
     inst = Instance(n=3, m=1, k=2, c=(1, 2, 3), p=(1,), f=((1,), (2,), (3,)))
-    for complete in (complete_first_stage, second_stage_greedy):
-        with pytest.raises(SolutionError, match="first_stage contains duplicate assets"):
-            complete(inst, (0, 0))
+    with pytest.raises(SolutionError, match="first_stage contains duplicate assets"):
+        complete_first_stage(inst, (0, 0))
 
 
 def test_greedy_matches_brute_force_on_random_instances():
@@ -163,8 +166,8 @@ def test_greedy_matches_brute_force_on_random_instances():
         inst = gen_random_instance(5, 3, rng.randint(0, 5), "any", rng.randrange(10**6))
         size = rng.randint(0, inst.k)
         first = set(rng.sample(range(inst.n), size))
-        _, revenue = second_stage_greedy(inst, first)
-        assert revenue == brute_force_second_stage(inst, first)
+        solution = complete_first_stage(inst, first)
+        assert revenue(inst, solution) == brute_force_second_stage(inst, first)
 
 
 @st.composite
@@ -193,24 +196,25 @@ SIGNED = Instance(
 def test_completion_sells_the_selling_order_without_the_first_stage(case):
     # the completion groups only the held assets, yet sells exactly what
     # walking each scenario's full selling order past F sold, and its value
-    # is the exact objective recomputed in Fractions
+    # is the exact objective recomputed in Fractions; F is read once, so a
+    # set or a generator of it gives the same plan as the list
     instance, first = case
-    selections, revenue = second_stage_greedy(instance, first)
+    solution = complete_first_stage(instance, first)
     need, view = instance.k - len(first), integer_view(instance)
     orders = [sorted(range(instance.n), key=lambda i: (-column[i], i)) for column in view.columns]
     expected = tuple(
         tuple(sorted(islice(filterfalse(set(first).__contains__, order), need)))
         for order in orders
     )
-    assert selections == expected
-    assert revenue == sum(
+    assert solution.second_stage == expected
+    assert revenue(instance, solution) == sum(
         (pj * sum((instance.f[i][j] for i in sold), Fraction(0))
          for j, (pj, sold) in enumerate(zip(instance.p, expected))),
         Fraction(0),
     )
-    solution = complete_first_stage(instance, first)
-    assert solution.second_stage == expected
     assert solution.value == evaluate(instance, solution)
+    assert complete_first_stage(instance, set(first)) == solution
+    assert complete_first_stage(instance, (i for i in first)) == solution
 
 
 def test_evaluate_empty_solution_zero_budget():
@@ -319,10 +323,10 @@ def test_scale_equivariance_of_greedy():
             f=tuple(tuple(lam * v for v in row) for row in inst.f),
         )
         first = set(rng.sample(range(inst.n), rng.randint(0, inst.k)))
-        base_sel, base_rev = second_stage_greedy(inst, first)
-        scaled_sel, scaled_rev = second_stage_greedy(scaled, first)
-        assert scaled_sel == base_sel
-        assert scaled_rev == lam * base_rev
+        base = complete_first_stage(inst, first)
+        scaled_plan = complete_first_stage(scaled, first)
+        assert scaled_plan.second_stage == base.second_stage
+        assert revenue(scaled, scaled_plan) == lam * revenue(inst, base)
 
 
 def test_permutation_equivariance_of_greedy():
@@ -346,11 +350,11 @@ def test_permutation_equivariance_of_greedy():
         f=tuple(f[perm.index(i)] for i in range(n)),
     )
     first = set(rng.sample(range(n), 2))
-    base_sel, base_rev = second_stage_greedy(inst, first)
-    mapped_sel, mapped_rev = second_stage_greedy(relabeled, {perm[i] for i in first})
-    assert mapped_rev == base_rev
+    base = complete_first_stage(inst, first)
+    mapped = complete_first_stage(relabeled, {perm[i] for i in first})
+    assert revenue(relabeled, mapped) == revenue(inst, base)
     for j in range(m):
-        assert set(mapped_sel[j]) == {perm[i] for i in base_sel[j]}
+        assert set(mapped.second_stage[j]) == {perm[i] for i in base.second_stage[j]}
 
 
 def test_instance_round_trip(tightness_012):
@@ -552,7 +556,7 @@ def test_the_sale_sorts_only_the_distinct_held_values(values, n, m, data, seed):
     solve = solve_two_value if values == "2" else solve_approx
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dshp.model, "by_value", grouped)
-        second_stage_greedy(inst, first)
+        complete_first_stage(inst, first)
         assert len(sorts) == (inst.m if len(first) < inst.k else 0)
         solve(inst)
     assert all(lengths == [distinct] for distinct, lengths in sorts), sorts
