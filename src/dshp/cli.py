@@ -1,7 +1,7 @@
 """Command-line front end: solve, gen, mds, compare, check.
 
-Reports are single-line JSON objects on stdout (pass --pretty for indented
-output).  Exit codes: 0 success, 1 check failed, 2 invalid instance or
+Reports are single-line JSON objects on stdout; --pretty re-indents that
+text.  Exit codes: 0 success, 1 check failed, 2 invalid instance or
 arguments, 3 algorithm/domain mismatch, 4 I/O failure.  The searches
 (solve_exact, brute_force_mds) alone enforce the cap from --max-n or
 DSHP_MAX_N, raising EnumerationCapError: solve --algo exact and mds exit 2
@@ -71,11 +71,23 @@ def _enumeration_cap(max_n_arg) -> int:
     return cap
 
 
-def _emit(obj, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, indent=2))
-    else:
-        print(json.dumps(obj, separators=(",", ":")))
+def _compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _emit(report: str, pretty: bool) -> None:
+    """Print a compact JSON report; with pretty, the same object indented."""
+    print(json.dumps(json.loads(report), indent=2) if pretty else report)
+
+
+def _solve_report(head: dict, plan: str, extras: dict) -> str:
+    """The compact solve report: head's members, then "solution", the plan
+    text serialize_solution wrote, then "extras".
+
+    No string in that text holds a space, so the text without its spaces
+    is the compact JSON of the plan's object, spliced in as it stands.
+    """
+    return f'{_compact(head)[:-1]},"solution":{plan.replace(" ", "")},"extras":{_compact(extras)}}}'
 
 
 def _read(path: str) -> str:
@@ -201,21 +213,17 @@ def cmd_solve(args) -> int:
         extras["mid_count"] = profile.mid_count
         extras["guarantee"] = str(profile.guarantee)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    plan = solution.as_dict()
+    plan = serialize_solution(solution)
     if args.solution_out:
         with open(args.solution_out, "w", encoding="utf-8") as handle:
-            handle.write(serialize_solution(solution) + "\n")
-    _emit(
-        {
-            "algorithm": args.algo,
-            "instance": instance.label,
-            "objective": str(solution.value),
-            "wall_time_ms": elapsed_ms,
-            "solution": plan,
-            "extras": extras,
-        },
-        args.pretty,
-    )
+            handle.write(plan + "\n")
+    head = {
+        "algorithm": args.algo,
+        "instance": instance.label,
+        "objective": str(solution.value),
+        "wall_time_ms": elapsed_ms,
+    }
+    _emit(_solve_report(head, plan, extras), args.pretty)
     return EXIT_OK
 
 
@@ -247,11 +255,9 @@ def cmd_gen(args) -> int:
 
 def cmd_mds(args) -> int:
     graph = parse_graph(_read(args.graph))
-    dominating = brute_force_mds(graph, _enumeration_cap(args.max_n))
-    _emit(
-        {"n": graph.n, "edges": len(graph.edges), "mds": list(dominating), "size": len(dominating)},
-        args.pretty,
-    )
+    mds = list(brute_force_mds(graph, _enumeration_cap(args.max_n)))
+    report = {"n": graph.n, "edges": len(graph.edges), "mds": mds, "size": len(mds)}
+    _emit(_compact(report), args.pretty)
     return EXIT_OK
 
 
@@ -272,7 +278,7 @@ def cmd_compare(args) -> int:
     out["exact_objective"] = None if best is None else str(best)
     out["exact_skipped"] = best is None
     out["realized_ratio"] = str(solution.value / best) if best else None
-    _emit(out, args.pretty)
+    _emit(_compact(out), args.pretty)
     return EXIT_OK
 
 
@@ -281,7 +287,7 @@ def cmd_check_solution(args) -> int:
     solution = parse_solution(_read(args.solution))
     failures = check_solution(instance, solution)
     check = {"name": "solution", "ok": not failures, "detail": "; ".join(failures) or "ok"}
-    _emit({"checks": [check], "passed": not failures}, args.pretty)
+    _emit(_compact({"checks": [check], "passed": not failures}), args.pretty)
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
@@ -291,7 +297,7 @@ def cmd_check_reduction(args) -> int:
     solution = parse_solution(_read(args.solution))
     checks, mds_size = check_reduction(graph, instance, solution, _enumeration_cap(args.max_n))
     passed = all(check["ok"] for check in checks)
-    _emit({"checks": checks, "passed": passed, "mds_size": mds_size}, args.pretty)
+    _emit(_compact({"checks": checks, "passed": passed, "mds_size": mds_size}), args.pretty)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

@@ -389,20 +389,28 @@ class _HoldOneSearch:
             lows = [x if x < v else v for x, v in zip(mins, lows)]
         return cost + self.cheapest[q][t] + sum(lows)
 
-    def drop(self, q: int, t: int, cost: int, mins: list[int]) -> int:
+    def gains(self, q: int, mins: list[int] | None) -> list[int]:
+        """What holding each asset of pool[q:] alone adds to the cost of a
+        held part of per-scenario least values mins, past the part's cost
+        plus sum(mins): net_i less its drop sum_j max(0, mins_j - v_ij), or
+        net_i + sum_j v_ij when the part is empty (mins None)."""
+        values, net = self.values, self.net
+        if mins is None:
+            return [net[i] + sum(values[i]) for i in self.pool[q:]]
+        return [
+            net[i] - sum([x - v for x, v in zip(mins, values[i]) if x > v]) for i in self.pool[q:]
+        ]
+
+    def drop(self, q: int, t: int, cost: int, mins: list[int], gains: list[int]) -> int:
         """Bound (b) on the same held sets, for a held part that is not empty:
         mins kept, less each added asset's drop below them.
 
         Adding a set of assets lowers a scenario's least value by at most the
         sum of the single assets' drops max(0, mins_j - v_ij), so the bound
         is the held part's cost plus the t smallest net_i less drop_i over
-        pool[q:].  Exact when t = 1.
+        pool[q:], which gains(q, mins) lists.  Exact when t = 1.
         """
-        values, net = self.values, self.net
-        gains = sorted(
-            net[i] - sum([x - v for x, v in zip(mins, values[i]) if x > v]) for i in self.pool[q:]
-        )
-        return cost + sum(mins) + sum(gains[:t])
+        return cost + sum(mins) + sum(sorted(gains)[:t])
 
     def held(self) -> tuple[int, ...]:
         """The pool assets of the best held set; the module docstring gives
@@ -413,7 +421,7 @@ class _HoldOneSearch:
         F, the whole pool, would exceed k.
         """
         pool, values, net = self.pool, self.values, self.net
-        spread, drop = self.spread, self.drop
+        spread, drop, gains_of = self.spread, self.drop, self.gains
         size = len(pool)
         if self.mins is None:  # above every held set's cost
             best = sum(x for x in net if x > 0) + sum(map(max, zip(*values))) + 1
@@ -422,8 +430,12 @@ class _HoldOneSearch:
         best_level, best_held = 0, ()
         path: list[int] = []
 
-        def visit(q: int, t: int, cost: int, mins: list[int] | None) -> None:
-            """Search the held sets that add t assets of pool[q:] to path."""
+        def visit(
+            q: int, t: int, cost: int, mins: list[int] | None, gains: list[int] | None
+        ) -> None:
+            """Search the held sets that add t assets of pool[q:] to path;
+            gains is gains(q, mins), or None until a node needs it.  Sold
+            children keep the held part, so they share its gains."""
             nonlocal best, best_level, best_held
             bound = spread(q, t, cost, mins)
             if bound > best or (bound == best and best_level == level):
@@ -431,32 +443,34 @@ class _HoldOneSearch:
             if q + t == size:  # every asset left is held: the bound is its cost
                 best, best_level, best_held = bound, level, (*path, *pool[q:])
                 return
+            if gains is None:
+                gains = gains_of(q, mins)
             if t == 1:
                 # The last pick, in the search's order: an asset is held only
                 # after every later one has been tried.
-                for i in reversed(pool[q:]):
-                    row = values[i]
-                    least = row if mins is None else [x if x < v else v for x, v in zip(mins, row)]
-                    total = cost + net[i] + sum(least)
+                base = cost if mins is None else cost + sum(mins)
+                for i, gain in zip(reversed(pool[q:]), reversed(gains)):
+                    total = base + gain
                     if total < best or (total == best and best_level < level):
                         best, best_level, best_held = total, level, (*path, i)
                 return
             if mins is not None:
-                bound = drop(q, t, cost, mins)
+                bound = drop(q, t, cost, mins, gains)
                 if bound > best or (bound == best and best_level == level):
                     return
-            visit(q + 1, t, cost, mins)  # pool[q] sold
+            visit(q + 1, t, cost, mins, gains[1:])  # pool[q] sold
             i = pool[q]
             row = values[i]
             path.append(i)
             visit(q + 1, t - 1, cost + net[i],
-                  row if mins is None else [x if x < v else v for x, v in zip(mins, row)])
+                  row if mins is None else [x if x < v else v for x, v in zip(mins, row)], None)
             path.pop()
 
+        root = gains_of(0, self.mins)
         for level in range(1, size + 1):
             if spread(0, level, self.cost, self.mins) > best:
                 break
-            visit(0, level, self.cost, self.mins)
+            visit(0, level, self.cost, self.mins, root)
         del visit
         return best_held
 

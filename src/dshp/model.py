@@ -17,7 +17,11 @@ Its distinct values read that record and no cell.  Its integer table
 by id, one entry per object; a cell then looks its integer up in C (map).
 serialize_instance writes each recorded object once and looks each cell's
 text up by id the same way.  The exact search reads the whole instance
-through that table once per solve (exact._Costs).
+through that table once per solve (exact._Costs).  serialize_solution
+writes a plan alike: each distinct index's numeral once, every list joined
+from them.  That text holds no space but in its separators, so the CLI
+writes it to the solution file and splices it, spaces dropped, into its
+report.
 
 Every solver picks a first-stage set F and returns complete_first_stage(F),
 the one completion: with F fixed, the greedy second stage is optimal.  It
@@ -654,4 +658,18 @@ def parse_solution(text: str) -> Solution:
 
 
 def serialize_solution(solution: Solution) -> str:
-    return json.dumps(solution.as_dict())
+    """The solution file's text: json.dumps(solution.as_dict()) byte for byte.
+
+    Each distinct index is written with str() once, in a table keyed by the
+    index, and every list is joined from that table with ", ".  The value
+    is a Fraction numeral, which no JSON string escape touches.  So no
+    string in the text holds a space, and the text without its spaces is
+    the plan's compact JSON: the CLI's solve report splices it in.
+    """
+    first, second = solution.first_stage, solution.second_stage
+    numerals = {i: str(i) for i in set().union(first, *second)}.__getitem__
+    lists = ", ".join([f"[{', '.join(map(numerals, sold))}]" for sold in second])
+    return (
+        f'{{"first_stage": [{", ".join(map(numerals, first))}], '
+        f'"second_stage": [{lists}], "value": "{solution.value}"}}'
+    )

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLI = "src/dshp/cli.py"
 EXACT = "src/dshp/exact.py"
 MODEL = "src/dshp/model.py"
 
@@ -52,6 +53,10 @@ def model_tests(*names: str) -> tuple[str, ...]:
     return tests_in("test_model", *names)
 
 
+def cli_tests(*names: str) -> tuple[str, ...]:
+    return tests_in("test_cli", *names)
+
+
 # pytest runs ids in the order given and -x stops at the first failure, so
 # the seeded tests come before the hypothesis ones, which shrink what fails.
 HOLD_ONE_PLANS = exact_tests(
@@ -63,29 +68,29 @@ MUTANTS = (
     Mutant(
         "held-set search: held tried before sold",
         EXACT,
-        """            visit(q + 1, t, cost, mins)  # pool[q] sold
+        """            visit(q + 1, t, cost, mins, gains[1:])  # pool[q] sold
             i = pool[q]
             row = values[i]
             path.append(i)
             visit(q + 1, t - 1, cost + net[i],
-                  row if mins is None else [x if x < v else v for x, v in zip(mins, row)])
+                  row if mins is None else [x if x < v else v for x, v in zip(mins, row)], None)
             path.pop()
 """,
         """            i = pool[q]
             row = values[i]
             path.append(i)
             visit(q + 1, t - 1, cost + net[i],
-                  row if mins is None else [x if x < v else v for x, v in zip(mins, row)])
+                  row if mins is None else [x if x < v else v for x, v in zip(mins, row)], None)
             path.pop()
-            visit(q + 1, t, cost, mins)  # pool[q] sold
+            visit(q + 1, t, cost, mins, gains[1:])  # pool[q] sold
 """,
         HOLD_ONE_PLANS,
     ),
     Mutant(
         "held-set search: last pick in ascending order",
         EXACT,
-        "for i in reversed(pool[q:]):",
-        "for i in pool[q:]:",
+        "for i, gain in zip(reversed(pool[q:]), reversed(gains)):",
+        "for i, gain in zip(pool[q:], gains):",
         HOLD_ONE_PLANS,
     ),
     Mutant(
@@ -121,6 +126,16 @@ MUTANTS = (
         "return cost + self.cheapest[q][t] + sum(lows)",
         "return cost + self.cheapest[q][t - 1] + sum(lows)",
         HOLD_ONE_PLANS,
+    ),
+    Mutant(
+        "held-set search: a sold child keeps its parent's gains unshifted",
+        EXACT,
+        "visit(q + 1, t, cost, mins, gains[1:])",
+        "visit(q + 1, t, cost, mins, gains)",
+        exact_tests(
+            "test_the_search_takes_the_pinned_work_and_plan_on_the_bench_shapes",
+            "test_every_bound_the_hold_one_search_takes_is_sound_and_its_definition",
+        ),
     ),
     Mutant(
         "prune: s_j as the (r+1)-th lowest",
@@ -228,6 +243,39 @@ MUTANTS = (
         "return Fraction(int(digits), int(denominator)) if slash else Fraction(int(digits))",
         model_tests("test_plain_numerals_parse_as_fraction_reads_them")
         + tests_in("test_boundary", "test_cell_forms_parse_to_the_same_fractions"),
+    ),
+    Mutant(
+        "solve report: the plan keeps its separator spaces",
+        CLI,
+        '"solution":{plan.replace(" ", "")}',
+        '"solution":{plan}',
+        tests_in("test_golden", "test_golden[solve-exact-two]")
+        + cli_tests("test_the_plan_text_is_the_json_writers"),
+    ),
+    Mutant(
+        "solve report: --pretty prints the compact text",
+        CLI,
+        "print(json.dumps(json.loads(report), indent=2) if pretty else report)",
+        "print(report)",
+        tests_in("test_golden", "test_golden[solve-exact-tight-pretty]")
+        + cli_tests("test_pretty_flag", "test_the_plan_text_is_the_json_writers"),
+    ),
+    Mutant(
+        "plan text: index numerals off by one",
+        MODEL,
+        "{i: str(i) for i in",
+        "{i: str(i + 1) for i in",
+        tests_in("test_golden", "test_golden[solve-exact-two]")
+        + model_tests("test_solution_round_trip")
+        + cli_tests("test_the_plan_text_is_the_json_writers"),
+    ),
+    Mutant(
+        "plan text: an empty scenario list dropped",
+        MODEL,
+        "for sold in second])",
+        "for sold in second if sold])",
+        tests_in("test_golden", "test_golden[solve-two-value-degenerate]")
+        + cli_tests("test_the_plan_text_is_the_json_writers"),
     ),
 )
 

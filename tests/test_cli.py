@@ -1,13 +1,18 @@
 """CLI surface: exit codes, report shapes, determinism of emitted files."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dshp import (
     Graph,
     Instance,
+    Solution,
     build_reduction,
     default_params,
     detect_three_values,
@@ -17,6 +22,7 @@ from dshp import (
     parse_graph,
     parse_instance,
     serialize_instance,
+    serialize_solution,
     solve_exact,
 )
 from dshp import cli
@@ -428,6 +434,77 @@ def test_pretty_flag(tmp_path, capsys):
     assert code == 0
     assert out.count("\n") > 1
     assert json.loads(out)["objective"] == "2"
+
+
+@st.composite
+def plans(draw):
+    """A Solution of the shape a plan has: n assets, m scenarios, budget k,
+    F of at most k assets and k - |F| others sold per scenario."""
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(0, n))
+    first = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=k))
+    rest = sorted(set(range(n)) - set(first))
+    need = k - len(first)
+    sold = st.lists(st.sampled_from(rest), unique=True, min_size=need, max_size=need)
+    second = draw(st.lists(sold if rest else st.just([]), min_size=1, max_size=4))
+    return Solution(first, second, draw(st.fractions(max_denominator=10**6)))
+
+
+# Quotes, a backslash, non-ASCII text and the member name the report splices in.
+AWKWARD_LABEL = 'a "quoted" \\ label, ünïcødé ☃ 😀, "solution": [1, 2], "extras":{}'
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    solution=plans(),
+    label=st.text(),
+    extras=st.dictionaries(st.text(), st.one_of(st.text(), st.integers(), st.booleans())),
+)
+@example(solution=Solution((), ((1, 2), (0, 2)), 3), label="", extras={})  # F empty
+@example(solution=Solution((0, 4), ((), (), ()), Fraction(-7, 2)), label="", extras={})  # |F| = k
+@example(solution=Solution((), ((),), 0), label="k=0, m=1", extras={"degenerate": True})
+@example(  # n >= 11: indices of two digits
+    solution=Solution((12, 3, 10), ((11, 2, 0), (1, 5, 14)), Fraction(12345, 6)),
+    label=AWKWARD_LABEL,
+    extras={"low": "-1/3", "high_count": 4, "guarantee": "1/2"},
+)
+def test_the_plan_text_is_the_json_writers(solution, label, extras):
+    """serialize_solution writes json.dumps of the plan's object, and the
+    solve report spliced from it, compact and re-indented, is json.dumps of
+    the whole report object."""
+    plan = serialize_solution(solution)
+    assert plan == json.dumps(solution.as_dict())
+    head = {"algorithm": "exact", "instance": label, "objective": str(solution.value),
+            "wall_time_ms": 7}
+    report = {**head, "solution": solution.as_dict(), "extras": extras}
+    compact = cli._solve_report(head, plan, extras)
+    assert compact == json.dumps(report, separators=(",", ":"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(compact, pretty=False)
+        cli._emit(compact, pretty=True)
+    assert out.getvalue() == f"{compact}\n{json.dumps(report, indent=2)}\n"
+
+
+@pytest.mark.parametrize("algo", ["exact", "two-value", "approx"])
+def test_the_report_holds_the_solution_files_object(algo, tmp_path, capsys):
+    # n = 12, and a label that holds the spliced member's own name.
+    inst = cli.gen_random_instance(12, 3, 7, "3" if algo == "approx" else "2", 5)
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(Instance(
+        n=inst.n, m=inst.m, k=inst.k, c=inst.c, p=inst.p, f=inst.f, label=AWKWARD_LABEL)))
+    reports = []
+    for pretty in ((), ("--pretty",)):
+        sol = tmp_path / f"sol{len(pretty)}.json"
+        code, out = run(capsys, "solve", "--algo", algo, "--instance", str(path),
+                        "--solution-out", str(sol), *pretty)
+        assert code == 0
+        report = json.loads(out)
+        assert report["instance"] == AWKWARD_LABEL
+        assert report["solution"] == json.loads(sol.read_text())
+        report.pop("wall_time_ms")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(

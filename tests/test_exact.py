@@ -961,8 +961,8 @@ def test_every_bound_the_hold_one_search_takes_is_sound_and_its_definition(monke
     taken = []
 
     def recording(kind, method):
-        def record(self, q, t, cost, mins):
-            bound = method(self, q, t, cost, mins)
+        def record(self, q, t, cost, mins, *gains):
+            bound = method(self, q, t, cost, mins, *gains)
             taken.append((kind, q, t, cost, mins and tuple(mins), bound))
             return bound
         return record
