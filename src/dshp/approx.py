@@ -6,9 +6,9 @@ early as the budget allows achieves at least mid/high of the optimum
 4-asset, 3-scenario family (gen_tightness), so the bound cannot be
 improved.  solve_approx picks that first stage and returns
 model.complete_first_stage of it, like every solver: each scenario then
-sells the best of the held assets, those not sold first.  First-stage values
-are matched against mid and high on (numerator, denominator) pairs, since
-comparing Fractions is slow.
+sells the best of the held assets, those not sold first.  detect_three_values
+lists the assets worth high, then mid, up front, matching first-stage values
+on (numerator, denominator) pairs, since comparing Fractions is slow.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from .model import Instance, Solution, ValueDomainError, as_rational, complete_f
 
 @dataclass(frozen=True)
 class ThreeValueProfile:
-    """The sorted value triple plus first-stage class sizes.
+    """The sorted value triple plus the assets worth high or mid up front.
 
-    high_count / mid_count are the numbers of assets whose first-stage
-    value is high resp. mid; together they bound what stage 1 can sell.
+    up_front lists the assets whose first-stage value is high, then those
+    whose value is mid, each ascending; high_count / mid_count are the
+    sizes of the two classes, which together bound what stage 1 can sell.
     """
 
     low: Fraction
@@ -33,6 +34,7 @@ class ThreeValueProfile:
     high: Fraction
     high_count: int
     mid_count: int
+    up_front: tuple[int, ...]
 
     @property
     def guarantee(self) -> Fraction:
@@ -44,7 +46,10 @@ class ThreeValueProfile:
 
 
 def detect_three_values(instance: Instance) -> ThreeValueProfile:
-    """Classify an instance as exactly three-valued or raise; only its values need a check."""
+    """Classify an instance as exactly three-valued or raise; only its values need a check.
+
+    c is read once, to list the high- and mid-valued assets of up_front.
+    """
     distinct = instance.distinct
     if len(distinct) > 3:
         witness = ", ".join(str(x) for x in sorted(distinct[:4]))
@@ -53,21 +58,23 @@ def detect_three_values(instance: Instance) -> ThreeValueProfile:
         raise ValueDomainError(f"only {len(distinct)} distinct value(s); use the two-value solver")
     low, mid, high = sorted(distinct)
     ratios = list(map(Fraction.as_integer_ratio, instance.c))
-    high_count = ratios.count(high.as_integer_ratio())
-    mid_count = ratios.count(mid.as_integer_ratio())
-    return ThreeValueProfile(low, mid, high, high_count, mid_count)
+    assets = range(instance.n)
+    highs = [*compress(assets, map(high.as_integer_ratio().__eq__, ratios))]
+    mids = [*compress(assets, map(mid.as_integer_ratio().__eq__, ratios))]
+    return ThreeValueProfile(low, mid, high, len(highs), len(mids), (*highs, *mids))
 
 
 def solve_approx(instance: Instance, profile: ThreeValueProfile | None = None) -> Solution:
     """Run the heuristic: stage 1 takes high- then mid-valued assets.
 
-    If the mid/high classes fit the budget they are all sold at stage 1 and
-    any leftover budget goes to the per-scenario greedy; otherwise the k
-    highest-class assets (lowest index within a class) are sold and the
-    second stage is empty.  Instances with negative values are rejected:
-    the mid/high ratio guarantee is only meaningful for nonnegative values.
-    profile is detect_three_values(instance); a caller that has it already
-    passes it, so that the instance is classified once.
+    The first stage is profile.up_front[: k].  If the mid/high classes fit
+    the budget they are all sold at stage 1 and any leftover budget goes to
+    the per-scenario greedy; otherwise the k highest-class assets (lowest
+    index within a class) are sold and the second stage is empty.
+    Instances with negative values are rejected: the mid/high ratio
+    guarantee is only meaningful for nonnegative values.  profile is
+    detect_three_values(instance); a caller that has it already passes it,
+    so that the instance is classified once, and c is not read here.
     """
     if profile is None:
         profile = detect_three_values(instance)
@@ -75,11 +82,7 @@ def solve_approx(instance: Instance, profile: ThreeValueProfile | None = None) -
         raise ValueDomainError(
             f"negative value {profile.low} present: the ratio guarantee needs nonnegative values"
         )
-    ratios = list(map(Fraction.as_integer_ratio, instance.c))
-    assets = range(instance.n)
-    high = compress(assets, map(profile.high.as_integer_ratio().__eq__, ratios))
-    mid = compress(assets, map(profile.mid.as_integer_ratio().__eq__, ratios))
-    return complete_first_stage(instance, [*high, *mid][: instance.k])
+    return complete_first_stage(instance, profile.up_front[: instance.k])
 
 
 def gen_tightness(low, mid, high) -> Instance:

@@ -201,11 +201,10 @@ def _rationals(
 
     A row whose first cell is a str or an int is tried through numerals
     alone, in one C-level pass.  Any other row, or one where that pass meets
-    another cell (numerals refuses it with TypeError), is read by a
-    comprehension that sends each cell its own way.  Only when that raises
-    is the row read once more, cell by cell, so that the error names the
-    first bad cell as where[index].  A row that is not a list or tuple is
-    made a tuple first, so that a one-shot iterator can be read again.
+    another cell (numerals refuses it with TypeError), is read by one loop
+    that sends each cell its own way and raises at the first bad cell,
+    naming it where[index].  A row that is not a list or tuple is made a
+    tuple first, so that a one-shot iterator can be read again.
 
     seen records id -> object of every value object of the row, in order of
     first appearance.  After the one-pass read that is only the numerals
@@ -225,16 +224,13 @@ def _rationals(
                 added = [*islice(reversed(numerals.values()), len(numerals) - known)]
                 seen.update({id(v): v for v in reversed(added)})
             return row
+    cells = []
     try:
-        row = tuple([numerals[v] if isinstance(v, str) or type(v) is int else as_rational(v)
-                     for v in values])
-    except (TypeError, ValueError, ParseError):
-        for index, v in enumerate(values):
-            try:
-                numerals[v] if isinstance(v, str) or type(v) is int else as_rational(v)
-            except (TypeError, ValueError, ParseError) as exc:
-                raise type(exc)(f"{where}[{index}]: {exc}") from None
-        raise
+        for v in values:
+            cells.append(numerals[v] if isinstance(v, str) or type(v) is int else as_rational(v))
+    except (TypeError, ValueError, ParseError) as exc:  # v is cell len(cells)
+        raise type(exc)(f"{where}[{len(cells)}]: {exc}") from None
+    row = tuple(cells)
     seen.update(zip(map(id, row), row))
     return row
 

@@ -146,10 +146,10 @@ def reduction_premises(
 ) -> tuple[list[Check], ReductionParams | None]:
     """The checks graph_regular, graph_connected and ratio_window, and the params.
 
-    Given a built instance instead, B and S are decoded from its values and d is
-    the graph's; given None, the params are default_params for the graph's
-    degree.  The params are None if the graph is irregular, the values do not
-    decode or no default fits.
+    Given a built instance instead, B and S are decoded from its sorted values
+    {1-B, 1, 1+S} and d is the graph's; given None, the params are
+    default_params for the graph's degree.  The params are None if the graph
+    is irregular, the values do not decode or no default fits.
     """
     degree = regular_degree(graph)
     regular = Check("graph_regular", True, f"degree {degree}")
@@ -163,9 +163,11 @@ def reduction_premises(
         except ReductionError as exc:  # degree >= n-1: no S/B fits
             untestable = str(exc)
     elif isinstance(params, Instance):
-        values, params = sorted(params.distinct), decode_params(params, degree)
-        if params is None:
-            untestable = (
+        values = sorted(params.distinct)
+        if len(values) == 3 and values[1] == 1 and values[0] < 1 < values[2]:
+            params = ReductionParams(degree, 1 - values[0], values[2] - 1)
+        else:
+            params, untestable = None, (
                 f"cannot infer (B, S): instance values {[str(v) for v in values]} "
                 "are not of the form {1-B, 1, 1+S}"
             )
@@ -219,14 +221,6 @@ def _encode(graph: Graph, params: ReductionParams) -> Instance:
         f=f,
         label=f"reduction(n={n},d={params.degree},B={params.discount},S={params.premium})",
     )
-
-
-def decode_params(instance: Instance, degree: int) -> ReductionParams | None:
-    """B and S read back from values {1-B, 1, 1+S}, or None for other values."""
-    values = sorted(instance.distinct)
-    if len(values) == 3 and values[1] == 1 and values[0] < 1 < values[2]:
-        return ReductionParams(degree, 1 - values[0], values[2] - 1)
-    return None
 
 
 def is_dominating(graph: Graph, vertices) -> bool:

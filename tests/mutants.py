@@ -27,9 +27,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+APPROX = "src/dshp/approx.py"
 CLI = "src/dshp/cli.py"
 EXACT = "src/dshp/exact.py"
 MODEL = "src/dshp/model.py"
+REDUCTION = "src/dshp/reduction.py"
+TWO_VALUE = "src/dshp/two_value.py"
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,10 @@ def model_tests(*names: str) -> tuple[str, ...]:
 
 def cli_tests(*names: str) -> tuple[str, ...]:
     return tests_in("test_cli", *names)
+
+
+def reduction_tests(*names: str) -> tuple[str, ...]:
+    return tests_in("test_reduction", *names)
 
 
 # pytest runs ids in the order given and -x stops at the first failure, so
@@ -170,6 +177,90 @@ MUTANTS = (
         "(total == best_total and depth < len(best_first))",
         "(total == best_total and depth <= len(best_first))",
         exact_tests("test_search_past_enumeration_returns_the_held_set_oracle_plan"),
+    ),
+    Mutant(
+        "first-stage search: a leaf step charged 0",
+        EXACT,
+        "leaf = 0 if need else sum(at_last)",
+        "leaf = 0",
+        exact_tests("test_tightness_optimum_holds_everything"),
+    ),
+    Mutant(
+        "first-stage search: the sibling insert reads pool[q]",
+        EXACT,
+        "held = insert(held, values[pool[q - 1]])",
+        "held = insert(held, values[pool[q]])",
+        exact_tests("test_every_bound_the_search_takes_is_the_definition_at_its_node"),
+    ),
+    Mutant(
+        "first-stage search: the sibling insert dropped",
+        EXACT,
+        "                    held = insert(held, values[pool[q - 1]])\n",
+        "",
+        exact_tests("test_matches_independent_brute_force"),
+    ),
+    Mutant(
+        "approx: up_front lists mid before high",
+        APPROX,
+        "(*highs, *mids)",
+        "(*mids, *highs)",
+        tests_in("test_approx", "test_stage_one_choices_high_before_mid"),
+    ),
+    Mutant(
+        "approx: a zero low value refused as negative",
+        APPROX,
+        "if profile.low < 0:",
+        "if profile.low <= 0:",
+        tests_in("test_approx", "test_tightness_run"),
+    ),
+    Mutant(
+        "two-value: v_max is the smaller value",
+        TWO_VALUE,
+        "v_max = max(distinct)",
+        "v_max = min(distinct)",
+        tests_in("test_two_value", "test_detect_basic_profile"),
+    ),
+    Mutant(
+        "row reader: a bad cell named one past its index",
+        MODEL,
+        'raise type(exc)(f"{where}[{len(cells)}]: {exc}") from None',
+        'raise type(exc)(f"{where}[{len(cells) + 1}]: {exc}") from None',
+        tests_in("test_boundary", "test_bad_cell_is_named_by_position"),
+    ),
+    Mutant(
+        "row reader: the general read not recorded in seen",
+        MODEL,
+        "    seen.update(zip(map(id, row), row))\n",
+        "",
+        model_tests("test_greedy_no_budget_left"),
+    ),
+    Mutant(
+        "reduction: decoded B and S swapped",
+        REDUCTION,
+        "params = ReductionParams(degree, 1 - values[0], values[2] - 1)",
+        "params = ReductionParams(degree, values[2] - 1, 1 - values[0])",
+        reduction_tests("test_premises_decode_b_and_s_from_a_built_instance"),
+    ),
+    Mutant(
+        "reduction: an asset's own scenario gets the far value",
+        REDUCTION,
+        "near if j == i or j in adj[i] else far",
+        "near if j in adj[i] else far",
+        reduction_tests("test_build_five_cycle_entries"),
+    ),
+    Mutant(
+        "reduction: the window's lower end inside it",
+        REDUCTION,
+        '"ok" if lo < ratio < hi else',
+        '"ok" if lo <= ratio < hi else',
+        reduction_tests("test_the_window_endpoints_are_outside_it"),
+    ),
+    Mutant(
+        "reduction: the window's upper end inside it",
+        REDUCTION,
+        '"ok" if lo < ratio < hi else',
+        '"ok" if lo < ratio <= hi else',
+        reduction_tests("test_the_window_endpoints_are_outside_it"),
     ),
     Mutant(
         "by_value: ties to the highest index",

@@ -132,6 +132,10 @@ def test_classification_matches_fraction_comparison_across_spellings(k):
     assert (profile.low, profile.mid, profile.high) == (0, Fraction(1, 2), 2)
     assert profile.high_count == sum(1 for v in inst.c if v == profile.high) == 5
     assert profile.mid_count == sum(1 for v in inst.c if v == profile.mid) == 4
+    assert profile.up_front == (
+        *(i for i in range(inst.n) if inst.c[i] == Fraction(2)),
+        *(i for i in range(inst.n) if inst.c[i] == Fraction(1, 2)),
+    ) == (0, 5, 6, 7, 9, 1, 3, 4, 8)
     ranked = sorted(range(inst.n), key=lambda i: (-inst.c[i], i))
     expected = [i for i in ranked if inst.c[i] >= profile.mid][:k]
     sol = solve_approx(inst)

@@ -336,7 +336,8 @@ def test_bad_cell_of_a_one_shot_row_is_named():
 
 
 def test_a_row_the_all_strings_lookup_refuses_names_its_bad_cell():
-    # a row holding any cell that is not a str is read again cell by cell
+    # a row holding any cell that is not a str leaves the all-strings lookup
+    # for one loop that coerces each cell and raises at the first bad one
     with pytest.raises(ParseError) as info:
         Instance(3, 1, 0, ["1", Fraction(1, 2), "x"], ["1"], [["1"], ["1"], ["1"]])
     assert str(info.value).startswith("c[2]: not a rational numeral: 'x' (")

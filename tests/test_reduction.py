@@ -62,6 +62,19 @@ def test_default_params_five_cycle_case():
     assert all(check.ok for check in reduction_premises(cycle_graph(5), params)[0])
 
 
+@pytest.mark.parametrize("premium, ratio", [(Fraction(1), 2), (Fraction(5, 2), 5)])
+def test_the_window_endpoints_are_outside_it(premium, ratio):
+    # octahedron: window (2, 5); at B = 1/2, S = 1 and S = 5/2 put S/B on its ends
+    params = ReductionParams(degree=4, discount=Fraction(1, 2), premium=premium)
+    premises, _ = reduction_premises(octahedron(), params)
+    window = premises[2]
+    assert (window.name, window.ok) == ("ratio_window", False)
+    assert window.detail == f"need 2 < S/B = {ratio} < 5"
+    with pytest.raises(ReductionError) as info:
+        build_reduction(octahedron(), params)
+    assert str(info.value) == f"ratio window violated: need 2 < S/B = {ratio} < 5"
+
+
 def test_empty_window_rejected():
     with pytest.raises(ReductionError, match="empty"):
         default_params(5, 4)  # complete graph: degree n-1
